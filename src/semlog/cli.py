@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 = holds/success, 1 = refuted (witness printed), 2 = usage or
-guard error.  Output is deterministic for fixed inputs and seed.
+guard error (input nested too deeply included), 3 = internal error (traceback
+on stderr).  Output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from .errors import SemlogError
@@ -28,7 +30,7 @@ from .provenance import pi_n, specialization_hom
 from .polynomials import NATPOLY, NatPoly, lit_var
 from .semirings import semiring_from_id
 
-HOLDS, REFUTED, USAGE = 0, 1, 2
+HOLDS, REFUTED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _parse_grid(semiring, text):
@@ -347,12 +349,15 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SemlogError as exc:
+    except (SemlogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return USAGE
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL
 
 
 if __name__ == "__main__":

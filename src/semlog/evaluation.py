@@ -5,6 +5,10 @@ universe; a distinct quantifier ranges over the universe minus the elements
 instantiating the free variables visible in the quantified subformula.
 Equality atoms take their Boolean truth value.  Results are memoized per
 (subformula, relevant assignment) within one call.
+
+This is the one valuation in semlog: triviality is this evaluation over the
+Boolean semiring, and game trees and strategies take their quantifier ranges
+(`quantifier_range`) and leaf values (`leaf_value`) from here.
 """
 
 from __future__ import annotations
@@ -33,6 +37,43 @@ from .interpretations import (
 from .semirings import Semiring
 
 
+def quantifier_range(f, env: dict, universe: Sequence[int], fv=None) -> list:
+    """The legal instantiations of the quantifier node f under env: the whole
+    universe, or for a distinct quantifier the universe minus the elements
+    bound to its free variables (fv, when the caller has them at hand)."""
+    if not f.distinct:
+        return list(universe)
+    excluded = {env[v] for v in (free_vars(f) if fv is None else fv)}
+    return [b for b in universe if b not in excluded]
+
+
+def _resolve(interp: Interpretation, term, env: dict):
+    if isinstance(term, str):
+        if term not in env:
+            raise PreconditionError(f"uninstantiated free variable {term!r}")
+        return env[term]
+    if term not in interp.universe:
+        raise PreconditionError(f"element {term} not in universe")
+    return term
+
+
+def leaf_value(interp: Interpretation, f: Formula, env: dict):
+    """The value of a constant, literal or equality leaf under env."""
+    sr = interp.semiring
+    if isinstance(f, Top):
+        return sr.one
+    if isinstance(f, Bottom):
+        return sr.zero
+    if isinstance(f, Atom):
+        args = tuple(_resolve(interp, a, env) for a in f.args)
+        return interp.literal(f.rel, args, f.positive)
+    if isinstance(f, Eq):
+        same = _resolve(interp, f.left, env) == _resolve(interp, f.right, env)
+        truth = same if f.positive else not same
+        return sr.one if truth else sr.zero
+    raise PreconditionError(f"not a formula: {f!r}")
+
+
 class _Evaluator:
     def __init__(self, interp: Interpretation):
         self.interp = interp
@@ -46,15 +87,6 @@ class _Evaluator:
             got = free_vars(f)
             self.fv_cache[id(f)] = got
         return got
-
-    def resolve(self, term, env):
-        if isinstance(term, str):
-            if term not in env:
-                raise PreconditionError(f"uninstantiated free variable {term!r}")
-            return env[term]
-        if term not in self.interp.universe:
-            raise PreconditionError(f"element {term} not in universe")
-        return term
 
     def run(self, f: Formula, env: dict):
         fv = self.fv(f)
@@ -71,36 +103,18 @@ class _Evaluator:
 
     def compute(self, f: Formula, env: dict):
         sr = self.sr
-        if isinstance(f, Top):
-            return sr.one
-        if isinstance(f, Bottom):
-            return sr.zero
-        if isinstance(f, Atom):
-            args = tuple(self.resolve(a, env) for a in f.args)
-            return self.interp.literal(f.rel, args, f.positive)
-        if isinstance(f, Eq):
-            same = self.resolve(f.left, env) == self.resolve(f.right, env)
-            truth = same if f.positive else not same
-            return sr.one if truth else sr.zero
         if isinstance(f, Or):
             return sr.add(self.run(f.left, env), self.run(f.right, env))
         if isinstance(f, And):
             return sr.mul(self.run(f.left, env), self.run(f.right, env))
         if isinstance(f, (Exists, Forall)):
-            domain = self.quantifier_range(f, env)
             vals = []
-            for b in domain:
+            for b in quantifier_range(f, env, self.interp.universe, self.fv(f)):
                 env2 = dict(env)
                 env2[f.var] = b
                 vals.append(self.run(f.body, env2))
             return sr.sum(vals) if isinstance(f, Exists) else sr.prod(vals)
-        raise PreconditionError(f"not a formula: {f!r}")
-
-    def quantifier_range(self, f, env) -> list:
-        if not f.distinct:
-            return list(self.interp.universe)
-        excluded = {env[v] for v in self.fv(f)}
-        return [b for b in self.interp.universe if b not in excluded]
+        return leaf_value(self.interp, f, env)
 
 
 def evaluate(interp: Interpretation, f: Formula, env: Optional[dict] = None):

@@ -5,16 +5,18 @@ A strategy is a labelled tree of `Strategy` nodes: the label is the
 instantiated subformula (formula plus an assignment of its free variables);
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
 The value of a strategy under an interpretation is the product of its leaf
-literal values (equality leaves contribute their Boolean value).
+values, taken from `evaluation.leaf_value` (equality leaves contribute their
+Boolean value).  Quantifier nodes range over `evaluation.quantifier_range`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import GuardExceeded, PreconditionError
+from .evaluation import evaluate, leaf_value, quantifier_range
 from .formulas import (
     And,
     Atom,
@@ -31,7 +33,6 @@ from .formulas import (
     size,
 )
 from .interpretations import Interpretation
-from .polynomials import SPOLY
 from .semirings import Semiring
 
 STRATEGY_GUARD = 10**6
@@ -80,13 +81,6 @@ class GameTree:
         self.node_count = node_count
 
 
-def quantifier_domain(formula, env: dict, universe: Sequence[int]) -> List[int]:
-    if not formula.distinct:
-        return list(universe)
-    excluded = {env[v] for v in free_vars(formula)}
-    return [b for b in universe if b not in excluded]
-
-
 def build_game_tree(
     formula: Formula, universe, guard: int = TREE_NODE_GUARD
 ) -> GameTree:
@@ -113,7 +107,7 @@ def build_game_tree(
         if isinstance(g, (Or, And)):
             return GameNode(g, env_t, (node(g.left, env), node(g.right, env)), (0, 1))
         if isinstance(g, (Exists, Forall)):
-            domain = quantifier_domain(g, env, universe)
+            domain = quantifier_range(g, env, universe)
             kids = []
             for b in domain:
                 env2 = dict(env)
@@ -238,7 +232,7 @@ def resolve_args(leaf: Strategy) -> Tuple[int, ...]:
 
 
 def eval_strategy(interp: Interpretation, s: Strategy):
-    """Product of the leaf literal values."""
+    """Product of the leaf values."""
     sr = interp.semiring
     out = sr.one
     for leaf in Strategy.leaves_of(s):
@@ -246,19 +240,11 @@ def eval_strategy(interp: Interpretation, s: Strategy):
         if isinstance(g, (Top, Forall)):
             # a childless forall node has an empty quantifier range: empty product
             continue
-        if isinstance(g, Bottom) or isinstance(g, (Exists, Or, And)):
+        if isinstance(g, (Exists, Or, And)):
             # childless choice nodes only arise from empty exists ranges: empty sum
             out = sr.mul(out, sr.zero)
-        elif isinstance(g, Atom):
-            out = sr.mul(out, interp.literal(g.rel, resolve_args(leaf), g.positive))
-        elif isinstance(g, Eq):
-            env = dict(leaf.env)
-            l = env[g.left] if isinstance(g.left, str) else g.left
-            r = env[g.right] if isinstance(g.right, str) else g.right
-            truth = (l == r) if g.positive else (l != r)
-            out = sr.mul(out, sr.one if truth else sr.zero)
         else:
-            raise PreconditionError(f"not a leaf formula: {g!r}")
+            out = sr.mul(out, leaf_value(interp, g, dict(leaf.env)))
     return out
 
 
@@ -293,7 +279,7 @@ def validate_strategy(s: Strategy, universe) -> None:
                     raise PreconditionError("and-child label mismatch")
                 walk(child, env)
             return
-        domain = quantifier_domain(g, env, universe)
+        domain = quantifier_range(g, env, universe)
         if node.kind == "exists":
             if len(node.children) != 1:
                 raise PreconditionError("exists-node must keep exactly one child")
@@ -334,8 +320,6 @@ class SumOfStrategiesReport:
 def sum_of_strategies_check(
     interp: Interpretation, formula: Formula, guard: int = STRATEGY_GUARD
 ) -> SumOfStrategiesReport:
-    from .evaluation import evaluate
-
     tree = build_game_tree(formula, interp.universe)
     sr = interp.semiring
     total = sr.sum(eval_strategy(interp, s) for s in enumerate_strategies(tree, guard))
@@ -356,29 +340,32 @@ def _require_maxplus(sr: Semiring):
 
 
 class _OptimalDP:
-    """Argmax dynamic program.  `value` is the evaluation of each subtree;
-    `argmax` lists the locally maximal strategy-bearing children of each
-    choice node (an empty exists range bears no strategy and evaluates to
-    zero, which every strategy-less subtree does)."""
+    """Argmax dynamic program.  `value` is the evaluation of each subtree: a
+    choice node takes the maximum over its strategy-bearing children, or zero
+    without one (every strategy-less subtree, such as an empty exists range,
+    evaluates to zero); `argmax` lists the children that reach it.
 
-    def __init__(self, interp: Interpretation, tree: GameTree):
-        _require_maxplus(interp.semiring)
+    With `existential` set, forall nodes bear no strategy and are not
+    descended into: the root then bears a strategy iff some strategy avoids
+    forall nodes, and its value is the best value among those strategies."""
+
+    def __init__(self, interp: Interpretation, tree: GameTree, existential: bool = False):
         self.interp = interp
         self.sr = interp.semiring
         self.tree = tree
+        self.existential = existential
         self.value: Dict[int, object] = {}
         self.has_strategy: Dict[int, bool] = {}
         self.argmax: Dict[int, List[int]] = {}
         self._run(tree.root)
 
-    def _leaf_value(self, node: GameNode):
-        stub = Strategy(node.formula, node.env, None, ())
-        return eval_strategy(self.interp, stub)
-
     def _run(self, node: GameNode):
         if node.kind == "leaf":
-            val = self._leaf_value(node)
+            val = leaf_value(self.interp, node.formula, dict(node.env))
             has = True
+        elif node.kind == "forall" and self.existential:
+            val = self.sr.zero
+            has = False
         elif node.kind in ("and", "forall"):
             val = self.sr.one
             has = True
@@ -388,14 +375,15 @@ class _OptimalDP:
                 has = has and self.has_strategy[id(c)]
         else:
             best = None
-            has = False
             for c in node.children:
                 self._run(c)
+                if not self.has_strategy[id(c)]:
+                    continue
                 v = self.value[id(c)]
                 if best is None or self.sr.lt(best, v):
                     best = v
-                has = has or self.has_strategy[id(c)]
-            val = best if best is not None else self.sr.zero
+            has = best is not None
+            val = best if has else self.sr.zero
             self.argmax[id(node)] = [
                 i
                 for i, c in enumerate(node.children)
@@ -464,6 +452,7 @@ def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
     """Optimal value and one optimal strategy by argmax dynamic programming;
     requires a linearly ordered, additively idempotent semiring."""
     tree = build_game_tree(formula, interp.universe)
+    _require_maxplus(interp.semiring)
     dp = _OptimalDP(interp, tree)
     return OptimalResult(dp.value[id(tree.root)], dp.extract(), dp.tie_count(), dp)
 
@@ -766,13 +755,3 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
     if any(e > n for e in literal_elements(out)):
         raise PreconditionError("translation left an overflow literal element")
     return out
-
-
-def strategy_monomial(s: Strategy, pi):
-    """Value of a strategy under a polynomial interpretation (an antichain of
-    at most one monomial)."""
-    return eval_strategy(pi, s)
-
-
-def spoly_leq(p, q) -> bool:
-    return SPOLY.leq(p, q)

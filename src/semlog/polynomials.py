@@ -392,11 +392,3 @@ def specialize(poly, assignment: Dict[VarKey, Any], target: Semiring):
                 out = target.add(out, mv)
         return out
     raise CarrierMismatch(f"not a polynomial: {poly!r}")
-
-
-def poly_support(poly):
-    return poly.support()
-
-
-def poly_degree(poly) -> int:
-    return poly.degree()

@@ -13,21 +13,17 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .formulas import (
     FALSE,
     TRUE,
-    And,
     Atom,
-    Bottom,
     Eq,
     Exists,
     Forall,
     Formula,
-    Or,
-    Top,
     canonical_bound_names,
     dedupe_or_idempotent,
     existential_prenex_dnf,
@@ -52,6 +48,7 @@ from .formulas import (
 )
 from .games import (
     Strategy,
+    _OptimalDP,
     build_game_tree,
     classify,
     enumerate_strategies,
@@ -71,7 +68,7 @@ from .interpretations import (
 )
 from .evaluation import evaluate, evaluate_set
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
-from .semirings import INF, S3, VITERBI, Semiring
+from .semirings import BOOLEAN, INF, S3, VITERBI, Semiring
 
 STRICT_SEMIRING_IDS = {"viterbi", "tropical", "lukasiewicz", "doubt"}
 
@@ -213,54 +210,23 @@ def check_preservation(
 # ---------------------------------------------------------------------------
 
 
-def _pi_value_is_one(formula: Formula, env: dict, universe: Tuple[int, ...], memo: dict) -> bool:
-    """Whether pi_n evaluates the instantiated formula to 1 in the absorptive
-    polynomial semiring.  A sum is 1 iff some summand is, a product iff all
-    factors are, and no literal is; this avoids building the antichains."""
-    key = (id(formula), tuple(sorted((v, env[v]) for v in free_vars(formula))))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, Top):
-        out = True
-    elif isinstance(formula, (Bottom, Atom)):
-        out = False
-    elif isinstance(formula, Eq):
-        raise PreconditionError("equality atom in an FO-distinct formula")
-    elif isinstance(formula, Or):
-        out = _pi_value_is_one(formula.left, env, universe, memo) or _pi_value_is_one(
-            formula.right, env, universe, memo
-        )
-    elif isinstance(formula, And):
-        out = _pi_value_is_one(formula.left, env, universe, memo) and _pi_value_is_one(
-            formula.right, env, universe, memo
-        )
-    elif isinstance(formula, (Exists, Forall)):
-        excluded = {env[v] for v in free_vars(formula)} if formula.distinct else set()
-        domain = [b for b in universe if b not in excluded]
-        results = []
-        for b in domain:
-            env2 = dict(env)
-            env2[formula.var] = b
-            results.append(_pi_value_is_one(formula.body, env2, universe, memo))
-        out = any(results) if isinstance(formula, Exists) else all(results)
-    else:
-        raise PreconditionError(f"not a formula: {formula!r}")
-    memo[key] = out
-    return out
-
-
 def is_trivial_at(formula: Formula, n: int) -> bool:
     """Decide whether pi_n evaluates the formula to 1 for the canonical
     instantiation of its free variables (sufficient for all instantiations:
-    only the equality type matters)."""
+    only the equality type matters).
+
+    In pi_n a sum is 1 iff some summand is 1, a product iff every factor is,
+    and no literal is; so pi_n(formula) = 1 exactly when the formula is true
+    in the Boolean interpretation over {1..n} where every literal is false.
+    That interpretation has an empty table, so it declares no relation."""
     if not is_foneq(formula):
         raise PreconditionError("triviality is defined for FO-distinct formulae")
     fv = sorted(free_vars(formula))
     if n < len(fv) + 1:
         raise PreconditionError(f"n = {n} too small for the instantiation of {fv}")
     env = {v: i + 1 for i, v in enumerate(fv)}
-    return _pi_value_is_one(formula, env, tuple(range(1, n + 1)), {})
+    all_false = Interpretation(BOOLEAN, range(1, n + 1), Vocabulary({}), {}, (False, False))
+    return evaluate(all_false, formula, env)
 
 
 @dataclass
@@ -317,58 +283,17 @@ def has_existential_optimal(
     interp: Interpretation, formula: Formula
 ) -> Tuple[bool, Optional[Strategy]]:
     """Whether some optimal strategy avoids universal nodes entirely.  Decided
-    exactly by a dynamic program over forall-free strategies (the argmax tie
-    family can miss optimal strategies when an absorbing zero is involved)."""
-    sr = interp.semiring
+    exactly by the argmax dynamic program restricted to forall-free
+    strategies (the argmax tie family of `optimal` can miss optimal
+    strategies when an absorbing zero is involved); the strategy returned
+    takes the first maximal child at every choice node."""
     tree = build_game_tree(formula, interp.universe)
     target = evaluate(interp, formula)
-
-    best: Dict[int, object] = {}
-    pick: Dict[int, int] = {}
-
-    def go(node) -> Optional[object]:
-        if node.kind == "forall":
-            best[id(node)] = None
-            return None
-        if node.kind == "leaf":
-            val = eval_strategy(interp, Strategy(node.formula, node.env, None, ()))
-            best[id(node)] = val
-            return val
-        if node.kind == "and":
-            val = sr.one
-            for c in node.children:
-                sub = go(c)
-                if sub is None:
-                    best[id(node)] = None
-                    return None
-                val = sr.mul(val, sub)
-            best[id(node)] = val
-            return val
-        out = None
-        for i, c in enumerate(node.children):
-            sub = go(c)
-            if sub is None:
-                continue
-            if out is None or sr.lt(out, sub):
-                out = sub
-                pick[id(node)] = i
-        best[id(node)] = out
-        return out
-
-    def extract(node) -> Strategy:
-        if node.kind == "leaf":
-            return Strategy(node.formula, node.env, None, ())
-        if node.kind == "and":
-            return Strategy(
-                node.formula, node.env, node.tags, tuple(extract(c) for c in node.children)
-            )
-        i = pick[id(node)]
-        return Strategy(node.formula, node.env, node.tags[i], (extract(node.children[i]),))
-
-    top = go(tree.root)
-    if top is None or top != target:
+    dp = _OptimalDP(interp, tree, existential=True)
+    root = id(tree.root)
+    if not dp.has_strategy[root] or dp.value[root] != target:
         return False, None
-    return True, extract(tree.root)
+    return True, dp.extract()
 
 
 def has_almost_existential_optimal(

@@ -62,13 +62,3 @@ def specialization_hom(
 ) -> SemiringHom:
     """The universal-property homomorphism induced by a consistent assignment."""
     return SemiringHom(source, target, lambda p: specialize(p, assignment, target), name)
-
-
-def identify_variables(
-    mapping: Dict, target: Semiring
-) -> SemiringHom:
-    """Convenience wrapper for collapsing provenance variables (for example
-    every positive R-variable onto one indeterminate)."""
-    return SemiringHom(
-        NATPOLY, target, lambda p: specialize(p, mapping, target), "identify"
-    )

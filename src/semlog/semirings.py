@@ -500,14 +500,6 @@ def check_hom(h: SemiringHom, rng: Optional[random.Random] = None, samples: int 
     return HomReport(not violations, violations)
 
 
-def compose_homs(outer: SemiringHom, inner: SemiringHom) -> SemiringHom:
-    if inner.target is not outer.source and inner.target.id != outer.source.id:
-        raise PreconditionError("homomorphisms do not compose")
-    return SemiringHom(
-        inner.source, outer.target, lambda v: outer(inner(v)), f"{outer.name}.{inner.name}"
-    )
-
-
 def natural_leq_witnessed(sr: Semiring, s, t) -> bool:
     """Decide s <= t by searching a witness r with s + r = t (finite carriers
     only).  Used as the independent oracle for the closed-form `leq`."""

@@ -13,7 +13,7 @@ from semlog.formulas import (
     Exists,
     Forall,
     Or,
-    is_sentence,
+    free_vars,
 )
 from semlog.interpretations import Interpretation, Vocabulary, random_interpretation
 
@@ -31,8 +31,11 @@ def _rel_atom(rng: random.Random, vocab: Vocabulary, scope, positive=None):
     return Atom(rel, args, positive)
 
 
-def random_foneq_sentence(rng: random.Random, vocab: Vocabulary = UNARY_RQ, max_qr: int = 2):
-    """A random FO-distinct sentence with quantifier rank <= max_qr."""
+def random_foneq_formula(rng: random.Random, vocab: Vocabulary = UNARY_RQ, max_qr: int = 2,
+                         free=(), constants: bool = False):
+    """A random FO-distinct formula with quantifier rank <= max_qr whose free
+    variables are exactly `free`; with `constants`, a third of the leaves
+    are `true` or `false` instead of atoms."""
 
     def build(scope, quantifiers_left, budget):
         can_atom = bool(scope)
@@ -49,6 +52,8 @@ def random_foneq_sentence(rng: random.Random, vocab: Vocabulary = UNARY_RQ, max_
             return TRUE
         move = rng.choice(moves)
         if move == "atom":
+            if constants and rng.random() < 1 / 3:
+                return rng.choice((TRUE, FALSE))
             return _rel_atom(rng, vocab, scope)
         if move in ("exists", "forall"):
             var = f"q{len(scope) + 1}"
@@ -60,10 +65,15 @@ def random_foneq_sentence(rng: random.Random, vocab: Vocabulary = UNARY_RQ, max_
         return And(l, r) if move == "and" else Or(l, r)
 
     for _ in range(200):
-        f = build([], max_qr, 2)
-        if is_sentence(f) and not isinstance(f, (type(TRUE), type(FALSE))):
+        f = build(list(free), max_qr, 2)
+        if free_vars(f) == set(free) and not isinstance(f, (type(TRUE), type(FALSE))):
             return f
-    raise AssertionError("generator failed to produce a sentence")
+    raise AssertionError("generator failed to produce a formula")
+
+
+def random_foneq_sentence(rng: random.Random, vocab: Vocabulary = UNARY_RQ, max_qr: int = 2):
+    """A random FO-distinct sentence with quantifier rank <= max_qr."""
+    return random_foneq_formula(rng, vocab, max_qr)
 
 
 def random_sigma1_sentence(rng: random.Random, vocab: Vocabulary = UNARY_RQ, k: int = 2,

@@ -174,3 +174,25 @@ def test_output_is_deterministic(interp_file):
         for _ in range(2)
     ]
     assert evals[0] == evals[1]
+
+
+def test_deeply_nested_input_exits_2_without_traceback():
+    formula = "E x. (" + " | ".join(["R(x)"] * 1200) + ")"
+    code, out, err = run_cli("check", "--property", "extensions", "--semiring", "viterbi",
+                             "--formula", formula)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, interp_file):
+    import semlog.cli as cli
+
+    def broken(args):
+        raise ValueError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    code, _, err = run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                           "--formula", "E x. R(x)")
+    assert code == 3
+    assert "Traceback" in err and "ValueError: broken command" in err

@@ -8,7 +8,7 @@ import pytest
 from corpus import UNARY_R, UNARY_RQ, random_foneq_sentence
 from semlog.errors import GuardExceeded, PreconditionError
 from semlog.evaluation import evaluate
-from semlog.formulas import metrics, qr, size
+from semlog.formulas import Eq, metrics, qr, size
 from semlog.games import (
     Strategy,
     build_game_tree,
@@ -59,6 +59,19 @@ def test_top_leaf_strategy_is_one():
     (s,) = enumerate_strategies(tree)
     pi = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_R, {})
     assert eval_strategy(pi, s) == VITERBI.one
+
+
+def test_eval_strategy_checks_equality_constants():
+    """A hand-built equality leaf is valued as `evaluate` values it: an
+    element outside the universe is an error, not a silent comparison."""
+    pi = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_R, {})
+    inside = Strategy(Eq("x", 1), (("x", 1),), None, ())
+    assert eval_strategy(pi, inside) == evaluate(pi, inside.formula, {"x": 1}) == VITERBI.one
+    outside = Strategy(Eq("x", 5, positive=False), (("x", 1),), None, ())
+    for value in (lambda: evaluate(pi, outside.formula, {"x": 1}),
+                  lambda: eval_strategy(pi, outside)):
+        with pytest.raises(PreconditionError, match="not in universe"):
+            value()
 
 
 def test_fo_flavor_quantifies_over_everything():

@@ -4,8 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corpus import UNARY_R, UNARY_RQ, random_sigma1_sentence
+from corpus import (
+    UNARY_R,
+    UNARY_RQ,
+    random_foneq_formula,
+    random_foneq_sentence,
+    random_sigma1_sentence,
+)
 from semlog.errors import PreconditionError
 from semlog.evaluation import evaluate, evaluate_set
 from semlog.formulas import Forall, canonical_bound_names, subformulas
@@ -178,6 +186,13 @@ def test_triviality_matches_full_polynomial_evaluation():
             env = {v: i + 1 for i, v in enumerate(fv)}
             direct = evaluate(pin, f, env) == SPOLY.one
             assert is_trivial_at(f, n) == direct, (text, n)
+    rng = random.Random(59)
+    for _ in range(60):
+        f = random_foneq_formula(rng, free=("x",), constants=True)
+        for n in (2, 3, 4):
+            pin = pi_n(UNARY_RQ, n, "absorptive")
+            direct = evaluate(pin, f, {"x": 1}) == SPOLY.one
+            assert is_trivial_at(f, n) == direct, (f, n)
 
 
 # -- redundancy --------------------------------------------------------------
@@ -217,8 +232,35 @@ def test_almost_existential_optimal():
     assert eval_strategy(pi, strat) == evaluate(pi, psi)
 
 
-def test_has_existential_agrees_with_enumeration():
-    rng = random.Random(53)
+EXISTENTIAL_GRIDS = [
+    (VITERBI, VITERBI_GRID),
+    (S3, S3_VALUES),
+    (TROPICAL, (Fraction(0), Fraction(1), Fraction(2))),
+    (LUKASIEWICZ, (Fraction(1, 3), Fraction(2, 3), Fraction(1))),
+]
+
+
+def assert_existential_matches_enumeration(pi, psi):
+    """has_existential_optimal against the definition: some enumerated
+    strategy is existential and reaches the value."""
+    target = evaluate(pi, psi)
+    tree = build_game_tree(psi, pi.universe)
+    oracle = any(
+        eval_strategy(pi, s) == target and classify(s).cls == "existential"
+        for s in enumerate_strategies(tree)
+    )
+    found, strat = has_existential_optimal(pi, psi)
+    assert found == oracle, (psi, pi)
+    if found:
+        assert classify(strat).cls == "existential"
+        assert eval_strategy(pi, strat) == target
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=53)
+def test_has_existential_agrees_with_enumeration(seed):
+    rng = random.Random(seed)
     shapes = [
         "(A! x. R(x)) | E! x. R(x)",
         "(A! x. R(x)) & E! x. R(x)",
@@ -230,13 +272,12 @@ def test_has_existential_agrees_with_enumeration():
         for _ in range(8):
             n = rng.randrange(1, 3)
             pi = random_interpretation(VITERBI, UNARY_RQ, n, VITERBI_GRID, rng)
-            target = evaluate(pi, psi)
-            tree = build_game_tree(psi, pi.universe)
-            oracle = any(
-                eval_strategy(pi, s) == target and classify(s).cls == "existential"
-                for s in enumerate_strategies(tree)
-            )
-            assert has_existential_optimal(pi, psi)[0] == oracle, (text, pi)
+            assert_existential_matches_enumeration(pi, psi)
+    sentences = [parse(text) for text in shapes] + [random_foneq_sentence(rng) for _ in range(3)]
+    for psi in sentences:
+        for semiring, grid in EXISTENTIAL_GRIDS:
+            pi = random_interpretation(semiring, UNARY_RQ, rng.randrange(1, 4), grid, rng)
+            assert_existential_matches_enumeration(pi, psi)
 
 
 # -- eliminate_one_valuations ------------------------------------------------
