@@ -3,8 +3,19 @@
 Disjunction adds, conjunction multiplies, quantifiers sum/multiply over the
 universe; a distinct quantifier ranges over the universe minus the elements
 instantiating the free variables visible in the quantified subformula.
-Equality atoms take their Boolean truth value.  Results are memoized per
-(subformula, relevant assignment) within one call.
+Equality atoms take their Boolean truth value.
+
+Compile once, run many times: `compile_formula` turns a formula into a plan,
+`run_plan` values it on any interpretation, and `evaluate` does both.  In a
+plan a variable is a binder level: the root's free variables take levels
+0..k-1 in sorted order and a binder at quantifier depth d takes level k+d, so
+a run keeps its assignment in a list of slots indexed by level (constants
+take slots past the levels).  Within a run an inner node is memoized on the
+values of its free levels (the bare value when there is one) unless they
+cover every binder in scope: then the visits to the node carry pairwise
+distinct assignments and no entry could be hit.  Leaves are never memoized.
+Leaves check universe membership only for constants and, in atoms, the
+root's elements; bound elements come from the universe.
 
 This is the one valuation in semlog: triviality is this evaluation over the
 Boolean semiring, and game trees and strategies take their quantifier ranges
@@ -14,7 +25,8 @@ Boolean semiring, and game trees and strategies take their quantifier ranges
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError
 from .formulas import (
@@ -37,13 +49,12 @@ from .interpretations import (
 from .semirings import Semiring
 
 
-def quantifier_range(f, env: dict, universe: Sequence[int], fv=None) -> list:
-    """The legal instantiations of the quantifier node f under env: the whole
-    universe, or for a distinct quantifier the universe minus the elements
-    bound to its free variables (fv, when the caller has them at hand)."""
+def quantifier_range(f, universe: Sequence[int], excluded=()) -> list:
+    """The legal instantiations of the quantifier node f: the whole universe,
+    or for a distinct quantifier the universe minus the excluded elements
+    (the ones bound to the free variables of f)."""
     if not f.distinct:
         return list(universe)
-    excluded = {env[v] for v in (free_vars(f) if fv is None else fv)}
     return [b for b in universe if b not in excluded]
 
 
@@ -74,58 +85,167 @@ def leaf_value(interp: Interpretation, f: Formula, env: dict):
     raise PreconditionError(f"not a formula: {f!r}")
 
 
-class _Evaluator:
-    def __init__(self, interp: Interpretation):
-        self.interp = interp
-        self.sr = interp.semiring
-        self.memo: Dict = {}
-        self.fv_cache: Dict[int, frozenset] = {}
+# Plan nodes are opcode-headed tuples.  Leaves: (_ATOM1, rel, slot, side,
+# checked) for unary atoms, (_ATOM, rel, args reader, side, checked), (_EQ,
+# slot, slot, positive, checked) and (_CONST, is_one); side is 0 for a positive
+# literal, and checked lists the slots whose element must lie in the universe.
+# Inner nodes: (_OR/_AND, memo, key, left, right) and (_EXISTS/_FORALL, memo,
+# key, level, body, excluded, formula), where memo is the memo index (-1:
+# none), key reads the memo key off the slots and excluded lists the levels a
+# distinct quantifier skips (None for a plain quantifier).
+_ATOM1, _ATOM, _EQ, _CONST, _OR, _AND, _EXISTS, _FORALL = range(8)
+_MISS = object()
 
-    def fv(self, f: Formula) -> frozenset:
-        got = self.fv_cache.get(id(f))
-        if got is None:
-            got = free_vars(f)
-            self.fv_cache[id(f)] = got
-        return got
 
-    def run(self, f: Formula, env: dict):
-        fv = self.fv(f)
-        missing = [v for v in fv if v not in env]
-        if missing:
-            raise PreconditionError(f"uninstantiated free variable {missing[0]!r}")
-        key = (id(f), tuple(sorted((v, env[v]) for v in fv)))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        val = self.compute(f, env)
-        self.memo[key] = val
+def _no_args(slots):
+    return ()
+
+
+class Plan(NamedTuple):
+    """A compiled formula: the node tree, the root's free variables, the
+    initial slots (constants filled in), the slots leaves check, the memo count."""
+
+    root: tuple
+    free: tuple
+    blank: tuple
+    checked: frozenset
+    memos: int
+
+
+def _levels(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def compile_formula(f: Formula) -> Plan:
+    """Compile a formula into a plan for `run_plan`."""
+    free = tuple(sorted(free_vars(f)))
+    k = len(free)
+    width = k
+    constants = []  # constant j (1-based) lives in slot -j
+    checked = set()
+    memos = 0
+
+    def inner(op, mask: int, depth: int):
+        """The head of an inner node whose free levels are the bits of mask."""
+        nonlocal memos
+        if mask.bit_count() == k + depth:
+            return op, -1, None
+        memos += 1
+        return op, memos - 1, itemgetter(*_levels(mask)) if mask else _no_args
+
+    def node(g, scope: dict, depth: int):
+        """The plan node of g and the bit mask of its free levels."""
+        nonlocal width
+        kind = type(g)
+        if kind is Or or kind is And:
+            left, lm = node(g.left, scope, depth)
+            right, rm = node(g.right, scope, depth)
+            mask = lm | rm
+            return (*inner(_OR if kind is Or else _AND, mask, depth), left, right), mask
+        if kind is Exists or kind is Forall:
+            level = k + depth
+            width = max(width, level + 1)
+            body, mask = node(g.body, {**scope, g.var: level}, depth + 1)
+            mask &= ~(1 << level)
+            head = inner(_EXISTS if kind is Exists else _FORALL, mask, depth)
+            return (*head, level, body, _levels(mask) if g.distinct else None, g), mask
+        if kind is Top or kind is Bottom:
+            return (_CONST, kind is Top), 0
+        if kind is not Atom and kind is not Eq:
+            raise PreconditionError(f"not a formula: {g!r}")
+        is_atom = kind is Atom
+        slots, mask, check = [], 0, []
+        for t in g.args if is_atom else (g.left, g.right):
+            if isinstance(t, str):
+                slot = scope[t]
+                mask |= 1 << slot
+                if is_atom and slot < k:
+                    check.append(slot)
+            else:
+                constants.append(t)
+                slot = -len(constants)
+                check.append(slot)
+            slots.append(slot)
+        checked.update(check)
+        check = tuple(check)
+        if not is_atom:
+            return (_EQ, slots[0], slots[1], g.positive, check), mask
+        side = 0 if g.positive else 1
+        if len(slots) == 1:
+            return (_ATOM1, g.rel, slots[0], side, check), mask
+        return (_ATOM, g.rel, itemgetter(*slots) if slots else _no_args, side, check), mask
+
+    root, _ = node(f, {v: i for i, v in enumerate(free)}, 0)
+    blank = (None,) * width + tuple(reversed(constants))
+    return Plan(root, free, blank, frozenset(checked), memos)
+
+
+def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):
+    """The value of a compiled formula on interp; free variables are bound by env."""
+    given = env or {}
+    slots = list(plan.blank)
+    for level, v in enumerate(plan.free):
+        if v not in given:
+            raise PreconditionError(f"uninstantiated free variable {v!r}")
+        slots[level] = given[v]
+    universe = interp.universe
+    bad = {i for i in plan.checked if slots[i] not in universe}
+    sr = interp.semiring
+    add, mul, zero, one = sr.add, sr.mul, sr.zero, sr.one
+    get, default = interp.table.get, interp.default
+    memos = [{} for _ in range(plan.memos)]
+
+    def visit(node):
+        op = node[0]
+        if op < _CONST:
+            if bad and not bad.isdisjoint(node[4]):
+                out = next(i for i in node[4] if i in bad)
+                raise PreconditionError(f"element {slots[out]} not in universe")
+            if op == _ATOM1:
+                return get((node[1], (slots[node[2]],)), default)[node[3]]
+            if op == _ATOM:
+                return get((node[1], node[2](slots)), default)[node[3]]
+            return one if (slots[node[1]] == slots[node[2]]) == node[3] else zero
+        if op == _CONST:
+            return one if node[1] else zero
+        memo = node[1]
+        if memo >= 0:
+            key = node[2](slots)
+            hit = memos[memo].get(key, _MISS)
+            if hit is not _MISS:
+                return hit
+        if op == _OR:
+            val = add(visit(node[3]), visit(node[4]))
+        elif op == _AND:
+            val = mul(visit(node[3]), visit(node[4]))
+        else:
+            level, body, excluded = node[3], node[4], node[5]
+            domain = universe if excluded is None else quantifier_range(
+                node[6], universe, [slots[i] for i in excluded])
+            fold, val = (add, zero) if op == _EXISTS else (mul, one)
+            for b in domain:
+                slots[level] = b
+                val = fold(val, visit(body))
+        if memo >= 0:
+            memos[memo][key] = val
         return val
 
-    def compute(self, f: Formula, env: dict):
-        sr = self.sr
-        if isinstance(f, Or):
-            return sr.add(self.run(f.left, env), self.run(f.right, env))
-        if isinstance(f, And):
-            return sr.mul(self.run(f.left, env), self.run(f.right, env))
-        if isinstance(f, (Exists, Forall)):
-            vals = []
-            for b in quantifier_range(f, env, self.interp.universe, self.fv(f)):
-                env2 = dict(env)
-                env2[f.var] = b
-                vals.append(self.run(f.body, env2))
-            return sr.sum(vals) if isinstance(f, Exists) else sr.prod(vals)
-        return leaf_value(self.interp, f, env)
+    return visit(plan.root)
 
 
 def evaluate(interp: Interpretation, f: Formula, env: Optional[dict] = None):
     """The value of an instantiated formula; free variables are bound by env."""
-    return _Evaluator(interp).run(f, dict(env or {}))
+    return run_plan(compile_formula(f), interp, dict(env or {}))
+
+
+def _value_of_set(plans: Sequence[Plan], interp: Interpretation):
+    """Product of the values of compiled sentences; the empty set gives one."""
+    return interp.semiring.prod(run_plan(p, interp) for p in plans)
 
 
 def evaluate_set(interp: Interpretation, sentences: Iterable[Formula]):
     """Product of member valuations; the empty set evaluates to one."""
-    sr = interp.semiring
-    return sr.prod(evaluate(interp, f) for f in sentences)
+    return _value_of_set([compile_formula(f) for f in sentences], interp)
 
 
 @dataclass
@@ -152,10 +272,12 @@ def entails_at(
     verdict is evidence bounded by the search space."""
     if vocab is None:
         vocab = Vocabulary.of_formula(*(list(phi) + list(psi)))
+    phi_plans = [compile_formula(f) for f in phi]
+    psi_plans = [compile_formula(f) for f in psi]
     checked = 0
     for size in sizes:
         for interp in enumerate_interpretations(semiring, vocab, size, value_set, guard):
             checked += 1
-            if not semiring.leq(evaluate_set(interp, phi), evaluate_set(interp, psi)):
+            if not semiring.leq(_value_of_set(phi_plans, interp), _value_of_set(psi_plans, interp)):
                 return EntailmentVerdict(False, interp, checked)
     return EntailmentVerdict(True, None, checked)

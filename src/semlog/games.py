@@ -107,7 +107,7 @@ def build_game_tree(
         if isinstance(g, (Or, And)):
             return GameNode(g, env_t, (node(g.left, env), node(g.right, env)), (0, 1))
         if isinstance(g, (Exists, Forall)):
-            domain = quantifier_range(g, env, universe)
+            domain = quantifier_range(g, universe, [e for _, e in env_t])
             kids = []
             for b in domain:
                 env2 = dict(env)
@@ -279,7 +279,7 @@ def validate_strategy(s: Strategy, universe) -> None:
                     raise PreconditionError("and-child label mismatch")
                 walk(child, env)
             return
-        domain = quantifier_range(g, env, universe)
+        domain = quantifier_range(g, universe, [e for _, e in expected_env])
         if node.kind == "exists":
             if len(node.children) != 1:
                 raise PreconditionError("exists-node must keep exactly one child")

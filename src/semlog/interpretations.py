@@ -118,6 +118,15 @@ class Interpretation:
         semiring.check(self.default[1])
 
     @classmethod
+    def _unchecked(cls, semiring, universe, vocab, table, default, names=None):
+        """__init__ without its checks, for a tuple universe, a fresh table
+        and a default that are valid by construction."""
+        out = cls.__new__(cls)
+        out.semiring, out.universe, out.vocab = semiring, universe, vocab
+        out.table, out.default, out.names = table, default, dict(names) if names else {}
+        return out
+
+    @classmethod
     def from_atoms(
         cls,
         semiring: Semiring,
@@ -181,15 +190,16 @@ class Interpretation:
     # -- transformations ----------------------------------------------------
 
     def restrict(self, subset: Iterable[int]) -> "Interpretation":
-        subset = tuple(sorted(set(subset)))
+        keep = set(subset)
+        subset = tuple(sorted(keep))
         if any(a not in self.universe for a in subset):
             raise PreconditionError("subset must be contained in the universe")
         table = {
             key: val
             for key, val in self.table.items()
-            if all(a in subset for a in key[1])
+            if all(a in keep for a in key[1])
         }
-        return Interpretation(
+        return Interpretation._unchecked(
             self.semiring, subset, self.vocab, table, self.default, self.names
         )
 
@@ -320,13 +330,16 @@ def compose_hom(
     return out
 
 
-def _atom_choices(semiring: Semiring, value_set):
-    for v in value_set:
-        if v == semiring.zero:
-            raise PreconditionError("value_set must not contain 0")
-        yield (v, semiring.zero)
-    for v in value_set:
-        yield (semiring.zero, v)
+def _atom_choices(semiring: Semiring, value_set) -> list:
+    """The literal pairs an enumerated atom can take, checked once against the
+    carrier (with the default pair), so interpretations built from them need
+    no check."""
+    zero = semiring.zero
+    if any(v == zero for v in value_set):
+        raise PreconditionError("value_set must not contain 0")
+    for v in (zero, semiring.one, *value_set):
+        semiring.check(v)
+    return [(v, zero) for v in value_set] + [(zero, v) for v in value_set]
 
 
 def count_interpretations(vocab: Vocabulary, size: int, value_set) -> int:
@@ -350,10 +363,10 @@ def enumerate_interpretations(
     total = (2 * len(value_set)) ** len(atoms)
     if total > guard:
         raise GuardExceeded(f"{total} interpretations exceed the guard {guard}")
-    choices = list(_atom_choices(semiring, value_set))
+    choices = _atom_choices(semiring, value_set)
+    default = (semiring.zero, semiring.one)
     for combo in itertools.product(choices, repeat=len(atoms)):
-        table = dict(zip(atoms, combo))
-        yield Interpretation(semiring, universe, vocab, table)
+        yield Interpretation._unchecked(semiring, universe, vocab, dict(zip(atoms, combo)), default)
 
 
 def random_interpretation(
@@ -364,9 +377,10 @@ def random_interpretation(
     rng: random.Random,
 ) -> Interpretation:
     universe = tuple(range(1, size + 1))
-    choices = list(_atom_choices(semiring, value_set))
+    choices = _atom_choices(semiring, value_set)
     table = {key: rng.choice(choices) for key in vocab.atoms(universe)}
-    return Interpretation(semiring, universe, vocab, table)
+    default = (semiring.zero, semiring.one)
+    return Interpretation._unchecked(semiring, universe, vocab, table, default)
 
 
 # ---------------------------------------------------------------------------

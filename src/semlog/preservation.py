@@ -66,7 +66,7 @@ from .interpretations import (
     check_interp_hom,
     random_interpretation,
 )
-from .evaluation import evaluate, evaluate_set
+from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
 from .semirings import BOOLEAN, INF, S3, VITERBI, Semiring
 
@@ -114,7 +114,7 @@ def _lower_pairs(sr: Semiring, value_set):
     return pairs
 
 
-def _minimize_extension_witness(formula, sr, prop, pa, pb, value_set):
+def _minimize_extension_witness(plan, sr, prop, pa, pb, value_set):
     keep = set(pa.universe)
     current = pb
     # drop extra elements while the violation persists
@@ -126,7 +126,7 @@ def _minimize_extension_witness(formula, sr, prop, pa, pb, value_set):
                 break
             cand = current.restrict(set(current.universe) - {e})
             ca = cand.restrict(keep)
-            if _violates(sr, prop, evaluate(ca, formula), evaluate(cand, formula)):
+            if _violates(sr, prop, run_plan(plan, ca), run_plan(plan, cand)):
                 current = cand
                 changed = True
                 break
@@ -139,7 +139,7 @@ def _minimize_extension_witness(formula, sr, prop, pa, pb, value_set):
             table[key] = pair
             cand = Interpretation(sr, current.universe, current.vocab, table, current.default)
             ca = cand.restrict(keep)
-            if _violates(sr, prop, evaluate(ca, formula), evaluate(cand, formula)):
+            if _violates(sr, prop, run_plan(plan, ca), run_plan(plan, cand)):
                 current = cand
                 break
     return current.restrict(keep), current
@@ -163,23 +163,24 @@ def check_preservation(
     """
     vocab = vocab or Vocabulary.of_formula(formula)
     space = f"sizes<= {max_size}, grid {[semiring.format_value(v) for v in value_set]}"
+    plan = compile_formula(formula)
     if prop in ("extensions", "subinterpretations"):
         for b_size in range(2, max_size + 1):
             for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
-                vb = evaluate(pb, formula)
+                vb = run_plan(plan, pb)
                 for a_size in range(1, b_size):
                     for subset in itertools.combinations(pb.universe, a_size):
                         pa = pb.restrict(subset)
-                        va = evaluate(pa, formula)
+                        va = run_plan(plan, pa)
                         if _violates(semiring, prop, va, vb):
                             if minimize:
                                 pa, pb2 = _minimize_extension_witness(
-                                    formula, semiring, prop, pa, pb, value_set
+                                    plan, semiring, prop, pa, pb, value_set
                                 )
                             else:
                                 pb2 = pb
-                            va = evaluate(pa, formula)
-                            vb2 = evaluate(pb2, formula)
+                            va = run_plan(plan, pa)
+                            vb2 = run_plan(plan, pb2)
                             return PreservationVerdict(
                                 prop, "refuted", (pa, pb2, None), space, (va, vb2)
                             )
@@ -190,9 +191,9 @@ def check_preservation(
         pas = list(enumerate_interpretations(semiring, vocab, a_size, value_set, guard))
         for b_size in range(1, max_size + 1):
             for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
-                vb = evaluate(pb, formula)
+                vb = run_plan(plan, pb)
                 for pa in pas:
-                    va = evaluate(pa, formula)
+                    va = run_plan(plan, pa)
                     if semiring.leq(va, vb):
                         continue
                     for images in itertools.product(pb.universe, repeat=a_size):
@@ -262,7 +263,9 @@ def is_eventually_trivial(
     `unstable` when the top three probes disagree."""
     m = metrics(formula)
     threshold = 2 ** (m.size + 1) + m.qr + 2
-    probes = sorted(probe_range) if probe_range else default_probe_range(formula)
+    probes = sorted(default_probe_range(formula) if probe_range is None else probe_range)
+    if not probes:
+        raise PreconditionError("empty probe range: no size to probe")
     results = tuple((n, is_trivial_at(formula, n)) for n in probes)
     tail = [v for _, v in results[-3:]]
     if all(tail):
@@ -475,18 +478,19 @@ def verify_equivalent(
         f"exhaustive sizes {tuple(exhaustive_sizes)}, {samples} samples of sizes "
         f"<= {max_sample_size} over {semiring.id}"
     )
+    f_plan, g_plan = compile_formula(f), compile_formula(g)
     checked = 0
     for n in exhaustive_sizes:
         for interp in enumerate_interpretations(semiring, vocab, n, value_set, guard):
             checked += 1
-            if evaluate(interp, f) != evaluate(interp, g):
+            if run_plan(f_plan, interp) != run_plan(g_plan, interp):
                 return VerificationResult(False, interp, checked, desc)
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randrange(1, max_sample_size + 1)
         interp = random_interpretation(semiring, vocab, n, value_set, rng)
         checked += 1
-        if evaluate(interp, f) != evaluate(interp, g):
+        if run_plan(f_plan, interp) != run_plan(g_plan, interp):
             return VerificationResult(False, interp, checked, desc)
     return VerificationResult(True, None, checked, desc)
 
@@ -802,12 +806,15 @@ def s3_entailment(
     premises value 1 must give the conclusions value 1.  A refutation
     transfers to every lattice semiring other than the Boolean."""
     vocab = vocab or Vocabulary.of_formula(*(list(phi) + list(psi)))
+    phi_plans = [compile_formula(f) for f in phi]
+    psi_plans = [compile_formula(f) for f in psi]
     checked = 0
     one = S3.one
     for n in sizes:
         for interp in enumerate_interpretations(S3, vocab, n, S3_VALUES, guard):
             checked += 1
-            if evaluate_set(interp, phi) == one and evaluate_set(interp, psi) != one:
+            if (_value_of_set(phi_plans, interp) == one
+                    and _value_of_set(psi_plans, interp) != one):
                 return S3Verdict(False, interp, checked)
     return S3Verdict(True, None, checked)
 

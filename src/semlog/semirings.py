@@ -248,7 +248,7 @@ class ViterbiSemiring(_UnitIntervalSemiring):
         return max(a, b)
 
     def mul(self, a, b):
-        return Fraction(a) * Fraction(b)
+        return _frac(a * b)
 
     def leq(self, s, t):
         return s <= t
@@ -265,7 +265,8 @@ class LukasiewiczSemiring(_UnitIntervalSemiring):
         return max(a, b)
 
     def mul(self, a, b):
-        return max(Fraction(a) + Fraction(b) - 1, Fraction(0))
+        s = a + b - 1
+        return self.zero if s <= 0 else _frac(s)
 
     def leq(self, s, t):
         return s <= t
@@ -285,7 +286,8 @@ class DoubtSemiring(_UnitIntervalSemiring):
         return min(a, b)
 
     def mul(self, a, b):
-        return min(Fraction(a) + Fraction(b), Fraction(1))
+        s = a + b
+        return self.zero if s >= 1 else _frac(s)
 
     def leq(self, s, t):
         return t <= s  # reversed
@@ -307,7 +309,7 @@ class TropicalSemiring(Semiring):
     def mul(self, a, b):
         if a is INF or a == INF or b is INF or b == INF:
             return INF
-        return Fraction(a) + Fraction(b)
+        return _frac(a + b)
 
     def leq(self, s, t):
         if s == INF:

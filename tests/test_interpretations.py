@@ -1,11 +1,12 @@
 """Interpretations: files, validation, transformations, relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from corpus import UNARY_R
-from semlog.errors import GuardExceeded, NotModelDefining, PreconditionError
+from semlog.errors import CarrierMismatch, GuardExceeded, NotModelDefining, PreconditionError
 from semlog.interpretations import (
     Interpretation,
     Vocabulary,
@@ -15,6 +16,7 @@ from semlog.interpretations import (
     enumerate_interpretations,
     is_subinterpretation,
     parse_interpretation,
+    random_interpretation,
 )
 from semlog.semirings import FUZZY, NAT, S3, VITERBI, s3_embedding, threshold_hom
 
@@ -176,3 +178,60 @@ def test_relabel_is_bijective_rename():
     out = pi.relabel({1: 2, 2: 1})
     assert out.literal("R", (2,)) == Fraction(1, 2)
     assert out.literal("R", (1,)) == Fraction(1, 4)
+
+
+def _parts(pi):
+    return (pi.semiring, pi.universe, pi.vocab, pi.table, pi.default, pi.names, repr(pi))
+
+
+def _checked_copy(pi):
+    return Interpretation(pi.semiring, pi.universe, pi.vocab, pi.table, pi.default, pi.names)
+
+
+def test_enumerated_interpretations_match_checked_construction():
+    vocab = Vocabulary({"R": 1, "E": 2})
+    grid = (Fraction(1, 2), Fraction(1))
+    count = 0
+    for size in (1, 2):
+        for pi in enumerate_interpretations(VITERBI, vocab, size, grid, guard=10**5):
+            assert _parts(pi) == _parts(_checked_copy(pi))
+            count += 1
+    assert count == 4**2 + 4**6
+    for pi in enumerate_interpretations(S3, UNARY_R, 2, (S3.EPS, S3.one)):
+        assert _parts(pi) == _parts(_checked_copy(pi))
+
+
+def test_random_interpretation_matches_checked_construction():
+    rng = random.Random(5)
+    vocab = Vocabulary({"R": 1, "E": 2})
+    for size in (1, 2, 3):
+        pi = random_interpretation(VITERBI, vocab, size, (Fraction(1, 4), Fraction(1)), rng)
+        assert _parts(pi) == _parts(_checked_copy(pi))
+
+
+def test_restrict_matches_checked_construction():
+    pi = parse_interpretation(
+        "semiring: viterbi\nuniverse: a b c\nR(a) = 1/2\n~R(c) = 1/4\nE(a, b) = 1/4\n"
+        "E(c, c) = 1\n"
+    )
+    for subset in ([1], [2], [3], [1, 3], [3, 1, 3], [1, 2, 3]):
+        pa = pi.restrict(subset)
+        assert pa.universe == tuple(sorted(set(subset)))
+        assert _parts(pa) == _parts(
+            Interpretation(pi.semiring, pa.universe, pi.vocab,
+                           {k: v for k, v in pi.table.items() if set(k[1]) <= set(subset)},
+                           pi.default, pi.names)
+        )
+    with pytest.raises(PreconditionError, match="contained"):
+        pi.restrict([4])
+
+
+def test_grid_value_outside_the_carrier_raises_before_anything_is_yielded():
+    # the first interpretation uses only the first grid value
+    gen = enumerate_interpretations(VITERBI, UNARY_R, 2, (Fraction(1, 2), Fraction(3)))
+    with pytest.raises(CarrierMismatch):
+        next(gen)
+    with pytest.raises(CarrierMismatch):
+        next(enumerate_interpretations(S3, UNARY_R, 1, (S3.one, 7)))
+    with pytest.raises(CarrierMismatch):
+        random_interpretation(VITERBI, UNARY_R, 1, (Fraction(1, 2), -1), random.Random(0))

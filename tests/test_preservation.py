@@ -515,3 +515,16 @@ def test_lift_rejects_boolean_style_input():
     pb = Interpretation.from_atoms(sr, (1, 2), UNARY_R, {("R", (1,)): "1", ("R", (2,)): "1"})
     with pytest.raises(PreconditionError):
         lift_counterexample_to_s3(lat, pa, pb, [psi])
+
+
+def test_probe_cap_below_the_least_legal_size_is_an_error():
+    from semlog.preservation import default_probe_range
+
+    f = parse("A! y. R(y) | Q(x)")
+    assert default_probe_range(f, 1) == []
+    with pytest.raises(PreconditionError, match="empty probe range"):
+        is_eventually_trivial(f, default_probe_range(f, 1))
+    with pytest.raises(PreconditionError, match="empty probe range"):
+        is_eventually_trivial(f, [])
+    capped = is_eventually_trivial(f, default_probe_range(f, 4))
+    assert [n for n, _ in capped.probes] == [2, 3, 4]

@@ -212,3 +212,24 @@ def test_power():
     assert VITERBI.power(Fraction(1, 2), 3) == Fraction(1, 8)
     assert NAT.power(2, 5) == 32
     assert TROPICAL.power(Fraction(3), 2) == Fraction(6)
+
+
+def test_fraction_products_match_the_wrapping_expressions():
+    """mul of the Fraction carriers works on the values as given; it equals
+    the expression that wraps both inputs in Fraction first, and returns a
+    Fraction (or INF) for int inputs too."""
+    unit = [0, 1, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    old = {
+        VITERBI: lambda a, b: Fraction(a) * Fraction(b),
+        LUKASIEWICZ: lambda a, b: max(Fraction(a) + Fraction(b) - 1, Fraction(0)),
+        DOUBT: lambda a, b: min(Fraction(a) + Fraction(b), Fraction(1)),
+        TROPICAL: lambda a, b: INF if INF in (a, b) else Fraction(a) + Fraction(b),
+    }
+    grids = {TROPICAL: [0, 2, Fraction(0), Fraction(5, 2), INF]}
+    for sr, expr in old.items():
+        grid = grids.get(sr, unit)
+        for a in grid:
+            for b in grid:
+                got = sr.mul(a, b)
+                assert got == expr(a, b), (sr.id, a, b)
+                assert isinstance(got, Fraction) or got is INF, (sr.id, a, b, got)
