@@ -5,9 +5,17 @@ with ``args`` a tuple of universe elements.  Monomials over literal keys live
 in the quotient generated by x_alpha * x_{not alpha} = 0: a product that would
 contain both polarities of one atom is the zero monomial and is never stored.
 
+Monomials are canonical: each variable occurs once, with a positive exponent
+(repeated variables are merged by summing their exponents).
+
 An absorptive polynomial is an antichain of monomials under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
-union-then-prune, multiplication is pairwise product-then-prune.
+union-then-prune, multiplication is pairwise product-then-prune.  Pruning
+keeps the minimal monomials without testing every pair: a monomial that
+absorbs a different canonical one has strictly lower degree, so monomials
+are visited in degree order and each is tested only against those already
+kept, found through a one-watch index that files each kept monomial under
+its rarest variable (see ``_prune``).
 """
 
 from __future__ import annotations
@@ -58,13 +66,16 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[Tuple[VarKey, int]]):
-        items = [(v, e) for v, e in exps if e != 0]
-        for _, e in items:
+        merged: Dict[VarKey, int] = {}
+        for v, e in exps:
             if e < 0:
                 raise PreconditionError("negative exponent")
+            if e:
+                merged[v] = merged.get(v, 0) + e
+        for e in merged.values():
             if e > EXPONENT_CAP:
                 raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
-        self.exps = tuple(sorted(items, key=lambda it: var_sort_key(it[0])))
+        self.exps = tuple(sorted(merged.items(), key=lambda it: var_sort_key(it[0])))
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -194,13 +205,49 @@ class AbsorptivePoly:
 
 
 def _prune(monomials) -> list:
-    out = []
-    for m in monomials:
-        if any(absorbs(k, m) and k != m for k in monomials):
-            continue
-        if m not in out:
-            out.append(m)
-    return out
+    """The minimal monomials of ``monomials`` under absorption, in no set order.
+
+    Monomials must be canonical (each variable once, positive exponents), as
+    ``Monomial`` builds them.  Then a monomial that absorbs a different one
+    has strictly lower degree, so after deduplication and a sort by degree
+    each monomial is tested only against those already kept: any absorber
+    of it is itself absorbed by a kept, minimal one.  Each kept monomial is
+    filed under one of its variables, the rarest in this input, so a
+    candidate absorber of ``m`` is met exactly once, in the list of one of
+    ``m``'s own variables.  It is tested on support bitmasks first and on
+    exponents only when its support lies inside ``m``'s.
+    """
+    distinct = set(monomials)
+    unit = Monomial.unit()
+    if unit in distinct:
+        return [unit]
+    freq: Dict[VarKey, int] = {}
+    for m in distinct:
+        for v, _ in m.exps:
+            freq[v] = freq.get(v, 0) + 1
+    bit = {v: 1 << i for i, v in enumerate(freq)}
+    watch: Dict[VarKey, list] = {v: [] for v in freq}
+    kept = []
+    for m in sorted(distinct, key=Monomial.degree):
+        m_mask = sum(bit[v] for v, _ in m.exps)
+        if not _has_absorber(m, m_mask, watch):
+            kept.append(m)
+            rarest = min((v for v, _ in m.exps), key=freq.__getitem__)
+            watch[rarest].append((m_mask, m.exps))
+    return kept
+
+
+def _has_absorber(m: Monomial, m_mask: int, watch: Dict[VarKey, list]) -> bool:
+    """Whether a monomial filed in ``watch`` absorbs ``m``."""
+    m_exps = None
+    for v, _ in m.exps:
+        for k_mask, k_exps in watch[v]:
+            if k_mask & m_mask == k_mask:
+                if m_exps is None:
+                    m_exps = dict(m.exps)
+                if all(m_exps[u] >= e for u, e in k_exps):
+                    return True
+    return False
 
 
 class NatPoly:

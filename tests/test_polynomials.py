@@ -8,17 +8,25 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import UNARY_RQ
 from semlog.errors import PreconditionError
+from semlog.evaluation import evaluate
+from semlog.interpretations import random_interpretation
+from semlog.parser import parse
 from semlog.polynomials import (
+    EXPONENT_CAP,
     NATPOLY,
     SPOLY,
     AbsorptivePoly,
     Monomial,
     NatPoly,
+    _prune,
     absorbs,
     lit_var,
     specialize,
 )
+from semlog.preservation import S3_VALUES, VITERBI_GRID
+from semlog.provenance import assignment_from_interpretation, pi_n
 from semlog.semirings import S3, VITERBI, NATINF
 
 
@@ -183,3 +191,84 @@ def test_printing_is_canonical():
     assert repr(SPOLY.one) == "1"
     p = NatPoly(((Monomial.var("x", 2), 3), (Monomial.unit(), 1)))
     assert repr(p) == "1 + 3*x^2"
+
+
+def test_monomial_merges_repeated_variables():
+    m = Monomial((("x", 1), ("x", 2)))
+    assert m == Monomial((("x", 3),))
+    assert repr(m) == "x^3" and m.degree() == 3
+    p = AbsorptivePoly([m])
+    assert SPOLY.mul(p, SPOLY.one) == p
+
+
+def test_monomial_rejects_negative_exponent_before_summing():
+    with pytest.raises(PreconditionError, match="negative"):
+        Monomial((("x", 1), ("x", -1)))
+
+
+def test_exponent_cap_applies_to_summed_exponent():
+    half = EXPONENT_CAP // 2
+    assert Monomial((("x", half), ("x", half))).exponent("x") == EXPONENT_CAP
+    with pytest.raises(PreconditionError, match="cap"):
+        Monomial((("x", half), ("x", half), ("x", 1)))
+
+
+def test_random_values_have_canonical_monomials():
+    rng = random.Random(11)
+    for _ in range(2000):
+        monomials = list(SPOLY.random_value(rng).monomials)
+        monomials += [m for m, _ in NATPOLY.random_value(rng).terms]
+        for m in monomials:
+            assert len(m.variables()) == len(m.exps)
+
+
+def _prune_by_definition(monomials):
+    """The quadratic prune the indexed ``_prune`` replaced, kept as its reference."""
+    out = []
+    for m in monomials:
+        if any(absorbs(k, m) and k != m for k in monomials):
+            continue
+        if m not in out:
+            out.append(m)
+    return out
+
+
+_prune_vars = ["u", "v", "w"] + [
+    lit_var(rel, (i,), pos) for rel in ("R", "Q") for i in (1, 2) for pos in (True, False)
+]
+_prune_mono = st.lists(
+    st.tuples(st.sampled_from(_prune_vars), st.integers(min_value=1, max_value=3)),
+    max_size=4,
+).map(Monomial)
+_prune_input = st.lists(_prune_mono, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=25)
+)
+
+
+@given(_prune_input)
+@settings(max_examples=500, deadline=None)
+def test_prune_matches_definition(ms):
+    expected = _prune_by_definition(ms)
+    assert sorted(map(repr, _prune(ms))) == sorted(map(repr, expected))
+    assert AbsorptivePoly(ms) == AbsorptivePoly(expected, prune=False)
+
+
+def test_spoly_pi_6_scale():
+    f = parse("A! x. E! y. (R(x) | Q(y))")
+    p = evaluate(pi_n(UNARY_RQ, 6, "absorptive"), f)
+    assert len(p.monomials) == 5144
+    assert len(set(p.monomials)) == len(p.monomials)
+    # Distinct canonical monomials of equal degree never absorb each other,
+    # so only pairs of different degrees need testing.
+    by_degree = {}
+    for m in p.monomials:
+        by_degree.setdefault(m.degree(), []).append(m)
+    for dk, ks in by_degree.items():
+        for dm, ms in by_degree.items():
+            if dk < dm:
+                assert not any(absorbs(k, m) for k in ks for m in ms)
+    rng = random.Random(61)
+    for target, grid in ((VITERBI, VITERBI_GRID), (S3, S3_VALUES)):
+        concrete = random_interpretation(target, UNARY_RQ, 6, grid, rng)
+        assignment = assignment_from_interpretation(concrete)
+        assert specialize(p, assignment, target) == evaluate(concrete, f)
