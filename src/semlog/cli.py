@@ -64,8 +64,10 @@ def cmd_eval(args) -> int:
 
 def cmd_strategies(args) -> int:
     formula = parse(args.formula)
-    tree = build_game_tree(formula, args.n)
     if args.optimal:
+        if args.semiring is None or args.interp is None:
+            print("error: --optimal needs --semiring and --interp", file=sys.stderr)
+            return USAGE
         semiring = semiring_from_id(args.semiring)
         interp = load_interpretation(args.interp, semiring)
         result = optimal(interp, formula)
@@ -74,7 +76,7 @@ def cmd_strategies(args) -> int:
         _print_strategy(result.strategy, interp)
         return HOLDS
     count = 0
-    for s in enumerate_strategies(tree, args.guard):
+    for s in enumerate_strategies(build_game_tree(formula, args.n), args.guard):
         count += 1
         if args.list:
             print(f"strategy {count}:")

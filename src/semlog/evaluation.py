@@ -19,7 +19,8 @@ root's elements; bound elements come from the universe.
 
 This is the one valuation in semlog: triviality is this evaluation over the
 Boolean semiring, and game trees and strategies take their quantifier ranges
-(`quantifier_range`) and leaf values (`leaf_value`) from here.
+(`quantifier_range`) and read their leaves (`_leaf_reader`, the leaf rule that
+plans compile) from here.
 """
 
 from __future__ import annotations
@@ -58,31 +59,42 @@ def quantifier_range(f, universe: Sequence[int], excluded=()) -> list:
     return [b for b in universe if b not in excluded]
 
 
-def _resolve(interp: Interpretation, term, env: dict):
-    if isinstance(term, str):
-        if term not in env:
-            raise PreconditionError(f"uninstantiated free variable {term!r}")
-        return env[term]
-    if term not in interp.universe:
-        raise PreconditionError(f"element {term} not in universe")
-    return term
+def _leaf_reader(interp: Interpretation):
+    """read(f, env): the value on interp of the constant, literal or equality
+    leaf f, its variables bound by env (pairs of variable and element).  This
+    is the leaf rule that `compile_formula` compiles into plan leaves: an atom
+    reads its table entry and needs every element in the universe, an
+    equality takes its Boolean value and checks only its constants."""
+    universe = interp.universe
+    get, default = interp.table.get, interp.default
+    one, zero = interp.semiring.one, interp.semiring.zero
 
+    def element(t, env):
+        if isinstance(t, str):
+            for v, e in env:
+                if v == t:
+                    return e
+            raise PreconditionError(f"uninstantiated free variable {t!r}")
+        if t not in universe:
+            raise PreconditionError(f"element {t} not in universe")
+        return t
 
-def leaf_value(interp: Interpretation, f: Formula, env: dict):
-    """The value of a constant, literal or equality leaf under env."""
-    sr = interp.semiring
-    if isinstance(f, Top):
-        return sr.one
-    if isinstance(f, Bottom):
-        return sr.zero
-    if isinstance(f, Atom):
-        args = tuple(_resolve(interp, a, env) for a in f.args)
-        return interp.literal(f.rel, args, f.positive)
-    if isinstance(f, Eq):
-        same = _resolve(interp, f.left, env) == _resolve(interp, f.right, env)
-        truth = same if f.positive else not same
-        return sr.one if truth else sr.zero
-    raise PreconditionError(f"not a formula: {f!r}")
+    def read(f, env):
+        kind = type(f)
+        if kind is Atom:
+            args = tuple([element(t, env) for t in f.args])
+            for e in args:
+                if e not in universe:
+                    raise PreconditionError(f"element {e} not in universe")
+            return get((f.rel, args), default)[not f.positive]
+        if kind is Eq:
+            same = element(f.left, env) == element(f.right, env)
+            return one if same == f.positive else zero
+        if kind is Top or kind is Bottom:
+            return one if kind is Top else zero
+        raise PreconditionError(f"not a formula: {f!r}")
+
+    return read
 
 
 # Plan nodes are opcode-headed tuples.  Leaves: (_ATOM1, rel, slot, side,

@@ -1,12 +1,19 @@
 """Model-checking game trees, evaluation strategies, optimal-strategy
 extraction, classification, and the strategy-translation algorithms.
 
-A strategy is a labelled tree of `Strategy` nodes: the label is the
-instantiated subformula (formula plus an assignment of its free variables);
+A node of the game tree is labelled by an instantiated subformula (formula
+plus an assignment of its free variables), and the label fixes the subtree
+under it.  `build_game_tree` therefore keeps one `GameNode` per label: the
+tree is a DAG in which equal labels share one node, and the walks over it
+(strategy counting and enumeration, the optimal DP) visit each shared node
+once.  `GameTree.node_count` and the build guard count the unshared tree.
+
+A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
 The value of a strategy under an interpretation is the product of its leaf
-values, taken from `evaluation.leaf_value` (equality leaves contribute their
-Boolean value).  Quantifier nodes range over `evaluation.quantifier_range`.
+values, read by the leaf rule of `evaluation` (equality leaves contribute
+their Boolean value).  Quantifier nodes range over
+`evaluation.quantifier_range`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import GuardExceeded, PreconditionError
-from .evaluation import evaluate, leaf_value, quantifier_range
+from .evaluation import _leaf_reader, evaluate, quantifier_range
 from .formulas import (
     And,
     Atom,
@@ -27,7 +34,6 @@ from .formulas import (
     Formula,
     Or,
     Top,
-    free_vars,
     metrics,
     qr,
     size,
@@ -40,26 +46,39 @@ TREE_NODE_GUARD = 5 * 10**5
 
 Env = Tuple[Tuple[str, int], ...]
 
-
-def _restrict_env(formula: Formula, env: dict) -> Env:
-    fv = free_vars(formula)
-    return tuple(sorted((v, env[v]) for v in fv))
+_KINDS = {Or: "or", And: "and", Exists: "exists", Forall: "forall"}
 
 
 def _kind(formula: Formula) -> str:
-    if isinstance(formula, Or):
-        return "or"
-    if isinstance(formula, And):
-        return "and"
-    if isinstance(formula, Exists):
-        return "exists"
-    if isinstance(formula, Forall):
-        return "forall"
-    return "leaf"
+    return _KINDS.get(type(formula), "leaf")
+
+
+def _free_names(f: Formula) -> Dict[int, Tuple[str, ...]]:
+    """The sorted free variables of every subformula of f, keyed by id, from
+    one walk."""
+    table: Dict[int, Tuple[str, ...]] = {}
+
+    def walk(g) -> frozenset:
+        kind = type(g)
+        if kind is Or or kind is And:
+            out = walk(g.left) | walk(g.right)
+        elif kind is Exists or kind is Forall:
+            out = walk(g.body) - {g.var}
+        elif kind is Atom or kind is Eq:
+            terms = g.args if kind is Atom else (g.left, g.right)
+            out = frozenset(t for t in terms if isinstance(t, str))
+        else:
+            out = frozenset()
+        table[id(g)] = tuple(sorted(out))
+        return out
+
+    walk(f)
+    return table
 
 
 class GameNode:
-    """A node of the game tree; the label is (formula, env)."""
+    """A node of the game tree; the label is (formula, env), and every use of
+    a label in one tree is this one node."""
 
     __slots__ = ("formula", "env", "kind", "children", "tags")
 
@@ -88,33 +107,41 @@ def build_game_tree(
 
     Quantifier nodes get one child per legal instantiation: the full universe
     for plain quantifiers, the universe minus the visible free-variable
-    instantiations for distinct quantifiers.
+    instantiations for distinct quantifiers.  Equal labels share one node;
+    `node_count` and the guard count the nodes of the unshared tree.
     """
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     else:
         universe = tuple(universe)
+    free = _free_names(formula)
+    shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
     count = 0
 
     def node(g: Formula, env: dict) -> GameNode:
         nonlocal count
-        count += 1
+        env_t = tuple([(v, env[v]) for v in free[id(g)]])
+        label = (id(g), env_t)
+        hit = shared.get(label)
+        start = count
+        count += hit[1] if hit is not None else 1
         if count > guard:
             raise GuardExceeded(f"game tree exceeds {guard} nodes")
-        env_t = _restrict_env(g, env)
-        if isinstance(g, (Top, Bottom, Atom, Eq)):
-            return GameNode(g, env_t, (), ())
-        if isinstance(g, (Or, And)):
-            return GameNode(g, env_t, (node(g.left, env), node(g.right, env)), (0, 1))
-        if isinstance(g, (Exists, Forall)):
+        if hit is not None:
+            return hit[0]
+        kind = type(g)
+        if kind is Or or kind is And:
+            out = GameNode(g, env_t, (node(g.left, env), node(g.right, env)), (0, 1))
+        elif kind is Exists or kind is Forall:
             domain = quantifier_range(g, universe, [e for _, e in env_t])
-            kids = []
-            for b in domain:
-                env2 = dict(env)
-                env2[g.var] = b
-                kids.append(node(g.body, env2))
-            return GameNode(g, env_t, tuple(kids), tuple(domain))
-        raise PreconditionError(f"not a formula: {g!r}")
+            kids = tuple(node(g.body, {**env, g.var: b}) for b in domain)
+            out = GameNode(g, env_t, kids, tuple(domain))
+        elif kind is Top or kind is Bottom or kind is Atom or kind is Eq:
+            out = GameNode(g, env_t, (), ())
+        else:
+            raise PreconditionError(f"not a formula: {g!r}")
+        shared[label] = (out, count - start)
+        return out
 
     root = node(formula, {})
     return GameTree(root, universe, count)
@@ -183,22 +210,33 @@ def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterato
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    def expand(node: GameNode) -> List[Strategy]:
-        if node.kind == "leaf":
-            return [Strategy(node.formula, node.env, None, ())]
-        if node.kind in ("or", "exists"):
-            out = []
-            for tag, child in zip(node.tags, node.children):
-                for sub in expand(child):
-                    out.append(Strategy(node.formula, node.env, tag, (sub,)))
-            return out
-        combos = [expand(c) for c in node.children]
-        out = []
-        for picks in itertools.product(*combos):
-            out.append(Strategy(node.formula, node.env, node.tags, tuple(picks)))
-        return out
+    yield from _strategies(tree.root, lambda node: range(len(node.children)))
 
-    yield from expand(tree.root)
+
+def _strategies(root: GameNode, choices) -> Iterator[Strategy]:
+    """The strategies under root that take, at every or/exists node, one of
+    the children whose indices choices(node) lists, in enumeration order.  The
+    strategies under a child of an and/forall node are listed once per shared
+    node and shared by the strategies above it."""
+    pools: Dict[int, List[Strategy]] = {}
+
+    def pool(node: GameNode) -> List[Strategy]:
+        if id(node) not in pools:
+            pools[id(node)] = list(go(node))
+        return pools[id(node)]
+
+    def go(node: GameNode) -> Iterator[Strategy]:
+        if node.kind == "leaf":
+            yield Strategy(node.formula, node.env, None, ())
+        elif node.kind in ("and", "forall"):
+            for picks in itertools.product(*[pool(c) for c in node.children]):
+                yield Strategy(node.formula, node.env, node.tags, picks)
+        else:
+            for i in choices(node):
+                for sub in go(node.children[i]):
+                    yield Strategy(node.formula, node.env, node.tags[i], (sub,))
+
+    return go(root)
 
 
 def strategy_from_choices(node: GameNode, chooser) -> Strategy:
@@ -232,8 +270,10 @@ def resolve_args(leaf: Strategy) -> Tuple[int, ...]:
 
 
 def eval_strategy(interp: Interpretation, s: Strategy):
-    """Product of the leaf values."""
+    """Product of the leaf values; a leaf shared among branches is read once."""
     sr = interp.semiring
+    read = _leaf_reader(interp)
+    values: Dict[int, object] = {}
     out = sr.one
     for leaf in Strategy.leaves_of(s):
         g = leaf.formula
@@ -243,8 +283,10 @@ def eval_strategy(interp: Interpretation, s: Strategy):
         if isinstance(g, (Exists, Or, And)):
             # childless choice nodes only arise from empty exists ranges: empty sum
             out = sr.mul(out, sr.zero)
-        else:
-            out = sr.mul(out, leaf_value(interp, g, dict(leaf.env)))
+            continue
+        if id(leaf) not in values:
+            values[id(leaf)] = read(g, leaf.env)
+        out = sr.mul(out, values[id(leaf)])
     return out
 
 
@@ -253,10 +295,13 @@ def validate_strategy(s: Strategy, universe) -> None:
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     universe = tuple(universe)
+    free: Dict[int, Tuple[str, ...]] = {}
 
     def walk(node: Strategy, env: dict):
         g = node.formula
-        expected_env = _restrict_env(g, env)
+        if id(g) not in free:
+            free.update(_free_names(g))
+        expected_env = tuple((v, env[v]) for v in free[id(g)])
         if node.env != expected_env:
             raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")
         if node.kind == "leaf":
@@ -343,7 +388,9 @@ class _OptimalDP:
     """Argmax dynamic program.  `value` is the evaluation of each subtree: a
     choice node takes the maximum over its strategy-bearing children, or zero
     without one (every strategy-less subtree, such as an empty exists range,
-    evaluates to zero); `argmax` lists the children that reach it.
+    evaluates to zero); `argmax` lists the children that reach it and `ties`
+    counts the strategies built from such maximal choices.  The maps are
+    keyed by node id, and each shared node is valued once.
 
     With `existential` set, forall nodes bear no strategy and are not
     descended into: the root then bears a strategy iff some strategy avoids
@@ -357,81 +404,84 @@ class _OptimalDP:
         self.value: Dict[int, object] = {}
         self.has_strategy: Dict[int, bool] = {}
         self.argmax: Dict[int, List[int]] = {}
+        self.ties: Dict[int, int] = {}
         self._run(tree.root)
 
-    def _run(self, node: GameNode):
-        if node.kind == "leaf":
-            val = leaf_value(self.interp, node.formula, dict(node.env))
-            has = True
-        elif node.kind == "forall" and self.existential:
-            val = self.sr.zero
-            has = False
-        elif node.kind in ("and", "forall"):
-            val = self.sr.one
-            has = True
-            for c in node.children:
-                self._run(c)
-                val = self.sr.mul(val, self.value[id(c)])
-                has = has and self.has_strategy[id(c)]
-        else:
-            best = None
-            for c in node.children:
-                self._run(c)
-                if not self.has_strategy[id(c)]:
-                    continue
-                v = self.value[id(c)]
-                if best is None or self.sr.lt(best, v):
-                    best = v
-            has = best is not None
-            val = best if has else self.sr.zero
-            self.argmax[id(node)] = [
-                i
-                for i, c in enumerate(node.children)
-                if self.has_strategy[id(c)] and self.value[id(c)] == val
-            ]
-        self.value[id(node)] = val
-        self.has_strategy[id(node)] = has
+    def _run(self, root: GameNode):
+        value, has_strategy, argmax, ties = self.value, self.has_strategy, self.argmax, self.ties
+        sr, existential = self.sr, self.existential
+        read = _leaf_reader(self.interp)
+
+        def run(node: GameNode):
+            if id(node) in value:
+                return
+            kind = node.kind
+            if kind == "leaf":
+                val, has, count = read(node.formula, node.env), True, 1
+            elif kind == "forall" and existential:
+                val, has, count = sr.zero, False, 0
+            elif kind == "and" or kind == "forall":
+                val, has, count = sr.one, True, 1
+                for c in node.children:
+                    run(c)
+                    val = sr.mul(val, value[id(c)])
+                    has = has and has_strategy[id(c)]
+                    count *= ties[id(c)]
+            else:
+                best = None
+                for c in node.children:
+                    run(c)
+                    if not has_strategy[id(c)]:
+                        continue
+                    v = value[id(c)]
+                    if best is None or sr.lt(best, v):
+                        best = v
+                has = best is not None
+                val = best if has else sr.zero
+                tops = argmax[id(node)] = [
+                    i
+                    for i, c in enumerate(node.children)
+                    if has_strategy[id(c)] and value[id(c)] == val
+                ]
+                count = sum(ties[id(node.children[i])] for i in tops)
+            value[id(node)] = val
+            has_strategy[id(node)] = has
+            ties[id(node)] = count
+
+        run(root)
 
     def extract(self, node: Optional[GameNode] = None) -> Strategy:
-        node = node or self.tree.root
-        if not self.has_strategy[id(node)]:
-            raise PreconditionError("no strategy exists over this universe")
-        if node.kind == "leaf":
-            return Strategy(node.formula, node.env, None, ())
-        if node.kind in ("and", "forall"):
-            kids = tuple(self.extract(c) for c in node.children)
-            return Strategy(node.formula, node.env, node.tags, kids)
-        i = self.argmax[id(node)][0]
-        return Strategy(node.formula, node.env, node.tags[i], (self.extract(node.children[i]),))
+        """The strategy that takes the first maximal child at every choice
+        node; a shared node yields one shared sub-strategy."""
+        memo: Dict[int, Strategy] = {}
+
+        def go(node: GameNode) -> Strategy:
+            if id(node) in memo:
+                return memo[id(node)]
+            if not self.has_strategy[id(node)]:
+                raise PreconditionError("no strategy exists over this universe")
+            if node.kind == "leaf":
+                out = Strategy(node.formula, node.env, None, ())
+            elif node.kind in ("and", "forall"):
+                kids = tuple(go(c) for c in node.children)
+                out = Strategy(node.formula, node.env, node.tags, kids)
+            else:
+                i = self.argmax[id(node)][0]
+                out = Strategy(node.formula, node.env, node.tags[i], (go(node.children[i]),))
+            memo[id(node)] = out
+            return out
+
+        return go(node or self.tree.root)
 
     def tie_count(self, node: Optional[GameNode] = None) -> int:
-        node = node or self.tree.root
-        if not self.has_strategy[id(node)]:
-            return 0
-        if node.kind == "leaf":
-            return 1
-        if node.kind in ("and", "forall"):
-            out = 1
-            for c in node.children:
-                out *= self.tie_count(c)
-            return out
-        return sum(self.tie_count(node.children[i]) for i in self.argmax[id(node)])
+        return self.ties[id(node or self.tree.root)]
 
     def stream(self, node: Optional[GameNode] = None) -> Iterator[Strategy]:
         node = node or self.tree.root
         if not self.has_strategy[id(node)]:
-            return
-        if node.kind == "leaf":
-            yield Strategy(node.formula, node.env, None, ())
-            return
-        if node.kind in ("and", "forall"):
-            pools = [list(self.stream(c)) for c in node.children]
-            for picks in itertools.product(*pools):
-                yield Strategy(node.formula, node.env, node.tags, tuple(picks))
-            return
-        for i in self.argmax[id(node)]:
-            for sub in self.stream(node.children[i]):
-                yield Strategy(node.formula, node.env, node.tags[i], (sub,))
+            return iter(())
+        # below a strategy-bearing node every node reached bears one
+        return _strategies(node, lambda n: self.argmax[id(n)])
 
 
 @dataclass

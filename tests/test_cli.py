@@ -82,6 +82,28 @@ def test_strategies_optimal(interp_file):
     assert "value 1/2" in out
 
 
+@pytest.mark.parametrize("missing", ["--semiring", "--interp"])
+def test_strategies_optimal_needs_semiring_and_interp(interp_file, missing):
+    given = {"--semiring": "viterbi", "--interp": interp_file}
+    del given[missing]
+    argv = ["strategies", "--formula", "E x. R(x)", "--n", "2", "--optimal"]
+    code, out, err = run_cli(*argv, *[tok for pair in given.items() for tok in pair])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_strategies_optimal_ignores_the_n_tree(interp_file):
+    # the tree over --n would exceed the node guard; --optimal plays over the
+    # interpretation's universe and never builds it
+    code, out, _ = run_cli("strategies", "--formula", "A x. A y. E z. R(z)", "--n", "100",
+                           "--optimal", "--semiring", "viterbi", "--interp", interp_file)
+    assert code == 0
+    assert "value 1/16" in out
+    code, _, err = run_cli("strategies", "--formula", "A x. A y. E z. R(z)", "--n", "100")
+    assert code == 2 and "exceeds" in err
+
+
 def test_provenance_polynomial():
     code, out, _ = run_cli("provenance", "--formula", "E! x. R(x)", "--n", "2",
                            "--semiring", "spoly")

@@ -1,0 +1,141 @@
+"""Label-shared game trees: a differential test against the frozen unshared
+game-tree code (reference_games.py), and the node guard on shared trees."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_games as ref
+from semlog import games, preservation
+from semlog.errors import GuardExceeded
+from semlog.formulas import FALSE, TRUE, And, Atom, Eq, Exists, Forall, Or, free_vars
+from semlog.interpretations import Interpretation, Vocabulary
+from semlog.parser import parse
+from semlog.semirings import INF, LUKASIEWICZ, S3, TROPICAL, VITERBI
+
+VOCAB = Vocabulary({"R": 1, "E": 2})
+NAMES = ("x", "y", "z")  # few names, so binders shadow each other
+TERMS = NAMES * 3 + (1, 2, 5)  # 5 lies outside every universe drawn here
+CARRIERS = {
+    "viterbi": (VITERBI, [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    "s3": (S3, [0, 1, 2]),
+    "tropical": (TROPICAL, [INF, Fraction(0), Fraction(1, 2), Fraction(3)]),
+    "lukasiewicz": (LUKASIEWICZ, [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]),
+}
+# Small guards keep enumeration cheap; both sides must raise on the same input.
+STRATEGY_GUARD = 400
+STREAM_LIMIT = 400
+
+
+@st.composite
+def formulas(draw, distinct: bool, depth: int = 3):
+    """An FO or FO-distinct formula with equality leaves and constants."""
+    term = st.sampled_from(TERMS)
+    kinds = ["atom", "atom", "const", "eq"]
+    if depth > 0:
+        kinds += ["and", "or", "exists", "forall"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return draw(st.sampled_from((TRUE, FALSE)))
+    if kind == "atom":
+        rel, arity = draw(st.sampled_from(VOCAB.relations))
+        return Atom(rel, tuple(draw(term) for _ in range(arity)), draw(st.booleans()))
+    if kind == "eq":
+        return Eq(draw(term), draw(term), draw(st.booleans()))
+    if kind in ("and", "or"):
+        left = draw(formulas(distinct, depth - 1))
+        right = draw(formulas(distinct, depth - 1))
+        return And(left, right) if kind == "and" else Or(left, right)
+    body = draw(formulas(distinct, depth - 1))
+    return draw(st.sampled_from((Exists, Forall)))(draw(st.sampled_from(NAMES)), body, distinct)
+
+
+@st.composite
+def cases(draw):
+    """A sentence (free names closed by a quantifier prefix) and an
+    interpretation of size 0 to 4; distinct ranges run empty at small sizes."""
+    distinct = draw(st.booleans())
+    f = draw(formulas(distinct))
+    for name in sorted(free_vars(f)):
+        f = draw(st.sampled_from((Exists, Forall)))(name, f, distinct)
+    sr, values = CARRIERS[draw(st.sampled_from(sorted(CARRIERS)))]
+    universe = tuple(range(1, draw(st.integers(0, 4)) + 1))
+    pair = st.tuples(st.sampled_from(values), st.sampled_from(values))
+    table = {key: draw(pair) for key in VOCAB.atoms(universe) if draw(st.booleans())}
+    return f, Interpretation(sr, universe, VOCAB, table, draw(pair))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception type is part of the behaviour compared
+        return "raised", type(exc)
+
+
+def key(s):
+    return (s.formula, s.env, s.tag, tuple(key(c) for c in s.children))
+
+
+def unshared(node):
+    """The nodes of the unshared tree under node, in preorder."""
+    yield node
+    for c in node.children:
+        yield from unshared(c)
+
+
+def tree_view(module, f, interp):
+    tree = module.build_game_tree(f, interp.universe)
+    return tree.node_count, [(n.formula, n.env, n.kind, n.tags) for n in unshared(tree.root)]
+
+
+def optimal_view(module, f, interp):
+    res = module.optimal(interp, f)
+    stream = [key(s) for s in itertools.islice(res.stream_optimal(), STREAM_LIMIT)]
+    return res.value, key(res.strategy), res.all_optimal_count, stream
+
+
+def existential_view(has_existential_optimal, f, interp):
+    found, s = has_existential_optimal(interp, f)
+    return found, None if s is None else key(s)
+
+
+def enumeration_view(module, f, interp):
+    """Strategies over one more element than interp has, each valued on interp:
+    a leaf that reads the extra element raises."""
+    tree = module.build_game_tree(f, interp.universe + (len(interp.universe) + 1,))
+    return [(key(s), _outcome(module.eval_strategy, interp, s))
+            for s in module.enumerate_strategies(tree, STRATEGY_GUARD)]
+
+
+def sum_view(module, f, interp):
+    rep = module.sum_of_strategies_check(interp, f, STRATEGY_GUARD)
+    return rep.ok, rep.eval_value, rep.strategy_sum, rep.strategy_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_shared_trees_agree_with_reference(case):
+    f, interp = case
+    for view in (tree_view, optimal_view, enumeration_view, sum_view):
+        assert _outcome(view, games, f, interp) == _outcome(view, ref, f, interp), view
+    assert (_outcome(existential_view, preservation.has_existential_optimal, f, interp)
+            == _outcome(existential_view, ref.has_existential_optimal, f, interp))
+
+
+@pytest.mark.parametrize("text, nodes, shared", [
+    ("A! x. A! y. R(x) | Q(y)", 1 + 4 + 12 * 3, 1 + 4 + 12 + 4 + 4),
+    # the or node does not see y, and one E! z node with its four leaves
+    # serves every x
+    ("A! x. A! y. R(x) | (E! z. Q(z))", 1 + 4 + 12 * (2 + 5), 1 + 4 + 4 + 4 + 5),
+])
+def test_guard_counts_the_unshared_tree(text, nodes, shared):
+    f = parse(text)
+    assert ref.build_game_tree(f, 4).node_count == nodes
+    tree = games.build_game_tree(f, 4, guard=nodes)
+    assert tree.node_count == nodes
+    assert len({id(n) for n in unshared(tree.root)}) == shared
+    with pytest.raises(GuardExceeded):
+        games.build_game_tree(f, 4, guard=nodes - 1)
