@@ -35,7 +35,8 @@ verdict = check_preservation(psi, VITERBI, "extensions", 2, VITERBI_GRID)
 pa, pb, _ = verdict.witness
 print("E x. A y. R(x) refuted:", evaluate(pa, psi), ">", evaluate(pb, psi))
 
-# 2. Triviality probing: some universal subformulas always evaluate to one.
+# 2. Triviality: some universal subformulas evaluate to one in pi_n for all
+# large n.  With every literal false, one element stands for a whole range.
 trivial = parse("A! x. E! y. (true | R(x))")
 print("eventually trivial:", is_eventually_trivial(trivial).verdict)
 never = parse("E! x. (R(x) | ~R(x))")

@@ -17,10 +17,11 @@ distinct assignments and no entry could be hit.  Leaves are never memoized.
 Leaves check universe membership only for constants and, in atoms, the
 root's elements; bound elements come from the universe.
 
-This is the one valuation in semlog: triviality is this evaluation over the
-Boolean semiring, and game trees and strategies take their quantifier ranges
-(`quantifier_range`) and read their leaves (`_leaf_reader`, the leaf rule that
-plans compile) from here.
+This is the one valuation in semlog: game trees and strategies take their
+quantifier ranges (`quantifier_range`) and read their leaves (`_leaf_reader`,
+the leaf rule that plans compile) from here.  Triviality does not evaluate:
+on the symmetric all-false interpretation a structural walk
+(`preservation.is_trivial_at`) decides it without building a universe.
 """
 
 from __future__ import annotations

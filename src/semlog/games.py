@@ -115,6 +115,8 @@ def build_game_tree(
     else:
         universe = tuple(universe)
     free = _free_names(formula)
+    if free[id(formula)]:
+        raise PreconditionError(f"game trees need a sentence; free: {list(free[id(formula)])}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
     count = 0
 

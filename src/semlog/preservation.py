@@ -15,15 +15,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import PreconditionError
+from .errors import GuardExceeded, PreconditionError
 from .formulas import (
     FALSE,
     TRUE,
+    And,
     Atom,
+    Bottom,
     Eq,
     Exists,
     Forall,
     Formula,
+    Or,
+    Top,
     canonical_bound_names,
     dedupe_or_idempotent,
     existential_prenex_dnf,
@@ -68,7 +72,7 @@ from .interpretations import (
 )
 from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
-from .semirings import BOOLEAN, INF, S3, VITERBI, Semiring
+from .semirings import INF, S3, VITERBI, Semiring
 
 STRICT_SEMIRING_IDS = {"viterbi", "tropical", "lukasiewicz", "doubt"}
 
@@ -196,6 +200,8 @@ def check_preservation(
                     va = run_plan(plan, pa)
                     if semiring.leq(va, vb):
                         continue
+                    if b_size ** a_size > guard:
+                        raise GuardExceeded(f"{b_size}^{a_size} maps exceed the guard {guard}")
                     for images in itertools.product(pb.universe, repeat=a_size):
                         g = dict(zip(pa.universe, images))
                         if check_interp_hom(g, pa, pb) == "none":
@@ -217,22 +223,47 @@ def is_trivial_at(formula: Formula, n: int) -> bool:
     only the equality type matters).
 
     In pi_n a sum is 1 iff some summand is 1, a product iff every factor is,
-    and no literal is; so pi_n(formula) = 1 exactly when the formula is true
-    in the Boolean interpretation over {1..n} where every literal is false.
-    That interpretation has an empty table, so it declares no relation."""
+    and no literal is: the formula must be true in the Boolean interpretation
+    over {1..n} where every literal is false.  That interpretation is
+    symmetric, so one element stands for a distinct quantifier's range:
+    `E! x. psi` is [n > |fv|] and psi, `A! x. psi` is [n <= |fv|] or psi
+    (fv: the free variables of the quantified formula).  The walk builds no
+    universe, but a constant outside {1..n} raises where evaluation would:
+    in an atom visited under no empty range."""
     if not is_foneq(formula):
         raise PreconditionError("triviality is defined for FO-distinct formulae")
     fv = sorted(free_vars(formula))
     if n < len(fv) + 1:
         raise PreconditionError(f"n = {n} too small for the instantiation of {fv}")
-    env = {v: i + 1 for i, v in enumerate(fv)}
-    all_false = Interpretation(BOOLEAN, range(1, n + 1), Vocabulary({}), {}, (False, False))
-    return evaluate(all_false, formula, env)
+    universe = range(1, n + 1)
+
+    def walk(f):
+        """(free variables, value, the error a valuation of f raises or None)."""
+        kind = type(f)
+        if kind is Exists or kind is Forall:
+            free, value, error = walk(f.body)
+            free = free - {f.var}
+            return (free, value, error) if n > len(free) else (free, kind is Forall, None)
+        if kind is And or kind is Or:
+            (lv, left, lerr), (rv, right, rerr) = walk(f.left), walk(f.right)
+            return lv | rv, (left and right) if kind is And else (left or right), lerr or rerr
+        if kind is Atom:
+            bad = [t for t in f.args if not isinstance(t, str) and t not in universe]
+            error = PreconditionError(f"element {bad[0]} not in universe") if bad else None
+            return frozenset(t for t in f.args if isinstance(t, str)), False, error
+        if kind is Top or kind is Bottom:
+            return frozenset(), kind is Top, None
+        raise PreconditionError(f"not a formula: {f!r}")
+
+    _, value, error = walk(formula)
+    if error:
+        raise error
+    return value
 
 
 @dataclass
 class TrivialityVerdict:
-    verdict: str  # trivial | non_trivial | unstable
+    verdict: str  # trivial | non_trivial
     probes: Tuple[Tuple[int, bool], ...]
     threshold: int
 
@@ -240,41 +271,14 @@ class TrivialityVerdict:
         return self.verdict == "trivial"
 
 
-def default_probe_range(formula: Formula, cap: Optional[int] = None) -> List[int]:
-    m = metrics(formula)
-    threshold = 2 ** (m.size + 1) + m.qr + 2
-    if cap is not None:
-        threshold = min(threshold, cap)
+def is_eventually_trivial(formula: Formula) -> TrivialityVerdict:
+    """Whether pi_n values the formula 1 for all large n.  A quantifier at
+    depth d sees at most |fv| + d free variables, so no range is empty and the
+    value is final at the threshold |fv| + qr + 1, the last size probed."""
     lo = len(free_vars(formula)) + 1
-    probes = set(range(lo, min(lo + 8, threshold + 1)))
-    step = 16
-    while step < threshold:
-        probes.add(step)
-        step *= 2
-    probes.update({threshold - 2, threshold - 1, threshold})
-    return sorted(p for p in probes if p >= lo)
-
-
-def is_eventually_trivial(
-    formula: Formula, probe_range: Optional[Sequence[int]] = None
-) -> TrivialityVerdict:
-    """Probe triviality over a range ending at the theoretical threshold
-    2^(|phi|+1) + qr(phi) + 2; the verdict is the stabilized tail value, or
-    `unstable` when the top three probes disagree."""
-    m = metrics(formula)
-    threshold = 2 ** (m.size + 1) + m.qr + 2
-    probes = sorted(default_probe_range(formula) if probe_range is None else probe_range)
-    if not probes:
-        raise PreconditionError("empty probe range: no size to probe")
-    results = tuple((n, is_trivial_at(formula, n)) for n in probes)
-    tail = [v for _, v in results[-3:]]
-    if all(tail):
-        verdict = "trivial"
-    elif not any(tail):
-        verdict = "non_trivial"
-    else:
-        verdict = "unstable"
-    return TrivialityVerdict(verdict, results, threshold)
+    threshold = lo + qr(formula)
+    probes = tuple((n, is_trivial_at(formula, n)) for n in range(lo, threshold + 1))
+    return TrivialityVerdict("trivial" if probes[-1][1] else "non_trivial", probes, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +635,6 @@ def rewrite_sigma1_strict(
     max_sample_size: int = 5,
     seed: int = 0,
     combine_max: int = 3,
-    probe_cap: Optional[int] = None,
 ) -> RewriteReport:
     """Eliminate universal quantifiers over the Viterbi, tropical,
     Lukasiewicz, or doubt semiring: substitute each innermost universal
@@ -658,14 +661,7 @@ def rewrite_sigma1_strict(
             break
         path = paths[0]
         sub = path_get(work, path)
-        probe = is_eventually_trivial(
-            sub, None if probe_cap is None else default_probe_range(sub, probe_cap)
-        )
-        if probe.verdict == "unstable":
-            report.substitutions.append(
-                {"subformula": sub, "verdict": "unstable", "probes": probe.probes}
-            )
-            return report
+        probe = is_eventually_trivial(sub)
         replacement = TRUE if probe.verdict == "trivial" else FALSE
         report.substitutions.append(
             {

@@ -104,6 +104,15 @@ def test_strategies_optimal_ignores_the_n_tree(interp_file):
     assert code == 2 and "exceeds" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--optimal", "--semiring", "viterbi", "--interp"]])
+def test_strategies_on_a_formula_with_free_variables_exits_2(interp_file, mode):
+    argv = ["strategies", "--formula", "R(x)", "--n", "2", *mode]
+    code, out, err = run_cli(*argv, *([interp_file] if mode else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "free" in err and err.count("\n") == 1
+
+
 def test_provenance_polynomial():
     code, out, _ = run_cli("provenance", "--formula", "E! x. R(x)", "--n", "2",
                            "--semiring", "spoly")
@@ -118,6 +127,12 @@ def test_trivial_verdicts():
     assert code2 == 1 and "non_trivial" in out2
     code3, out3, _ = run_cli("trivial", "--formula", "A! x. E! y. (true | R(x))", "--n", "2")
     assert code3 == 0 and "yes" in out3
+    # exact at any size: the walk builds no universe
+    code4, out4, _ = run_cli("trivial", "--formula", "A! y. E! z. R(z) | Q(y)", "--n", "1000000")
+    assert code4 == 1 and out4 == "trivial-at 1000000: no\n"
+    code5, out5, _ = run_cli("trivial", "--formula", "A! y. E! z. R(z) | Q(y)")
+    assert code5 == 1
+    assert out5 == "verdict: non_trivial\nprobes: ((1, False), (2, False), (3, False))\nthreshold: 3\n"
 
 
 def test_rewrite_strict_and_lattice():

@@ -14,7 +14,7 @@ from corpus import (
     random_foneq_sentence,
     random_sigma1_sentence,
 )
-from semlog.errors import PreconditionError
+from semlog.errors import GuardExceeded, PreconditionError
 from semlog.evaluation import evaluate, evaluate_set
 from semlog.formulas import Forall, canonical_bound_names, subformulas
 from semlog.games import build_game_tree, classify, enumerate_strategies, eval_strategy
@@ -99,6 +99,15 @@ def test_homomorphism_property():
     from semlog.interpretations import check_interp_hom
 
     assert check_interp_hom(g, pa, pb) != "none"
+
+
+def test_homomorphism_search_respects_the_guard():
+    # E x. R(x) is violated only towards an all-negative pb, into which no
+    # element map is a homomorphism: every pair's maps are searched
+    f = parse("E x. R(x)")
+    assert not check_preservation(f, S3, "homomorphisms", 2, (2,), guard=8).refuted
+    with pytest.raises(GuardExceeded, match="3\\^2 maps"):
+        check_preservation(f, S3, "homomorphisms", 3, (2,), guard=8)
 
 
 # -- triviality --------------------------------------------------------------
@@ -517,14 +526,16 @@ def test_lift_rejects_boolean_style_input():
         lift_counterexample_to_s3(lat, pa, pb, [psi])
 
 
-def test_probe_cap_below_the_least_legal_size_is_an_error():
-    from semlog.preservation import default_probe_range
-
-    f = parse("A! y. R(y) | Q(x)")
-    assert default_probe_range(f, 1) == []
-    with pytest.raises(PreconditionError, match="empty probe range"):
-        is_eventually_trivial(f, default_probe_range(f, 1))
-    with pytest.raises(PreconditionError, match="empty probe range"):
-        is_eventually_trivial(f, [])
-    capped = is_eventually_trivial(f, default_probe_range(f, 4))
-    assert [n for n, _ in capped.probes] == [2, 3, 4]
+def test_eventual_triviality_probes_up_to_free_variables_plus_rank_plus_one():
+    f = parse("A! y. R(y) | Q(x)")  # |fv| = 1, qr = 1
+    verdict = is_eventually_trivial(f)
+    assert verdict.probes == ((2, False), (3, False))
+    assert verdict.threshold == 3 and verdict.verdict == "non_trivial"
+    g = parse("A! y. E! z. (Q(y) | true)")  # E! z. has no witness while n <= 1
+    verdict = is_eventually_trivial(g)
+    assert verdict.probes == ((1, False), (2, True), (3, True))
+    assert verdict.threshold == 3 and verdict.verdict == "trivial"
+    h = parse("A! x. A! y. (R(x) & Q(y))")  # A! y. is vacuous while n <= 1
+    verdict = is_eventually_trivial(h)
+    assert verdict.probes == ((1, True), (2, False), (3, False))
+    assert verdict.threshold == 3 and verdict.verdict == "non_trivial"
