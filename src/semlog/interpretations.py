@@ -179,14 +179,6 @@ class Interpretation:
                 problems.append(label)
         return problems
 
-    def is_consistent(self) -> bool:
-        """Quotient-sense check: the product of each literal pair is zero."""
-        zero = self.semiring.zero
-        sr = self.semiring
-        return all(
-            sr.mul(*self.pair(rel, args)) == zero for rel, args in self.atom_keys()
-        )
-
     # -- transformations ----------------------------------------------------
 
     def restrict(self, subset: Iterable[int]) -> "Interpretation":

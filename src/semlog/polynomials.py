@@ -168,12 +168,6 @@ class AbsorptivePoly:
     def __hash__(self):
         return hash(self.monomials)
 
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def is_one(self) -> bool:
-        return len(self.monomials) == 1 and self.monomials[0].is_unit()
-
     def add(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
         return AbsorptivePoly(self.monomials + other.monomials)
 
@@ -202,6 +196,13 @@ class AbsorptivePoly:
         if not self.monomials:
             return "0"
         return " + ".join(repr(m) for m in self.monomials)
+
+
+def collapse_exponents(p: AbsorptivePoly) -> AbsorptivePoly:
+    """p with every exponent set to 1, re-pruned: its image in the free
+    distributive lattice, through which every valuation into a semiring with
+    idempotent multiplication factors."""
+    return AbsorptivePoly(Monomial((v, 1) for v, _ in m.exps) for m in p.monomials)
 
 
 def _prune(monomials) -> list:

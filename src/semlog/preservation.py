@@ -3,8 +3,9 @@ construction, S3 reduction checks, and the two universal-quantifier
 elimination pipelines.
 
 Every refutation witness returned by a checker re-validates through plain
-evaluation; rewrites run a bounded verification suite and report a witness
-instead of returning a wrong formula.
+evaluation; rewrites run a bounded verification suite, certified size by size
+by pi_n over absorptive semirings, and report a witness instead of returning
+a wrong formula.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ from .interpretations import (
 )
 from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
+from .polynomials import collapse_exponents
+from .provenance import pi_n
 from .semirings import INF, S3, VITERBI, Semiring
 
 STRICT_SEMIRING_IDS = {"viterbi", "tropical", "lukasiewicz", "doubt"}
@@ -459,11 +462,24 @@ def shrink_counterexample(
 class VerificationResult:
     ok: bool
     witness: Optional[Interpretation]
-    checked: int
+    checked: int  # concrete interpretations valued
     description: str
+    certified: Tuple[int, ...]  # sizes decided by pi_n alone
 
     def __bool__(self):
         return self.ok
+
+
+def _equal_on_pi_n(f_plan, g_plan, semiring: Semiring, vocab: Vocabulary, n: int) -> bool:
+    """Whether f and g agree on every model-defining size-n interpretation
+    into the absorptive semiring, decided on pi_n: any such interpretation
+    specializes pi_n by a homomorphism, which factors through the collapsed
+    polynomials when multiplication is idempotent."""
+    pi = pi_n(vocab, n)
+    a, b = run_plan(f_plan, pi), run_plan(g_plan, pi)
+    if semiring.multiplicatively_idempotent:
+        a, b = collapse_exponents(a), collapse_exponents(b)
+    return a == b
 
 
 def verify_equivalent(
@@ -478,25 +494,56 @@ def verify_equivalent(
     seed: int = 0,
     guard: int = 10**6,
 ) -> VerificationResult:
-    desc = (
-        f"exhaustive sizes {tuple(exhaustive_sizes)}, {samples} samples of sizes "
-        f"<= {max_sample_size} over {semiring.id}"
-    )
+    """Compare f and g on the exhaustive sizes and on random samples of sizes
+    1..max_sample_size.  Over an absorptive semiring a size is first tried on
+    pi_n: where the polynomials agree it is certified for every grid, and no
+    interpretation of that size is enumerated or drawn.  A relation outside
+    vocab is false in every interpretation but not in pi_n, so it turns the
+    certificate off.  A refutation is a concrete interpretation on which the
+    two values differ."""
     f_plan, g_plan = compile_formula(f), compile_formula(g)
+    exact = semiring.absorptive and (
+        set(Vocabulary.of_formula(f, g).relations) <= set(vocab.relations))
+    equal_at = {}
+    enumerated, sampled = [], set()
     checked = 0
+
+    def certified(n):
+        if n not in equal_at:
+            equal_at[n] = exact and _equal_on_pi_n(f_plan, g_plan, semiring, vocab, n)
+        return equal_at[n]
+
+    def differ(interp):
+        nonlocal checked
+        checked += 1
+        return run_plan(f_plan, interp) != run_plan(g_plan, interp)
+
+    def result(witness):
+        sizes = tuple(sorted(n for n, ok in equal_at.items() if ok))
+        desc = (
+            f"over {semiring.id}: certified by pi_n at sizes {sizes}; enumerated sizes "
+            f"{tuple(enumerated)}; sampled sizes {tuple(sorted(sampled))}; "
+            f"interpretations checked: {checked}"
+        )
+        return VerificationResult(witness is None, witness, checked, desc, sizes)
+
     for n in exhaustive_sizes:
+        if certified(n):
+            continue
+        enumerated.append(n)
         for interp in enumerate_interpretations(semiring, vocab, n, value_set, guard):
-            checked += 1
-            if run_plan(f_plan, interp) != run_plan(g_plan, interp):
-                return VerificationResult(False, interp, checked, desc)
+            if differ(interp):
+                return result(interp)
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randrange(1, max_sample_size + 1)
+        if certified(n):
+            continue
+        sampled.add(n)
         interp = random_interpretation(semiring, vocab, n, value_set, rng)
-        checked += 1
-        if run_plan(f_plan, interp) != run_plan(g_plan, interp):
-            return VerificationResult(False, interp, checked, desc)
-    return VerificationResult(True, None, checked, desc)
+        if differ(interp):
+            return result(interp)
+    return result(None)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +746,8 @@ def rewrite_sigma1_lattice(
     other than the Boolean): repeatedly bring the innermost universal body
     into existential prenex DNF, pull out the disjuncts free of the
     universal variable by finite continuity, and drop the residual (its
-    strategies all rely on the universal quantifier).  Verified by exhaustive
-    S3 equivalence plus fuzzy grid sampling."""
+    strategies all rely on the universal quantifier).  Verified over S3 and
+    the fuzzy semiring, where equal collapsed pi_n polynomials certify a size."""
     from .semirings import FUZZY
 
     if not is_sentence(sentence):

@@ -140,9 +140,13 @@ def test_rewrite_strict_and_lattice():
                            "--formula", "(A! x. R(x)) | E! x. R(x)")
     assert code == 0
     assert "sigma1:" in out
+    assert ("verify: verified (over viterbi: certified by pi_n at sizes (1, 2, 3, 4, 5); "
+            "enumerated sizes (); sampled sizes (); interpretations checked: 0)\n") in out
     code2, out2, _ = run_cli("rewrite", "--mode", "lattice", "--formula", "A y. E z. R(z)")
     assert code2 == 0
     assert "E v1. R(v1)" in out2
+    assert ("verify: verified (over s3: certified by pi_n at sizes (1, 2, 3, 4); "
+            "enumerated sizes (); sampled sizes (); interpretations checked: 0)\n") in out2
     code3, out3, _ = run_cli("rewrite", "--mode", "strict", "--formula", "E x. A y. R(x)")
     assert code3 == 1
     assert "refuted" in out3

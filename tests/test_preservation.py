@@ -15,20 +15,31 @@ from corpus import (
     random_sigma1_sentence,
 )
 from semlog.errors import GuardExceeded, PreconditionError
-from semlog.evaluation import evaluate, evaluate_set
-from semlog.formulas import Forall, canonical_bound_names, subformulas
+from semlog.evaluation import compile_formula, evaluate, evaluate_set, run_plan
+from semlog.formulas import (
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Or,
+    canonical_bound_names,
+    subformulas,
+)
 from semlog.games import build_game_tree, classify, enumerate_strategies, eval_strategy
 from semlog.interpretations import (
     Interpretation,
+    count_interpretations,
     enumerate_interpretations,
     is_subinterpretation,
     random_interpretation,
 )
 from semlog.lattices import LatticeSemiring, chain_lattice
 from semlog.parser import parse
+from semlog.polynomials import collapse_exponents
 from semlog.preservation import (
     S3_VALUES,
     VITERBI_GRID,
+    _equal_on_pi_n,
     check_preservation,
     eliminate_one_valuations,
     has_almost_existential_optimal,
@@ -40,9 +51,10 @@ from semlog.preservation import (
     rewrite_sigma1_strict,
     s3_entailment,
     s3_equivalence,
+    verify_equivalent,
 )
 from semlog.provenance import pi_n
-from semlog.semirings import DOUBT, LUKASIEWICZ, NATINF, S3, TROPICAL, VITERBI
+from semlog.semirings import DOUBT, LUKASIEWICZ, NAT, NATINF, S3, TROPICAL, VITERBI
 
 
 def alpha_eq(f, g):
@@ -539,3 +551,134 @@ def test_eventual_triviality_probes_up_to_free_variables_plus_rank_plus_one():
     verdict = is_eventually_trivial(h)
     assert verdict.probes == ((1, True), (2, False), (3, False))
     assert verdict.threshold == 3 and verdict.verdict == "non_trivial"
+
+
+# -- verification by pi_n certificates ---------------------------------------
+
+# Each semiring with a grid free of its zero.  All are absorptive; only S3
+# multiplies idempotently, so only S3 compares collapsed polynomials.
+CERTIFIED_SEMIRINGS = [
+    (VITERBI, VITERBI_GRID),
+    (LUKASIEWICZ, (Fraction(1, 2), Fraction(3, 4), Fraction(1))),
+    (TROPICAL, (Fraction(0), Fraction(1, 2), Fraction(1))),
+    (DOUBT, (Fraction(0), Fraction(1, 4), Fraction(1, 2))),
+    (S3, S3_VALUES),
+]
+
+# How a pair of sentences is built from random sentences f, h, k, and
+# whether it is an identity of every absorptive semiring (True), of those
+# with idempotent multiplication ("idempotent"), or of neither (None).
+_CONTRADICTION = Exists("c", And(Atom("R", ("c",)), Atom("R", ("c",), False)))
+PAIR_KINDS = {
+    "or_self": (lambda f, h, k: (f, Or(f, f)), True),
+    "absorb": (lambda f, h, k: (f, Or(f, And(f, h))), True),
+    "distribute": (lambda f, h, k: (And(f, Or(h, k)), Or(And(f, h), And(f, k))), True),
+    "contradiction": (lambda f, h, k: (f, Or(f, _CONTRADICTION)), True),
+    "and_self": (lambda f, h, k: (f, And(f, f)), "idempotent"),
+    "dual": (lambda f, h, k: (f, _dual(f)), None),
+    "other": (lambda f, h, k: (f, h), None),
+}
+
+
+def _dual(f):
+    """f with the polarity of every literal flipped."""
+    if isinstance(f, Atom):
+        return Atom(f.rel, f.args, not f.positive)
+    if isinstance(f, (And, Or)):
+        return type(f)(_dual(f.left), _dual(f.right))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _dual(f.body), distinct=f.distinct)
+    return f
+
+
+def _first_difference(fp, gp, semiring, n, grid):
+    for interp in enumerate_interpretations(semiring, UNARY_R, n, grid):
+        if run_plan(fp, interp) != run_plan(gp, interp):
+            return interp
+    return None
+
+
+@pytest.mark.parametrize("semiring, grid", CERTIFIED_SEMIRINGS, ids=lambda v: getattr(v, "id", ""))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(PAIR_KINDS)))
+def test_pi_n_certificate_agrees_with_enumeration(semiring, grid, seed, kind):
+    """Whenever pi_n calls a size equal, no interpretation of that size over
+    the grid tells the two sentences apart; over S3 this holds for the raw
+    polynomials and for the collapsed ones.  Pairs that are identities of
+    the semiring's class are always certified."""
+    rng = random.Random(seed)
+    build, identity = PAIR_KINDS[kind]
+    f, g = build(*(random_foneq_sentence(rng, UNARY_R, max_qr=2) for _ in range(3)))
+    fp, gp = compile_formula(f), compile_formula(g)
+    for n in (1, 2, 3):
+        certified = _equal_on_pi_n(fp, gp, semiring, UNARY_R, n)
+        claims = [certified]
+        if semiring.multiplicatively_idempotent:
+            pi = pi_n(UNARY_R, n)
+            raw = run_plan(fp, pi) == run_plan(gp, pi)
+            assert not raw or certified
+            claims.append(raw)
+        if any(claims):
+            witness = _first_difference(fp, gp, semiring, n, grid)
+            assert witness is None, (f, g, n, witness)
+        if identity is True or (identity == "idempotent" and semiring.multiplicatively_idempotent):
+            assert certified, (f, g, n)
+
+
+def test_collapse_is_not_applied_without_idempotent_multiplication():
+    f, g = parse("E x. R(x)"), parse("E x. (R(x) & R(x))")
+    failed = verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID)
+    assert not failed.ok and failed.certified == ()
+    assert evaluate(failed.witness, f) != evaluate(failed.witness, g)
+    lattice = verify_equivalent(f, g, S3, UNARY_R, S3_VALUES, max_sample_size=4)
+    assert lattice.ok and lattice.checked == 0 and lattice.certified == (1, 2, 3, 4)
+
+
+def test_collapse_exponents_rounds_exponents_down_and_prunes():
+    pi = pi_n(UNARY_R, 2)
+    p = evaluate(pi, parse("(E x. (R(x) & R(x))) | A x. R(x)"))
+    assert repr(p) == "x[R(1)]*x[R(2)] + x[R(1)]^2 + x[R(2)]^2"
+    assert repr(collapse_exponents(p)) == "x[R(1)] + x[R(2)]"
+
+
+def test_verify_equivalent_certifies_without_interpretations():
+    f, g = parse("E x. (R(x) & Q(x))"), parse("E y. (Q(y) & R(y))")
+    result = verify_equivalent(f, g, LUKASIEWICZ, UNARY_RQ, VITERBI_GRID)
+    assert result.ok and result.witness is None
+    assert result.checked == 0 and result.certified == (1, 2, 3, 4, 5)
+    assert result.description == (
+        "over lukasiewicz: certified by pi_n at sizes (1, 2, 3, 4, 5); enumerated sizes (); "
+        "sampled sizes (); interpretations checked: 0"
+    )
+
+
+def test_verify_equivalent_refutes_with_a_concrete_witness():
+    f, g = parse("E x. R(x)"), parse("A x. R(x)")  # equal on one element only
+    result = verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID)
+    assert not result.ok and result.certified == (1,)
+    assert len(result.witness.universe) == 2 and result.checked >= 1
+    assert evaluate(result.witness, f) != evaluate(result.witness, g)
+
+
+def test_verify_equivalent_certifies_nothing_for_relations_outside_the_vocabulary():
+    f, g = parse("A x. ~S(x)"), parse("A x. (R(x) & ~R(x))")  # both 0 on pi_n over R
+    result = verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID)
+    assert not result.ok and result.certified == ()
+    assert evaluate(result.witness, f) != evaluate(result.witness, g)
+
+
+def test_verify_equivalent_enumerates_over_non_absorptive_semirings():
+    f, g = parse("E x. (R(x) & Q(x))"), parse("E y. (Q(y) & R(y))")
+    grid = (1, 2)
+    result = verify_equivalent(f, g, NAT, UNARY_RQ, grid, exhaustive_sizes=(1, 2),
+                               samples=50, max_sample_size=3)
+    assert result.ok and result.certified == ()
+    expected = sum(count_interpretations(UNARY_RQ, n, grid) for n in (1, 2)) + 50
+    assert result.checked == expected
+    assert result.description == (
+        "over nat: certified by pi_n at sizes (); enumerated sizes (1, 2); "
+        f"sampled sizes (1, 2, 3); interpretations checked: {expected}"
+    )
+    doubled = verify_equivalent(parse("E x. R(x)"), parse("E x. (R(x) | R(x))"), NAT,
+                                UNARY_R, grid)
+    assert not doubled.ok and doubled.checked == 1
