@@ -318,7 +318,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trivial", help="triviality of a universal subformula")
     p.add_argument("--formula", required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--probe", action="store_true")
+    p.add_argument("--probe", action="store_true",
+                   help="accepted and ignored: the verdict is exact without probing")
     p.add_argument("--fo-as-is", action="store_true")
     p.set_defaults(func=cmd_trivial)
 

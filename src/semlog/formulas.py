@@ -9,6 +9,7 @@ formulae.  Negation exists only on atoms; `negate` dualizes an arbitrary AST.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -279,10 +280,15 @@ def substitute(f: Formula, mapping: dict) -> Formula:
     raise PreconditionError(f"not a formula: {f!r}")
 
 
-def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
-    """Alpha-rename bound variables to a canonical left-to-right numbering,
-    so alpha-equivalent formulae become syntactically equal."""
-    counter = [0]
+def _numbered(stem: str, avoid=()) -> Iterator[str]:
+    """stem1, stem2, ... without the names in avoid."""
+    names = (f"{stem}{i}" for i in itertools.count(1))
+    return (name for name in names if name not in avoid)
+
+
+def _rename_binders(f: Formula, names: Iterator[str]) -> Formula:
+    """Give the binders, in pre-order, the successive names drawn from names,
+    and rename their bound occurrences along."""
 
     def walk(g: Formula, env: dict) -> Formula:
         if isinstance(g, (Top, Bottom)):
@@ -294,14 +300,17 @@ def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
         if isinstance(g, (And, Or)):
             return type(g)(walk(g.left, env), walk(g.right, env))
         if isinstance(g, (Exists, Forall)):
-            counter[0] += 1
-            name = f"{stem}{counter[0]}"
-            env2 = dict(env)
-            env2[g.var] = name
-            return type(g)(name, walk(g.body, env2), g.distinct)
+            name = next(names)
+            return type(g)(name, walk(g.body, {**env, g.var: name}), g.distinct)
         raise PreconditionError(f"not a formula: {g!r}")
 
     return walk(f, {})
+
+
+def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
+    """Alpha-rename bound variables to a canonical left-to-right numbering,
+    so alpha-equivalent formulae become syntactically equal."""
+    return _rename_binders(f, _numbered(stem))
 
 
 def path_get(f: Formula, path: Sequence[int]) -> Formula:
@@ -493,31 +502,27 @@ def psi_n(f: Formula, n: int) -> Formula:
         raise PreconditionError("n must be >= 1")
     if not is_sentence(f) or not is_fo(f):
         raise FlavorError("psi_n expects an FO sentence")
-    avoid = free_vars(f) | bound_vars(f)
-    xs = []
-    i = 0
-    while len(xs) < n:
-        i += 1
-        cand = f"u{i}"
-        if cand not in avoid:
-            xs.append(cand)
 
-    def star(g: Formula) -> Formula:
+    def star(g: Formula, xs) -> Formula:
         if isinstance(g, (Top, Bottom, Atom, Eq)):
             return g
         if isinstance(g, (And, Or)):
-            return type(g)(star(g.left), star(g.right))
+            return type(g)(star(g.left, xs), star(g.right, xs))
         if isinstance(g, Exists):
-            return make_or([star(substitute(g.body, {g.var: x})) for x in xs])
+            return make_or([star(substitute(g.body, {g.var: x}), xs) for x in xs])
         if isinstance(g, Forall):
-            return make_and([star(substitute(g.body, {g.var: x})) for x in xs])
+            return make_and([star(substitute(g.body, {g.var: x}), xs) for x in xs])
         raise PreconditionError(f"not a formula: {g!r}")
 
-    distinct = [
-        Eq(xs[i], xs[j], positive=False) for i in range(n) for j in range(i + 1, n)
-    ]
-    body = make_and(distinct + [star(f)])
-    out = body
+    return _exists_distinct(f, n, "u", lambda xs: star(f, xs))
+
+
+def _exists_distinct(f: Formula, n: int, stem: str, matrix) -> Formula:
+    """E x1 ... E xn (pairwise xi != xj & matrix(xs)), the xs named stem1,
+    stem2, ... apart from the variables of f; just matrix([]) for n = 0."""
+    xs = list(itertools.islice(_numbered(stem, free_vars(f) | bound_vars(f)), n))
+    out = make_and([Eq(a, b, positive=False) for a, b in itertools.combinations(xs, 2)]
+                   + [matrix(xs)])
     for x in reversed(xs):
         out = Exists(x, out)
     return out
@@ -571,46 +576,10 @@ def flatten_sigma1(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_tuples(pool, k):
-    if k == 0:
-        yield ()
-        return
-    for head in pool:
-        for tail in _distinct_tuples([p for p in pool if p != head], k - 1):
-            yield (head,) + tail
-
-
 def uniquify_bound(f: Formula, stem: str = "w") -> Formula:
     """Give every binder a globally fresh name (w1, w2, ... avoiding the
     formula's existing variables)."""
-    avoid = set(free_vars(f)) | set(bound_vars(f))
-    counter = [0]
-
-    def next_name():
-        while True:
-            counter[0] += 1
-            name = f"{stem}{counter[0]}"
-            if name not in avoid:
-                avoid.add(name)
-                return name
-
-    def walk(g: Formula, env: dict) -> Formula:
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(env.get(a, a) for a in g.args), g.positive)
-        if isinstance(g, Eq):
-            return Eq(env.get(g.left, g.left), env.get(g.right, g.right), g.positive)
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, (Exists, Forall)):
-            name = next_name()
-            env2 = dict(env)
-            env2[g.var] = name
-            return type(g)(name, walk(g.body, env2), g.distinct)
-        raise PreconditionError(f"not a formula: {g!r}")
-
-    return walk(f, {})
+    return _rename_binders(f, _numbered(stem, free_vars(f) | bound_vars(f)))
 
 
 def _conj_parts(g: Formula) -> Optional[list]:
@@ -660,18 +629,18 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
             out = []
             if isinstance(g, Or):
                 for psi in dl:
-                    for tup in _distinct_tuples(pool, len(zl)):
+                    for tup in itertools.permutations(pool, len(zl)):
                         out.append(substitute(psi, dict(zip(zl, tup))))
                 for theta in dr:
-                    for tup in _distinct_tuples(pool, len(zr)):
+                    for tup in itertools.permutations(pool, len(zr)):
                         out.append(substitute(theta, dict(zip(zr, tup))))
             else:
                 for psi in dl:
                     for theta in dr:
-                        for tup_l in _distinct_tuples(pool, len(zl)):
+                        for tup_l in itertools.permutations(pool, len(zl)):
                             inst_p = substitute(psi, dict(zip(zl, tup_l)))
                             parts_p = _conj_parts(inst_p)
-                            for tup in _distinct_tuples(pool, len(zr)):
+                            for tup in itertools.permutations(pool, len(zr)):
                                 inst = substitute(theta, dict(zip(zr, tup)))
                                 parts_t = _conj_parts(inst)
                                 if parts_p is None or parts_t is None:

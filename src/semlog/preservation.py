@@ -2,10 +2,13 @@
 construction, S3 reduction checks, and the two universal-quantifier
 elimination pipelines.
 
-Every refutation witness returned by a checker re-validates through plain
-evaluation; rewrites run a bounded verification suite, certified size by size
-by pi_n over absorptive semirings, and report a witness instead of returning
-a wrong formula.
+Both pipelines run one driver with their own replacement rule for an
+innermost universal: true or false by eventual triviality (strict), or the
+finite-continuity split (lattice).  Every refutation witness returned by a
+checker re-validates through plain evaluation; rewrites run a bounded
+verification suite once per target semiring (the strict semiring; S3, then
+fuzzy), certified size by size by pi_n over absorptive semirings, and report
+a witness instead of returning a wrong formula.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .formulas import (
     And,
     Atom,
     Bottom,
-    Eq,
     Exists,
     Forall,
     Formula,
     Or,
     Top,
+    _exists_distinct,
     canonical_bound_names,
     dedupe_or_idempotent,
     existential_prenex_dnf,
@@ -40,7 +43,6 @@ from .formulas import (
     is_fo,
     is_foneq,
     is_sentence,
-    make_and,
     make_or,
     metrics,
     path_get,
@@ -48,12 +50,12 @@ from .formulas import (
     qr,
     simplify_constants,
     size,
-    subformulas,
     substitute_subformula,
 )
 from .games import (
     Strategy,
     _OptimalDP,
+    _map_strategy,
     build_game_tree,
     classify,
     enumerate_strategies,
@@ -75,12 +77,13 @@ from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, 
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
 from .polynomials import collapse_exponents
 from .provenance import pi_n
-from .semirings import INF, S3, VITERBI, Semiring
+from .semirings import FUZZY, INF, S3, VITERBI, Semiring
 
 STRICT_SEMIRING_IDS = {"viterbi", "tropical", "lukasiewicz", "doubt"}
 
 S3_VALUES = (1, 2)  # eps and 1
 VITERBI_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+FUZZY_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +434,12 @@ def shrink_counterexample(
     chosen = missing[-(r + 1):]
     perm = {}
     targets = list(range(n + 1, k + 1))
-    rest_targets = [x for x in range(1, k + 1)]
     for c, t in zip(chosen, targets):
         perm[c] = t
     remaining_sources = [x for x in range(1, k + 1) if x not in chosen]
     remaining_targets = [x for x in range(1, k + 1) if x not in targets]
     for ssrc, tgt in zip(remaining_sources, remaining_targets):
         perm[ssrc] = tgt
-    from .games import _map_strategy
-
     strat2 = _map_strategy(strategy, lambda e: perm[e])
     interp2 = interp.relabel(perm)
     tstar, _dropped = translate_strategy(strat2, n, r)
@@ -557,8 +557,16 @@ class RewriteReport:
     output: Optional[Formula]
     threshold: int
     substitutions: List[dict] = field(default_factory=list)
-    verification: Optional[VerificationResult] = None
+    verifications: List[VerificationResult] = field(default_factory=list)  # in target order
     gate: Optional[PreservationVerdict] = None
+
+    @property
+    def verification(self) -> Optional[VerificationResult]:
+        """The first failing verification, or else the first."""
+        for result in self.verifications:
+            if not result:
+                return result
+        return self.verifications[0] if self.verifications else None
 
     @property
     def ok(self) -> bool:
@@ -580,9 +588,9 @@ class RewriteReport:
         lines.append(f"threshold n = {self.threshold}")
         if self.output is not None:
             lines.append(f"output: {self.output!r}")
-        if self.verification is not None:
-            status = "verified" if self.verification.ok else "FAILED"
-            lines.append(f"verify: {status} ({self.verification.description})")
+        for result in self.verifications:
+            status = "verified" if result.ok else "FAILED"
+            lines.append(f"verify: {status} ({result.description})")
         return "\n".join(lines)
 
 
@@ -602,86 +610,66 @@ def _combine_large_universes(
 ) -> Formula:
     """The size-split combination: existentially guard the core with n
     pairwise distinct elements and disjoin the size-i unfoldings for i <= n."""
-    if n == 0:
-        return core_fo
-    avoid = set(free_vars(core_fo)) | {v for g in subformulas(core_fo) if isinstance(g, (Exists, Forall)) for v in [g.var]}
-    xs = []
-    i = 0
-    while len(xs) < n:
-        i += 1
-        cand = f"g{i}"
-        if cand not in avoid:
-            xs.append(cand)
-    distinct = [Eq(xs[a], xs[b], positive=False) for a in range(n) for b in range(a + 1, n)]
-    guarded = make_and(distinct + [core_fo])
-    for x in reversed(xs):
-        guarded = Exists(x, guarded)
-    parts = [guarded] + [psi_n(original_fo, i) for i in range(1, n + 1)]
-    return make_or(parts)
+    guarded = _exists_distinct(core_fo, n, "g", lambda xs: core_fo)
+    return make_or([guarded] + [psi_n(original_fo, i) for i in range(1, n + 1)])
 
 
-def _finish_rewrite(
-    original: Formula,
-    core_foneq: Formula,
-    semiring: Semiring,
-    vocab: Vocabulary,
-    value_set: Sequence,
-    report: RewriteReport,
-    exhaustive_sizes: Sequence[int],
-    samples: int,
-    max_sample_size: int,
-    seed: int,
-    combine_max: int,
-    extra_checks=(),
-) -> RewriteReport:
-    core_fo = simplify_constants(foneq_to_fo(core_foneq))
-    core_fo = dedupe_or_idempotent(core_fo)
-    original_fo = original if is_fo(original) else foneq_to_fo(original)
-    last_failure = None
-    for n in range(0, combine_max + 1):
+def _rewrite(sentence: Formula, targets, rule, samples: int, max_sample_size: int,
+             seed: int) -> RewriteReport:
+    """The elimination both pipelines share.  `targets` holds (semiring, grid,
+    exhaustive sizes) triples; the first also runs the extension-preservation
+    gate at sizes <= 2.  `rule` maps an innermost distinct universal to its
+    substitution record, whose "replaced_by" takes its place.  Once no
+    universal is left, the size-split combinations n = 0..3 are tried in turn
+    and the first that every target verifies is accepted."""
+    if not is_sentence(sentence):
+        raise PreconditionError("input must be a sentence")
+    vocab = Vocabulary.of_formula(sentence)
+    report = RewriteReport(sentence, None, 0)
+    semiring, grid, _ = targets[0]
+    report.gate = check_preservation(sentence, semiring, "extensions", 2, grid, vocab)
+    if report.gate.refuted:
+        return report
+    work = simplify_constants(fo_to_foneq(sentence) if is_fo(sentence) else sentence)
+    while paths := _innermost_forall_paths(work):
+        record = rule(path_get(work, paths[0]))
+        report.substitutions.append(record)
+        work = simplify_constants(substitute_subformula(work, paths[0], record["replaced_by"]))
+    core_fo = dedupe_or_idempotent(simplify_constants(foneq_to_fo(work)))
+    original_fo = sentence if is_fo(sentence) else foneq_to_fo(sentence)
+    for n in range(4):
         candidate = _combine_large_universes(original_fo, core_fo, n)
         candidate = dedupe_or_idempotent(simplify_constants(candidate))
-        verdict = verify_equivalent(
-            original,
-            candidate,
-            semiring,
-            vocab,
-            value_set,
-            exhaustive_sizes,
-            samples,
-            max_sample_size,
-            seed,
-        )
-        ok = verdict.ok
-        if ok:
-            for check in extra_checks:
-                extra = check(candidate)
-                if not extra.ok:
-                    verdict = extra
-                    ok = False
-                    break
-        if ok:
-            report.threshold = n
+        report.threshold = n
+        report.verifications = []
+        for semiring, grid, exhaustive_sizes in targets:
+            result = verify_equivalent(sentence, candidate, semiring, vocab, grid,
+                                       exhaustive_sizes, samples, max_sample_size, seed)
+            report.verifications.append(result)
+            if not result:
+                break
+        else:
             report.output = canonical_bound_names(flatten_sigma1(candidate))
-            report.verification = verdict
             return report
-        last_failure = verdict
-    report.threshold = combine_max
-    report.output = None
-    report.verification = last_failure
     return report
+
+
+def _triviality_rule(sub: Formula) -> dict:
+    probe = is_eventually_trivial(sub)
+    return {
+        "subformula": sub,
+        "verdict": probe.verdict,
+        "replaced_by": TRUE if probe else FALSE,
+        "probe_threshold": probe.threshold,
+    }
 
 
 def rewrite_sigma1_strict(
     sentence: Formula,
     semiring: Semiring = VITERBI,
-    value_set: Sequence = VITERBI_GRID,
-    max_gate_size: int = 2,
-    exhaustive_sizes: Sequence[int] = (1, 2, 3),
     samples: int = 1000,
     max_sample_size: int = 5,
     seed: int = 0,
-    combine_max: int = 3,
 ) -> RewriteReport:
     """Eliminate universal quantifiers over the Viterbi, tropical,
     Lukasiewicz, or doubt semiring: substitute each innermost universal
@@ -691,136 +679,39 @@ def rewrite_sigma1_strict(
     bounded verification suite decides acceptance."""
     if semiring.id not in STRICT_SEMIRING_IDS:
         raise PreconditionError(f"{semiring.id} is not one of the strict semirings")
-    if not is_sentence(sentence):
-        raise PreconditionError("input must be a sentence")
-    vocab = Vocabulary.of_formula(sentence)
-    report = RewriteReport(sentence, None, 0)
-    report.gate = check_preservation(
-        sentence, semiring, "extensions", max_gate_size, value_set, vocab
-    )
-    if report.gate.refuted:
-        return report
-    work = fo_to_foneq(sentence) if is_fo(sentence) else sentence
-    work = simplify_constants(work)
-    while True:
-        paths = _innermost_forall_paths(work)
-        if not paths:
-            break
-        path = paths[0]
-        sub = path_get(work, path)
-        probe = is_eventually_trivial(sub)
-        replacement = TRUE if probe.verdict == "trivial" else FALSE
-        report.substitutions.append(
-            {
-                "subformula": sub,
-                "verdict": probe.verdict,
-                "replaced_by": replacement,
-                "probe_threshold": probe.threshold,
-            }
-        )
-        work = simplify_constants(substitute_subformula(work, path, replacement))
-    return _finish_rewrite(
-        sentence,
-        work,
-        semiring,
-        vocab,
-        value_set,
-        report,
-        exhaustive_sizes,
-        samples,
-        max_sample_size,
-        seed,
-        combine_max,
-    )
+    targets = ((semiring, VITERBI_GRID, (1, 2, 3)),)
+    return _rewrite(sentence, targets, _triviality_rule, samples, max_sample_size, seed)
 
 
-def rewrite_sigma1_lattice(
-    sentence: Formula,
-    exhaustive_sizes: Sequence[int] = (1, 2, 3),
-    samples: int = 400,
-    max_sample_size: int = 4,
-    seed: int = 0,
-    combine_max: int = 3,
-) -> RewriteReport:
+def _continuity_split(sub: Formula) -> dict:
+    zs, disjuncts = existential_prenex_dnf(sub.body)
+    kept = [theta for theta in disjuncts if sub.var not in free_vars(theta)]
+    pieces = []
+    for theta in kept:
+        piece = theta
+        for z in reversed([z for z in zs if z in free_vars(theta)]):
+            piece = Exists(z, piece, distinct=True)
+        pieces.append(piece)
+    return {
+        "subformula": sub,
+        "verdict": "continuity-split",
+        "kept": len(kept),
+        "dropped_residual": len(disjuncts) - len(kept),
+        "replaced_by": dedupe_or_idempotent(make_or(pieces)),
+    }
+
+
+def rewrite_sigma1_lattice(sentence: Formula, seed: int = 0) -> RewriteReport:
     """Eliminate universal quantifiers over lattice semirings (any lattice
     other than the Boolean): repeatedly bring the innermost universal body
     into existential prenex DNF, pull out the disjuncts free of the
     universal variable by finite continuity, and drop the residual (its
-    strategies all rely on the universal quantifier).  Verified over S3 and
-    the fuzzy semiring, where equal collapsed pi_n polynomials certify a size."""
-    from .semirings import FUZZY
-
-    if not is_sentence(sentence):
-        raise PreconditionError("input must be a sentence")
-    vocab = Vocabulary.of_formula(sentence)
-    report = RewriteReport(sentence, None, 0)
-    report.gate = check_preservation(sentence, S3, "extensions", 2, S3_VALUES, vocab)
-    if report.gate.refuted:
-        return report
-    work = fo_to_foneq(sentence) if is_fo(sentence) else sentence
-    work = simplify_constants(work)
-    while True:
-        paths = _innermost_forall_paths(work)
-        if not paths:
-            break
-        path = paths[0]
-        sub = path_get(work, path)
-        y = sub.var
-        zs, disjuncts = existential_prenex_dnf(sub.body)
-        chi_parts = []
-        psi_parts = []
-        for theta in disjuncts:
-            if y in free_vars(theta):
-                psi_parts.append(theta)
-            else:
-                chi_parts.append(theta)
-        pieces = []
-        for theta in chi_parts:
-            keep = [z for z in zs if z in free_vars(theta)]
-            piece = theta
-            for z in reversed(keep):
-                piece = Exists(z, piece, distinct=True)
-            pieces.append(piece)
-        replacement = dedupe_or_idempotent(make_or(pieces)) if pieces else FALSE
-        report.substitutions.append(
-            {
-                "subformula": sub,
-                "verdict": "continuity-split",
-                "kept": len(chi_parts),
-                "dropped_residual": len(psi_parts),
-                "replaced_by": replacement,
-            }
-        )
-        work = simplify_constants(substitute_subformula(work, path, replacement))
-    fuzzy_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-
-    def fuzzy_check(candidate):
-        return verify_equivalent(
-            sentence,
-            candidate,
-            FUZZY,
-            vocab,
-            fuzzy_grid,
-            exhaustive_sizes=(),
-            samples=samples,
-            max_sample_size=max_sample_size,
-            seed=seed,
-        )
-
-    return _finish_rewrite(
-        sentence,
-        work,
-        S3,
-        vocab,
-        S3_VALUES,
-        report,
-        exhaustive_sizes,
-        samples,
-        max_sample_size,
-        seed,
-        combine_max,
-        extra_checks=(fuzzy_check,),
-    )
+    strategies all rely on the universal quantifier).  The gate runs over S3;
+    a candidate is verified over S3 and then over the fuzzy semiring, where
+    equal collapsed pi_n polynomials certify a size, and the report holds
+    one verification per semiring."""
+    targets = ((S3, S3_VALUES, (1, 2, 3)), (FUZZY, FUZZY_GRID, ()))
+    return _rewrite(sentence, targets, _continuity_split, 400, 4, seed)
 
 
 # ---------------------------------------------------------------------------

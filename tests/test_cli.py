@@ -147,6 +147,8 @@ def test_rewrite_strict_and_lattice():
     assert "E v1. R(v1)" in out2
     assert ("verify: verified (over s3: certified by pi_n at sizes (1, 2, 3, 4); "
             "enumerated sizes (); sampled sizes (); interpretations checked: 0)\n") in out2
+    assert ("verify: verified (over fuzzy: certified by pi_n at sizes (1, 2, 3, 4); "
+            "enumerated sizes (); sampled sizes (); interpretations checked: 0)\n") in out2
     code3, out3, _ = run_cli("rewrite", "--mode", "strict", "--formula", "E x. A y. R(x)")
     assert code3 == 1
     assert "refuted" in out3

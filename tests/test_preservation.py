@@ -462,6 +462,16 @@ def test_rewrite_lattice_worked_examples():
     assert r2.ok and alpha_eq(r2.output, parse("E z. R(z)"))
 
 
+def test_rewrite_lattice_prints_one_verify_line_per_semiring():
+    lines = rewrite_sigma1_lattice(parse("A y. E z. R(z)")).summary().splitlines()
+    assert lines[-2:] == [
+        "verify: verified (over s3: certified by pi_n at sizes (1, 2, 3, 4); "
+        "enumerated sizes (); sampled sizes (); interpretations checked: 0)",
+        "verify: verified (over fuzzy: certified by pi_n at sizes (1, 2, 3, 4); "
+        "enumerated sizes (); sampled sizes (); interpretations checked: 0)",
+    ]
+
+
 def test_rewrite_lattice_sigma1_unchanged():
     r = rewrite_sigma1_lattice(parse("E x. R(x)"))
     assert r.ok and alpha_eq(r.output, parse("E x. R(x)"))
