@@ -17,6 +17,11 @@ distinct assignments and no entry could be hit.  Leaves are never memoized.
 Leaves check universe membership only for constants and, in atoms, the
 root's elements; bound elements come from the universe.
 
+Neither step recurses on the width of a left-nested chain (what `make_or`
+and the parser build): compiling folds over And/Or chains, and a run walks a
+chain's left spine in a loop that checks the memos on the way down and fills
+them on the way up, in the order of a recursive walk.
+
 This is the one valuation in semlog: game trees and strategies take their
 quantifier ranges (`quantifier_range`) and read their leaves (`_leaf_reader`,
 the leaf rule that plans compile) from here.  Triviality does not evaluate:
@@ -41,7 +46,9 @@ from .formulas import (
     Formula,
     Or,
     Top,
-    free_vars,
+    _fold,
+    _free_table,
+    _operands,
 )
 from .interpretations import (
     Interpretation,
@@ -107,6 +114,7 @@ def _leaf_reader(interp: Interpretation):
 # none), key reads the memo key off the slots and excluded lists the levels a
 # distinct quantifier skips (None for a plain quantifier).
 _ATOM1, _ATOM, _EQ, _CONST, _OR, _AND, _EXISTS, _FORALL = range(8)
+_INNER = {Or: _OR, And: _AND, Exists: _EXISTS, Forall: _FORALL}
 _MISS = object()
 
 
@@ -125,70 +133,62 @@ class Plan(NamedTuple):
     memos: int
 
 
-def _levels(mask: int) -> tuple:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def compile_formula(f: Formula) -> Plan:
     """Compile a formula into a plan for `run_plan`."""
-    free = tuple(sorted(free_vars(f)))
+    free_of = _free_table(f)
+    free = tuple(sorted(free_of[id(f)]))
     k = len(free)
     width = k
     constants = []  # constant j (1-based) lives in slot -j
     checked = set()
     memos = 0
 
-    def inner(op, mask: int, depth: int):
-        """The head of an inner node whose free levels are the bits of mask."""
-        nonlocal memos
-        if mask.bit_count() == k + depth:
-            return op, -1, None
-        memos += 1
-        return op, memos - 1, itemgetter(*_levels(mask)) if mask else _no_args
+    def plan(g, scope: dict, depth: int):
+        """The plan of g, whose variables sit at the levels scope gives."""
 
-    def node(g, scope: dict, depth: int):
-        """The plan node of g and the bit mask of its free levels."""
-        nonlocal width
-        kind = type(g)
-        if kind is Or or kind is And:
-            left, lm = node(g.left, scope, depth)
-            right, rm = node(g.right, scope, depth)
-            mask = lm | rm
-            return (*inner(_OR if kind is Or else _AND, mask, depth), left, right), mask
-        if kind is Exists or kind is Forall:
-            level = k + depth
-            width = max(width, level + 1)
-            body, mask = node(g.body, {**scope, g.var: level}, depth + 1)
-            mask &= ~(1 << level)
-            head = inner(_EXISTS if kind is Exists else _FORALL, mask, depth)
-            return (*head, level, body, _levels(mask) if g.distinct else None, g), mask
-        if kind is Top or kind is Bottom:
-            return (_CONST, kind is Top), 0
-        if kind is not Atom and kind is not Eq:
-            raise PreconditionError(f"not a formula: {g!r}")
-        is_atom = kind is Atom
-        slots, mask, check = [], 0, []
-        for t in g.args if is_atom else (g.left, g.right):
-            if isinstance(t, str):
-                slot = scope[t]
-                mask |= 1 << slot
-                if is_atom and slot < k:
+        def step(h, *below):
+            nonlocal width, memos
+            kind = type(h)
+            if kind in _INNER:
+                levels = tuple(sorted([scope[v] for v in free_of[id(h)]]))
+                head = (_INNER[kind], -1, None)
+                if len(levels) < k + depth:
+                    head = (_INNER[kind], memos, itemgetter(*levels) if levels else _no_args)
+                    memos += 1
+                if below:
+                    return (*head, *below)
+                level = k + depth
+                width = max(width, level + 1)
+                body = plan(h.body, {**scope, h.var: level}, depth + 1)
+                return (*head, level, body, levels if h.distinct else None, h)
+            if kind is Top or kind is Bottom:
+                return (_CONST, kind is Top)
+            if kind is not Atom and kind is not Eq:
+                raise PreconditionError(f"not a formula: {h!r}")
+            is_atom = kind is Atom
+            slots, check = [], []
+            for t in h.args if is_atom else (h.left, h.right):
+                if isinstance(t, str):
+                    slot = scope[t]
+                    if is_atom and slot < k:
+                        check.append(slot)
+                else:
+                    constants.append(t)
+                    slot = -len(constants)
                     check.append(slot)
-            else:
-                constants.append(t)
-                slot = -len(constants)
-                check.append(slot)
-            slots.append(slot)
-        checked.update(check)
-        check = tuple(check)
-        if not is_atom:
-            return (_EQ, slots[0], slots[1], g.positive, check), mask
-        side = 0 if g.positive else 1
-        if len(slots) == 1:
-            return (_ATOM1, g.rel, slots[0], side, check), mask
-        return (_ATOM, g.rel, itemgetter(*slots) if slots else _no_args, side, check), mask
+                slots.append(slot)
+            checked.update(check)
+            check = tuple(check)
+            if not is_atom:
+                return (_EQ, slots[0], slots[1], h.positive, check)
+            side = 0 if h.positive else 1
+            if len(slots) == 1:
+                return (_ATOM1, h.rel, slots[0], side, check)
+            return (_ATOM, h.rel, itemgetter(*slots) if slots else _no_args, side, check)
 
-    root, _ = node(f, {v: i for i, v in enumerate(free)}, 0)
+        return _fold(g, step, _operands)
+
+    root = plan(f, {v: i for i, v in enumerate(free)}, 0)
     blank = (None,) * width + tuple(reversed(constants))
     return Plan(root, free, blank, frozenset(checked), memos)
 
@@ -221,17 +221,13 @@ def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):
             return one if (slots[node[1]] == slots[node[2]]) == node[3] else zero
         if op == _CONST:
             return one if node[1] else zero
-        memo = node[1]
-        if memo >= 0:
-            key = node[2](slots)
-            hit = memos[memo].get(key, _MISS)
-            if hit is not _MISS:
-                return hit
-        if op == _OR:
-            val = add(visit(node[3]), visit(node[4]))
-        elif op == _AND:
-            val = mul(visit(node[3]), visit(node[4]))
-        else:
+        if op >= _EXISTS:
+            memo = node[1]
+            if memo >= 0:
+                key = node[2](slots)
+                hit = memos[memo].get(key, _MISS)
+                if hit is not _MISS:
+                    return hit
             level, body, excluded = node[3], node[4], node[5]
             domain = universe if excluded is None else quantifier_range(
                 node[6], universe, [slots[i] for i in excluded])
@@ -239,8 +235,26 @@ def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):
             for b in domain:
                 slots[level] = b
                 val = fold(val, visit(body))
-        if memo >= 0:
-            memos[memo][key] = val
+            if memo >= 0:
+                memos[memo][key] = val
+            return val
+        spine = []  # the op nodes down the left spine and their memo keys
+        while True:
+            memo, key = node[1], None
+            if memo >= 0:
+                key = node[2](slots)
+                val = memos[memo].get(key, _MISS)
+                if val is not _MISS:
+                    break
+            spine.append((node, key))
+            node = node[3]
+            if node[0] != op:
+                val = visit(node)
+                break
+        for node, key in reversed(spine):
+            val = (add if op == _OR else mul)(val, visit(node[4]))
+            if node[1] >= 0:
+                memos[node[1]][key] = val
         return val
 
     return visit(plan.root)

@@ -10,7 +10,7 @@ formulae.  Negation exists only on atoms; `negate` dualizes an arbitrary AST.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, SemlogError
@@ -24,14 +24,12 @@ class FlavorError(SemlogError):
 
 @dataclass(frozen=True)
 class Top:
-    def __repr__(self):
-        return "true"
+    pass
 
 
 @dataclass(frozen=True)
 class Bottom:
-    def __repr__(self):
-        return "false"
+    pass
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,6 @@ class Atom:
     args: Tuple[Term, ...]
     positive: bool = True
 
-    def __repr__(self):
-        body = f"{self.rel}({', '.join(map(str, self.args))})"
-        return body if self.positive else f"~{body}"
-
 
 @dataclass(frozen=True)
 class Eq:
@@ -51,27 +45,17 @@ class Eq:
     right: Term
     positive: bool = True
 
-    def __repr__(self):
-        op = "=" if self.positive else "!="
-        return f"{self.left} {op} {self.right}"
-
 
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
-    def __repr__(self):
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
-
-    def __repr__(self):
-        return f"({self.left} | {self.right})"
 
 
 @dataclass(frozen=True)
@@ -80,20 +64,12 @@ class Exists:
     body: "Formula"
     distinct: bool = False
 
-    def __repr__(self):
-        q = "E!" if self.distinct else "E"
-        return f"{q} {self.var}. {self.body}"
-
 
 @dataclass(frozen=True)
 class Forall:
     var: str
     body: "Formula"
     distinct: bool = False
-
-    def __repr__(self):
-        q = "A!" if self.distinct else "A"
-        return f"{q} {self.var}. {self.body}"
 
 
 Formula = Union[Top, Bottom, Atom, Eq, And, Or, Exists, Forall]
@@ -120,59 +96,147 @@ def make_or(parts: Sequence[Formula]) -> Formula:
     return out
 
 
+def children(f: Formula) -> Tuple[Formula, ...]:
+    kind = type(f)
+    if kind is And or kind is Or:
+        return (f.left, f.right)
+    return (f.body,) if kind is Exists or kind is Forall else ()
+
+
+def _operands(f: Formula) -> Tuple[Formula, ...]:
+    return (f.left, f.right) if type(f) in (And, Or) else ()
+
+
+# Every formula walk keeps its own stack, so no width of disjunction or
+# conjunction costs recursion: bottom-up walks are a `_fold`, visits read
+# `_preorder`.  A walk whose environment changes at binders folds the And/Or
+# chains only (kids=_operands) and recurses at quantifiers, as deep as they nest.
+_ONE, _TWO = object(), object()  # on the fold's stack: fold the node below with 1 / 2 values
+
+
+def _fold(f: Formula, step, kids=children):
+    """f folded bottom-up: each node g becomes step(g, *values), the values
+    being what its kids(g) (at most two) became, left to right."""
+    values, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g is _TWO:
+            right = values.pop()
+            values[-1] = step(stack.pop(), values[-1], right)
+        elif g is _ONE:
+            values[-1] = step(stack.pop(), values[-1])
+        else:
+            below = kids(g)
+            if not below:
+                values.append(step(g))
+            else:
+                stack += (g, _TWO, below[1], below[0]) if len(below) == 2 else (g, _ONE, below[0])
+    return values[0]
+
+
+def _rebuild(f: Formula, operand) -> Formula:
+    """f with every operand of its And/Or chains (a leaf or a quantifier)
+    replaced by operand(g)."""
+    return _fold(f, lambda g, *below: type(g)(*below) if below else operand(g), _operands)
+
+
+def _preorder(f, kids=children) -> Iterator:
+    """f and what lies below it by kids, each node before its kids(node)."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(kids(g)))
+
+
+def _chain(f: Formula, kind) -> list:
+    """The operands of the kind-chain (And or Or) rooted at f, left to right;
+    [f] when f is not a kind node."""
+    split = lambda g: (g.left, g.right) if type(g) is kind else ()
+    return [g for g in _preorder(f, split) if type(g) is not kind]
+
+
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
+
+
+def _leaf_text(g) -> str:
+    """The repr of a constant, literal or equality leaf; str of anything else."""
+    kind = type(g)
+    if kind is Atom:
+        body = f"{g.rel}({', '.join(map(str, g.args))})"
+        return body if g.positive else f"~{body}"
+    if kind is Eq:
+        return f"{g.left} {'=' if g.positive else '!='} {g.right}"
+    if kind is Top or kind is Bottom:
+        return "true" if kind is Top else "false"
+    return str(g)
+
+
+def _show(f: Formula) -> str:
+    """The repr of a formula: connectives parenthesized, quantifiers bare."""
+
+    def step(g, *below):
+        kind = type(g)
+        if kind is And or kind is Or:
+            return f"({below[0]} {'&' if kind is And else '|'} {below[1]})"
+        if kind is Exists or kind is Forall:
+            q = ("E" if kind is Exists else "A") + ("!" if g.distinct else "")
+            return f"{q} {g.var}. {below[0]}"
+        return _leaf_text(g)
+
+    return _fold(f, step)
+
+
+Top.__repr__ = Bottom.__repr__ = Atom.__repr__ = Eq.__repr__ = _leaf_text
+And.__repr__ = Or.__repr__ = Exists.__repr__ = Forall.__repr__ = _show
+
+
 def negate(f: Formula) -> Formula:
     """NNF dual: flips atoms, swaps and/or and the quantifiers."""
-    if isinstance(f, Top):
-        return FALSE
-    if isinstance(f, Bottom):
-        return TRUE
-    if isinstance(f, Atom):
-        return Atom(f.rel, f.args, not f.positive)
-    if isinstance(f, Eq):
-        return Eq(f.left, f.right, not f.positive)
-    if isinstance(f, And):
-        return Or(negate(f.left), negate(f.right))
-    if isinstance(f, Or):
-        return And(negate(f.left), negate(f.right))
-    if isinstance(f, Exists):
-        return Forall(f.var, negate(f.body), f.distinct)
-    if isinstance(f, Forall):
-        return Exists(f.var, negate(f.body), f.distinct)
-    raise PreconditionError(f"not a formula: {f!r}")
 
+    def step(g, *below):
+        kind = type(g)
+        if kind is Top or kind is Bottom:
+            return FALSE if kind is Top else TRUE
+        if kind is Atom or kind is Eq:
+            return replace(g, positive=not g.positive)
+        if kind is And or kind is Or:
+            return _DUAL[kind](*below)
+        if kind is Exists or kind is Forall:
+            return _DUAL[kind](g.var, below[0], g.distinct)
+        raise PreconditionError(f"not a formula: {g!r}")
 
-def children(f: Formula) -> Tuple[Formula, ...]:
-    if isinstance(f, (And, Or)):
-        return (f.left, f.right)
-    if isinstance(f, (Exists, Forall)):
-        return (f.body,)
-    return ()
+    return _fold(f, step)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from subformulas(c)
+    return _preorder(f)
+
+
+def _free_step(g: Formula, *below) -> frozenset:
+    """The one free-variable rule: the free variables of g from its kids'."""
+    kind = type(g)
+    if kind is Atom or kind is Eq:
+        terms = g.args if kind is Atom else (g.left, g.right)
+        return frozenset([t for t in terms if isinstance(t, str)])
+    if kind is Exists or kind is Forall:
+        return below[0] - {g.var}
+    return frozenset().union(*below)
 
 
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset(a for a in f.args if isinstance(a, str))
-    if isinstance(f, Eq):
-        return frozenset(a for a in (f.left, f.right) if isinstance(a, str))
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    return frozenset()
+    return _fold(f, _free_step)
+
+
+def _free_table(f: Formula) -> dict:
+    """The free variables of every subformula of f, keyed by id."""
+    table = {}
+    _fold(f, lambda g, *below: table.setdefault(id(g), _free_step(g, *below)))
+    return table
 
 
 def bound_vars(f: Formula) -> set:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            out.add(g.var)
-    return out
+    return {g.var for g in subformulas(f) if isinstance(g, (Exists, Forall))}
 
 
 def is_sentence(f: Formula) -> bool:
@@ -217,17 +281,13 @@ class FormulaMetrics:
 def metrics(f: Formula) -> FormulaMetrics:
     """Node count (every AST node counts one), quantifier rank, and the
     nesting depth of universal quantifiers."""
-    if isinstance(f, (Top, Bottom, Atom, Eq)):
-        return FormulaMetrics(1, 0, 0)
-    subs = [metrics(c) for c in children(f)]
-    size = 1 + sum(m.size for m in subs)
-    qr = max(m.qr for m in subs)
-    qf = max(m.qr_forall for m in subs)
-    if isinstance(f, (Exists, Forall)):
-        qr += 1
-        if isinstance(f, Forall):
-            qf += 1
-    return FormulaMetrics(size, qr, qf)
+
+    def step(g, *below):
+        qr = max([m.qr for m in below], default=0) + isinstance(g, (Exists, Forall))
+        qf = max([m.qr_forall for m in below], default=0) + isinstance(g, Forall)
+        return FormulaMetrics(1 + sum(m.size for m in below), qr, qf)
+
+    return _fold(f, step)
 
 
 def size(f: Formula) -> int:
@@ -242,42 +302,42 @@ def qr_forall(f: Formula) -> int:
     return metrics(f).qr_forall
 
 
-_FRESH = 0
-
-
 def fresh_var(stem: str, avoid) -> str:
-    global _FRESH
+    """stem itself, or else the first of stem_1, stem_2, ... outside avoid."""
     if stem not in avoid:
         return stem
-    while True:
-        _FRESH += 1
-        name = f"{stem}_{_FRESH}"
-        if name not in avoid:
-            return name
+    return next(_numbered(f"{stem}_", avoid))
+
+
+def _renamed_leaf(g: Formula, mapping: dict) -> Formula:
+    """The constant, literal or equality leaf g with its terms mapped."""
+    if isinstance(g, (Top, Bottom)):
+        return g
+    if isinstance(g, Atom):
+        return Atom(g.rel, tuple([mapping.get(a, a) for a in g.args]), g.positive)
+    if isinstance(g, Eq):
+        return Eq(mapping.get(g.left, g.left), mapping.get(g.right, g.right), g.positive)
+    raise PreconditionError(f"not a formula: {g!r}")
 
 
 def substitute(f: Formula, mapping: dict) -> Formula:
     """Capture-avoiding substitution of terms for free variables."""
-    if isinstance(f, (Top, Bottom)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(mapping.get(a, a) for a in f.args), f.positive)
-    if isinstance(f, Eq):
-        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right), f.positive)
-    if isinstance(f, (And, Or)):
-        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, (Exists, Forall)):
-        live = {k: v for k, v in mapping.items() if k != f.var and k in free_vars(f.body)}
+
+    def operand(g):
+        if not isinstance(g, (Exists, Forall)):
+            return _renamed_leaf(g, mapping)
+        live = {k: v for k, v in mapping.items() if k != g.var and k in free_vars(g.body)}
         if not live:
-            return type(f)(f.var, f.body, f.distinct)
+            return type(g)(g.var, g.body, g.distinct)
         clash = {v for v in live.values() if isinstance(v, str)}
-        var, body = f.var, f.body
+        var, body = g.var, g.body
         if var in clash:
             new = fresh_var(var, clash | free_vars(body) | bound_vars(body) | set(live))
             body = substitute(body, {var: new})
             var = new
-        return type(f)(var, substitute(body, live), f.distinct)
-    raise PreconditionError(f"not a formula: {f!r}")
+        return type(g)(var, substitute(body, live), g.distinct)
+
+    return _rebuild(f, operand)
 
 
 def _numbered(stem: str, avoid=()) -> Iterator[str]:
@@ -291,18 +351,13 @@ def _rename_binders(f: Formula, names: Iterator[str]) -> Formula:
     and rename their bound occurrences along."""
 
     def walk(g: Formula, env: dict) -> Formula:
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(env.get(a, a) for a in g.args), g.positive)
-        if isinstance(g, Eq):
-            return Eq(env.get(g.left, g.left), env.get(g.right, g.right), g.positive)
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, (Exists, Forall)):
+        def operand(h):
+            if not isinstance(h, (Exists, Forall)):
+                return _renamed_leaf(h, env)
             name = next(names)
-            return type(g)(name, walk(g.body, {**env, g.var: name}), g.distinct)
-        raise PreconditionError(f"not a formula: {g!r}")
+            return type(h)(name, walk(h.body, {**env, h.var: name}), h.distinct)
+
+        return _rebuild(g, operand)
 
     return walk(f, {})
 
@@ -313,100 +368,73 @@ def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
     return _rename_binders(f, _numbered(stem))
 
 
-def path_get(f: Formula, path: Sequence[int]) -> Formula:
-    node = f
+def _path_nodes(f: Formula, path: Sequence[int]) -> list:
+    """The nodes on a root-to-node child-index path, f first."""
+    nodes = [f]
     for i in path:
-        cs = children(node)
+        cs = children(nodes[-1])
         if i < 0 or i >= len(cs):
-            raise PreconditionError(f"invalid path {list(path)} at {node!r}")
-        node = cs[i]
-    return node
+            raise PreconditionError(f"invalid path {list(path)} at {nodes[-1]!r}")
+        nodes.append(cs[i])
+    return nodes
+
+
+def path_get(f: Formula, path: Sequence[int]) -> Formula:
+    return _path_nodes(f, path)[-1]
 
 
 def visible_vars_at(f: Formula, path: Sequence[int]) -> set:
     """Variables usable at a path: free variables of the host plus binders
     passed on the way down."""
-    out = set(free_vars(f))
-    node = f
-    for i in path:
-        if isinstance(node, (Exists, Forall)):
-            out.add(node.var)
-        cs = children(node)
-        if i < 0 or i >= len(cs):
-            raise PreconditionError(f"invalid path {list(path)} at {node!r}")
-        node = cs[i]
-    return out
+    passed = _path_nodes(f, path)[:-1]
+    return set(free_vars(f)) | {g.var for g in passed if isinstance(g, (Exists, Forall))}
 
 
 def substitute_subformula(host: Formula, path: Sequence[int], replacement: Formula) -> Formula:
     """Replace the node addressed by a root-to-node child-index path."""
-    free_repl = free_vars(replacement)
-    if not free_repl <= visible_vars_at(host, path):
-        captured = sorted(free_repl - visible_vars_at(host, path))
+    captured = sorted(free_vars(replacement) - visible_vars_at(host, path))
+    if captured:
         raise PreconditionError(f"variable capture: {captured} not visible at path")
-
-    def walk(node: Formula, rest: Sequence[int]) -> Formula:
-        if not rest:
-            return replacement
-        i, *tail = rest
-        cs = children(node)
-        if i < 0 or i >= len(cs):
-            raise PreconditionError(f"invalid path at {node!r}")
+    out = replacement
+    for node, i in zip(reversed(_path_nodes(host, path)[:-1]), reversed(path)):
         if isinstance(node, (And, Or)):
-            l, r = node.left, node.right
-            return type(node)(walk(l, tail) if i == 0 else l, walk(r, tail) if i == 1 else r)
-        return type(node)(node.var, walk(node.body, tail), node.distinct)
-
-    return walk(host, list(path))
+            out = type(node)(out, node.right) if i == 0 else type(node)(node.left, out)
+        else:
+            out = type(node)(node.var, out, node.distinct)
+    return out
 
 
 def find_subformula_paths(f: Formula, pred) -> list:
     """All root-to-node paths whose node satisfies pred, in pre-order."""
-    out = []
-
-    def walk(node, path):
-        if pred(node):
-            out.append(tuple(path))
-        for i, c in enumerate(children(node)):
-            walk(c, path + [i])
-
-    walk(f, [])
-    return out
+    kids = lambda np: tuple((c, np[1] + (i,)) for i, c in enumerate(children(np[0])))
+    return [path for node, path in _preorder((f, ()), kids) if pred(node)]
 
 
 def simplify_constants(f: Formula) -> Formula:
     """Constant folding that is sound in every semiring: false|x = x,
     true&x = x, false&x = false, equalities between identical terms, and
     constant quantifier bodies (Ex.false = false, Ax.true = true)."""
-    if isinstance(f, Eq) and f.left == f.right:
-        return TRUE if f.positive else FALSE
-    if isinstance(f, (And, Or)):
-        l = simplify_constants(f.left)
-        r = simplify_constants(f.right)
-        if isinstance(f, Or):
-            if isinstance(l, Bottom):
+
+    def step(g, *below):
+        kind = type(g)
+        if kind is Eq and g.left == g.right:
+            return TRUE if g.positive else FALSE
+        if kind is Or or kind is And:
+            l, r = below
+            if kind is And and (isinstance(l, Bottom) or isinstance(r, Bottom)):
+                return FALSE
+            unit = Bottom if kind is Or else Top
+            if isinstance(l, unit):
                 return r
-            if isinstance(r, Bottom):
-                return l
-            return Or(l, r)
-        if isinstance(l, Bottom) or isinstance(r, Bottom):
-            return FALSE
-        if isinstance(l, Top):
-            return r
-        if isinstance(r, Top):
-            return l
-        return And(l, r)
-    if isinstance(f, Exists):
-        b = simplify_constants(f.body)
-        if isinstance(b, Bottom):
-            return FALSE
-        return Exists(f.var, b, f.distinct)
-    if isinstance(f, Forall):
-        b = simplify_constants(f.body)
-        if isinstance(b, Top):
-            return TRUE
-        return Forall(f.var, b, f.distinct)
-    return f
+            return l if isinstance(r, unit) else kind(l, r)
+        if kind is Exists or kind is Forall:
+            # the absorbing body: false under E, true under A
+            if isinstance(below[0], Bottom if kind is Exists else Top):
+                return below[0]
+            return kind(g.var, below[0], g.distinct)
+        return g
+
+    return _fold(f, step)
 
 
 def dedupe_or_idempotent(f: Formula) -> Formula:
@@ -414,18 +442,11 @@ def dedupe_or_idempotent(f: Formula) -> Formula:
     idempotent."""
     parts = []
     seen = set()
-
-    def collect(g):
-        if isinstance(g, Or):
-            collect(g.left)
-            collect(g.right)
-        else:
-            key = canonical_bound_names(g)
-            if key not in seen:
-                seen.add(key)
-                parts.append(g)
-
-    collect(f)
+    for g in _chain(f, Or):
+        key = canonical_bound_names(g)
+        if key not in seen:
+            seen.add(key)
+            parts.append(g)
     return make_or(parts)
 
 
@@ -444,7 +465,7 @@ def fo_to_foneq(f: Formula) -> Formula:
     if not is_fo(f):
         raise FlavorError("input must be an FO formula")
 
-    def walk(g: Formula) -> Formula:
+    def operand(g: Formula) -> Formula:
         if isinstance(g, (Top, Bottom, Atom)):
             return g
         if isinstance(g, Eq):
@@ -452,18 +473,14 @@ def fo_to_foneq(f: Formula) -> Formula:
                 raise PreconditionError("translation expects variable terms")
             same = g.left == g.right
             return (TRUE if same else FALSE) if g.positive else (FALSE if same else TRUE)
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left), walk(g.right))
         if isinstance(g, (Exists, Forall)):
             outer = sorted(free_vars(g))
-            parts = [walk(substitute(g.body, {g.var: x})) for x in outer]
-            rest = type(g)(g.var, walk(g.body), distinct=True)
-            if isinstance(g, Exists):
-                return make_or(parts + [rest])
-            return make_and(parts + [rest])
+            parts = [_rebuild(substitute(g.body, {g.var: x}), operand) for x in outer]
+            rest = type(g)(g.var, _rebuild(g.body, operand), distinct=True)
+            return (make_or if isinstance(g, Exists) else make_and)(parts + [rest])
         raise PreconditionError(f"not a formula: {g!r}")
 
-    return walk(f)
+    return _rebuild(f, operand)
 
 
 def foneq_to_fo(f: Formula) -> Formula:
@@ -471,23 +488,20 @@ def foneq_to_fo(f: Formula) -> Formula:
     guarded by inequalities (disjoined equalities for the universal case)."""
     if not is_foneq(f):
         raise FlavorError("input must be an FO-distinct formula")
+    free = _free_table(f)
 
-    def walk(g: Formula) -> Formula:
+    def step(g: Formula, *below) -> Formula:
         if isinstance(g, (Top, Bottom, Atom)):
             return g
         if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left), walk(g.right))
+            return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
-            outer = sorted(free_vars(g))
-            body = walk(g.body)
-            if isinstance(g, Exists):
-                guards = [Eq(g.var, x, positive=False) for x in outer]
-                return Exists(g.var, make_and(guards + [body]))
-            guards = [Eq(g.var, x, positive=True) for x in outer]
-            return Forall(g.var, make_or(guards + [body]))
+            universal = isinstance(g, Forall)
+            guards = [Eq(g.var, x, positive=universal) for x in sorted(free[id(g)])]
+            return type(g)(g.var, (make_or if universal else make_and)(guards + [below[0]]))
         raise PreconditionError(f"not a formula: {g!r}")
 
-    return walk(f)
+    return _fold(f, step)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +517,18 @@ def psi_n(f: Formula, n: int) -> Formula:
     if not is_sentence(f) or not is_fo(f):
         raise FlavorError("psi_n expects an FO sentence")
 
-    def star(g: Formula, xs) -> Formula:
-        if isinstance(g, (Top, Bottom, Atom, Eq)):
-            return g
-        if isinstance(g, (And, Or)):
-            return type(g)(star(g.left, xs), star(g.right, xs))
-        if isinstance(g, Exists):
-            return make_or([star(substitute(g.body, {g.var: x}), xs) for x in xs])
-        if isinstance(g, Forall):
-            return make_and([star(substitute(g.body, {g.var: x}), xs) for x in xs])
-        raise PreconditionError(f"not a formula: {g!r}")
+    def star(xs) -> Formula:
+        def operand(g):
+            if isinstance(g, (Exists, Forall)):
+                parts = [_rebuild(substitute(g.body, {g.var: x}), operand) for x in xs]
+                return make_or(parts) if isinstance(g, Exists) else make_and(parts)
+            if isinstance(g, (Top, Bottom, Atom, Eq)):
+                return g
+            raise PreconditionError(f"not a formula: {g!r}")
 
-    return _exists_distinct(f, n, "u", lambda xs: star(f, xs))
+        return _rebuild(f, operand)
+
+    return _exists_distinct(f, n, "u", star)
 
 
 def _exists_distinct(f: Formula, n: int, stem: str, matrix) -> Formula:
@@ -544,27 +558,25 @@ def flatten_sigma1(f: Formula) -> Formula:
 
     used = set(free_vars(f))
 
-    def pull(g: Formula):
+    def pull(g: Formula, *below):
         """Returns (prefix variables, matrix)."""
+        if below:
+            (lp, lm), (rp, rm) = below
+            return lp + rp, type(g)(lm, rm)
         if isinstance(g, (Top, Bottom, Atom, Eq)):
             return [], g
         if isinstance(g, Exists):
-            var = g.var
-            body = g.body
+            var, body = g.var, g.body
             if var in used:
                 new = fresh_var(var, used | bound_vars(body) | free_vars(body))
                 body = substitute(body, {var: new})
                 var = new
             used.add(var)
-            inner_prefix, matrix = pull(body)
+            inner_prefix, matrix = _fold(body, pull, _operands)
             return [var] + inner_prefix, matrix
-        if isinstance(g, (And, Or)):
-            lp, lm = pull(g.left)
-            rp, rm = pull(g.right)
-            return lp + rp, type(g)(lm, rm)
         raise PreconditionError(f"not a formula: {g!r}")
 
-    prefix, matrix = pull(f)
+    prefix, matrix = _fold(f, pull, _operands)
     out = matrix
     for v in reversed(prefix):
         out = Exists(v, out)
@@ -583,15 +595,8 @@ def uniquify_bound(f: Formula, stem: str = "w") -> Formula:
 
 
 def _conj_parts(g: Formula) -> Optional[list]:
-    if isinstance(g, (Atom, Top, Bottom)):
-        return [g]
-    if isinstance(g, And):
-        l = _conj_parts(g.left)
-        r = _conj_parts(g.right)
-        if l is None or r is None:
-            return None
-        return l + r
-    return None
+    parts = _chain(g, And)
+    return parts if all(isinstance(p, (Atom, Top, Bottom)) for p in parts) else None
 
 
 def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, ...]]:
@@ -611,29 +616,27 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
         raise FlavorError("expected FO-distinct flavor")
 
     f = uniquify_bound(f)
+    free = _free_table(f)
 
-    def walk(g: Formula):
+    def step(g: Formula, *below):
         if isinstance(g, (Top, Bottom, Atom)):
             return (), (g,)
         if isinstance(g, Exists):
-            zs, ds = walk(g.body)
+            zs, ds = below[0]
             return (g.var,) + zs, ds
         if isinstance(g, (And, Or)):
-            zl, dl = walk(g.left)
-            zr, dr = walk(g.right)
+            (zl, dl), (zr, dr) = below
             prefix = list(zl) + list(zr)
             # Instantiation tuples also range over the visible free variables:
             # the merged prefix excludes their values, which the separate
             # prefixes of the operands did not necessarily do.
-            pool = prefix + sorted(free_vars(g))
+            pool = prefix + sorted(free[id(g)])
             out = []
             if isinstance(g, Or):
-                for psi in dl:
-                    for tup in itertools.permutations(pool, len(zl)):
-                        out.append(substitute(psi, dict(zip(zl, tup))))
-                for theta in dr:
-                    for tup in itertools.permutations(pool, len(zr)):
-                        out.append(substitute(theta, dict(zip(zr, tup))))
+                for zs, ds in ((zl, dl), (zr, dr)):
+                    for theta in ds:
+                        for tup in itertools.permutations(pool, len(zs)):
+                            out.append(substitute(theta, dict(zip(zs, tup))))
             else:
                 for psi in dl:
                     for theta in dr:
@@ -649,16 +652,13 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
                                     )
                                 out.append(make_and(parts_p + parts_t))
             uniq = []
-            for d in out:
-                d = simplify_constants(d)
-                if isinstance(d, Bottom):
-                    continue
-                if d not in uniq:
+            for d in map(simplify_constants, out):
+                if not isinstance(d, Bottom) and d not in uniq:
                     uniq.append(d)
             return tuple(prefix), tuple(uniq)
         raise PreconditionError(f"not a formula: {g!r}")
 
-    zs, ds = walk(f)
+    zs, ds = _fold(f, step)
     return tuple(zs), tuple(ds)
 
 

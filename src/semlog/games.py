@@ -34,6 +34,7 @@ from .formulas import (
     Formula,
     Or,
     Top,
+    _free_table,
     metrics,
     qr,
     size,
@@ -51,29 +52,6 @@ _KINDS = {Or: "or", And: "and", Exists: "exists", Forall: "forall"}
 
 def _kind(formula: Formula) -> str:
     return _KINDS.get(type(formula), "leaf")
-
-
-def _free_names(f: Formula) -> Dict[int, Tuple[str, ...]]:
-    """The sorted free variables of every subformula of f, keyed by id, from
-    one walk."""
-    table: Dict[int, Tuple[str, ...]] = {}
-
-    def walk(g) -> frozenset:
-        kind = type(g)
-        if kind is Or or kind is And:
-            out = walk(g.left) | walk(g.right)
-        elif kind is Exists or kind is Forall:
-            out = walk(g.body) - {g.var}
-        elif kind is Atom or kind is Eq:
-            terms = g.args if kind is Atom else (g.left, g.right)
-            out = frozenset(t for t in terms if isinstance(t, str))
-        else:
-            out = frozenset()
-        table[id(g)] = tuple(sorted(out))
-        return out
-
-    walk(f)
-    return table
 
 
 class GameNode:
@@ -114,7 +92,7 @@ def build_game_tree(
         universe = tuple(range(1, universe + 1))
     else:
         universe = tuple(universe)
-    free = _free_names(formula)
+    free = {k: tuple(sorted(v)) for k, v in _free_table(formula).items()}
     if free[id(formula)]:
         raise PreconditionError(f"game trees need a sentence; free: {list(free[id(formula)])}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
@@ -186,44 +164,53 @@ def strategy_nodes(s: Strategy) -> Iterator[Strategy]:
         stack.extend(cur.children)
 
 
-def count_strategies(tree: GameTree) -> int:
-    memo: Dict[int, int] = {}
+def _strategy_counts(root: GameNode) -> Dict[int, int]:
+    """The number of strategies under every node below root, keyed by id;
+    each shared node is counted once."""
+    counts: Dict[int, int] = {}
 
     def go(node: GameNode) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if node.kind == "leaf":
-            out = 1
-        elif node.kind in ("or", "exists"):
-            out = sum(go(c) for c in node.children)
-        else:
-            out = 1
-            for c in node.children:
-                out *= go(c)
-        memo[id(node)] = out
-        return out
+        got = counts.get(id(node))
+        if got is None:
+            if node.kind in ("or", "exists"):
+                got = sum(go(c) for c in node.children)
+            else:  # a leaf is the empty product
+                got = 1
+                for c in node.children:
+                    got *= go(c)
+            counts[id(node)] = got
+        return got
 
-    return go(tree.root)
+    go(root)
+    return counts
+
+
+def count_strategies(tree: GameTree) -> int:
+    return _strategy_counts(tree.root)[id(tree.root)]
 
 
 def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterator[Strategy]:
-    total = count_strategies(tree)
+    counts = _strategy_counts(tree.root)
+    total = counts[id(tree.root)]
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    yield from _strategies(tree.root, lambda node: range(len(node.children)))
+    yield from _strategies(tree.root, lambda node: range(len(node.children)), counts, guard)
 
 
-def _strategies(root: GameNode, choices) -> Iterator[Strategy]:
-    """The strategies under root that take, at every or/exists node, one of
-    the children whose indices choices(node) lists, in enumeration order.  The
-    strategies under a child of an and/forall node are listed once per shared
-    node and shared by the strategies above it."""
+def _strategies(root: GameNode, choices, counts, guard: int) -> Iterator[Strategy]:
+    """The strategies under root that take, at every or/exists node, a child
+    whose index choices(node) lists, in enumeration order; counts[id(node)]
+    is their number under node.  The strategies under a child of an
+    and/forall node are listed once per shared node and shared above it,
+    unless they exceed guard (`GuardExceeded`) or the and/forall has none."""
     pools: Dict[int, List[Strategy]] = {}
 
     def pool(node: GameNode) -> List[Strategy]:
         if id(node) not in pools:
+            if counts[id(node)] > guard:
+                raise GuardExceeded(
+                    f"{counts[id(node)]} strategies under one node exceed the guard {guard}")
             pools[id(node)] = list(go(node))
         return pools[id(node)]
 
@@ -231,8 +218,9 @@ def _strategies(root: GameNode, choices) -> Iterator[Strategy]:
         if node.kind == "leaf":
             yield Strategy(node.formula, node.env, None, ())
         elif node.kind in ("and", "forall"):
-            for picks in itertools.product(*[pool(c) for c in node.children]):
-                yield Strategy(node.formula, node.env, node.tags, picks)
+            if counts[id(node)]:
+                for picks in itertools.product(*[pool(c) for c in node.children]):
+                    yield Strategy(node.formula, node.env, node.tags, picks)
         else:
             for i in choices(node):
                 for sub in go(node.children[i]):
@@ -297,13 +285,13 @@ def validate_strategy(s: Strategy, universe) -> None:
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     universe = tuple(universe)
-    free: Dict[int, Tuple[str, ...]] = {}
+    free: Dict[int, frozenset] = {}
 
     def walk(node: Strategy, env: dict):
         g = node.formula
         if id(g) not in free:
-            free.update(_free_names(g))
-        expected_env = tuple((v, env[v]) for v in free[id(g)])
+            free.update(_free_table(g))
+        expected_env = tuple((v, env[v]) for v in sorted(free[id(g)]))
         if node.env != expected_env:
             raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")
         if node.kind == "leaf":
@@ -483,7 +471,7 @@ class _OptimalDP:
         if not self.has_strategy[id(node)]:
             return iter(())
         # below a strategy-bearing node every node reached bears one
-        return _strategies(node, lambda n: self.argmax[id(n)])
+        return _strategies(node, lambda n: self.argmax[id(n)], self.ties, STRATEGY_GUARD)
 
 
 @dataclass
@@ -496,7 +484,9 @@ class OptimalResult:
     def stream_optimal(self) -> Iterator[Strategy]:
         """All strategies assembled from locally maximal choices.  With an
         absorbing zero in play a globally optimal strategy may fall outside
-        this family; the class-membership checks below do their own search."""
+        this family; the class-membership checks below do their own search.
+        The strategies under each child of an and/forall node are listed, so
+        more than `STRATEGY_GUARD` of them raise `GuardExceeded`."""
         return self.dp.stream()
 
 

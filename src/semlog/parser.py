@@ -29,6 +29,7 @@ from .formulas import (
     Formula,
     Or,
     Top,
+    _fold,
     negate,
 )
 
@@ -222,29 +223,22 @@ def render(f: Formula) -> str:
     """Print in the concrete syntax; parse(render(f)) == f for variable-only
     formulae."""
 
-    def go(g: Formula, prec: int) -> str:
-        if isinstance(g, Top):
-            return "true"
-        if isinstance(g, Bottom):
-            return "false"
-        if isinstance(g, Atom):
-            body = f"{g.rel}({', '.join(str(a) for a in g.args)})"
-            return body if g.positive else f"~{body}"
-        if isinstance(g, Eq):
-            op = "=" if g.positive else "!="
-            return f"{g.left} {op} {g.right}"
+    def wrap(part, prec: int) -> str:
+        """A rendered operand, parenthesized where it binds looser than prec."""
+        text, own = part
+        return f"({text})" if own < prec else text
+
+    def step(g: Formula, *below):
+        """The text of g and the precedence it binds with."""
+        if isinstance(g, (Top, Bottom, Atom, Eq)):
+            return repr(g), _PREC_UNARY
         if isinstance(g, Or):
-            s = f"{go(g.left, _PREC_OR)} | {go(g.right, _PREC_OR + 1)}"
-            return f"({s})" if prec > _PREC_OR else s
+            return f"{wrap(below[0], _PREC_OR)} | {wrap(below[1], _PREC_OR + 1)}", _PREC_OR
         if isinstance(g, And):
-            s = f"{go(g.left, _PREC_AND)} & {go(g.right, _PREC_AND + 1)}"
-            return f"({s})" if prec > _PREC_AND else s
+            return f"{wrap(below[0], _PREC_AND)} & {wrap(below[1], _PREC_AND + 1)}", _PREC_AND
         if isinstance(g, (Exists, Forall)):
-            q = "E" if isinstance(g, Exists) else "A"
-            if g.distinct:
-                q += "!"
-            s = f"{q} {g.var}. {go(g.body, 0)}"
-            return f"({s})" if prec > 0 else s
+            q = ("E" if isinstance(g, Exists) else "A") + ("!" if g.distinct else "")
+            return f"{q} {g.var}. {below[0][0]}", 0
         raise SemlogError(f"not a formula: {g!r}")
 
-    return go(f, 0)
+    return _fold(f, step)[0]

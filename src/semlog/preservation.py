@@ -32,6 +32,8 @@ from .formulas import (
     Or,
     Top,
     _exists_distinct,
+    _fold,
+    _free_table,
     canonical_bound_names,
     dedupe_or_idempotent,
     existential_prenex_dnf,
@@ -238,30 +240,28 @@ def is_trivial_at(formula: Formula, n: int) -> bool:
     in an atom visited under no empty range."""
     if not is_foneq(formula):
         raise PreconditionError("triviality is defined for FO-distinct formulae")
-    fv = sorted(free_vars(formula))
+    free = _free_table(formula)
+    fv = sorted(free[id(formula)])
     if n < len(fv) + 1:
         raise PreconditionError(f"n = {n} too small for the instantiation of {fv}")
     universe = range(1, n + 1)
 
-    def walk(f):
-        """(free variables, value, the error a valuation of f raises or None)."""
+    def step(f, *below):
+        """(value, the error a valuation of f raises or None)."""
         kind = type(f)
         if kind is Exists or kind is Forall:
-            free, value, error = walk(f.body)
-            free = free - {f.var}
-            return (free, value, error) if n > len(free) else (free, kind is Forall, None)
+            return below[0] if n > len(free[id(f)]) else (kind is Forall, None)
         if kind is And or kind is Or:
-            (lv, left, lerr), (rv, right, rerr) = walk(f.left), walk(f.right)
-            return lv | rv, (left and right) if kind is And else (left or right), lerr or rerr
+            (left, lerr), (right, rerr) = below
+            return (left and right) if kind is And else (left or right), lerr or rerr
         if kind is Atom:
             bad = [t for t in f.args if not isinstance(t, str) and t not in universe]
-            error = PreconditionError(f"element {bad[0]} not in universe") if bad else None
-            return frozenset(t for t in f.args if isinstance(t, str)), False, error
+            return False, PreconditionError(f"element {bad[0]} not in universe") if bad else None
         if kind is Top or kind is Bottom:
-            return frozenset(), kind is Top, None
+            return kind is Top, None
         raise PreconditionError(f"not a formula: {f!r}")
 
-    _, value, error = walk(formula)
+    value, error = _fold(formula, step)
     if error:
         raise error
     return value

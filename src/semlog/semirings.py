@@ -511,12 +511,11 @@ def natural_leq_witnessed(sr: Semiring, s, t) -> bool:
     return any(sr.add(s, r) == t for r in carrier)
 
 
-def semiring_from_id(text: str, loader=None) -> Semiring:
+def semiring_from_id(text: str) -> Semiring:
     """Resolve a CLI semiring identifier.
 
     Supported: boolean, s3, chain:<k>, lattice:<file>, fuzzy, viterbi,
     tropical, lukasiewicz, doubt, nat, natinf, natpoly, spoly:<n>.
-    `loader` maps a lattice file path to a LatticeSemiring (set by the CLI).
     """
     fixed = {
         "boolean": BOOLEAN,
@@ -534,11 +533,9 @@ def semiring_from_id(text: str, loader=None) -> Semiring:
     if text.startswith("chain:"):
         return ChainSemiring(int(text.split(":", 1)[1]))
     if text.startswith("lattice:"):
-        if loader is None:
-            from .lattices import lattice_semiring_from_file
+        from .lattices import lattice_semiring_from_file
 
-            loader = lattice_semiring_from_file
-        return loader(text.split(":", 1)[1])
+        return lattice_semiring_from_file(text.split(":", 1)[1])
     if text == "natpoly":
         from .polynomials import NATPOLY
 

@@ -219,10 +219,31 @@ def test_output_is_deterministic(interp_file):
     assert evals[0] == evals[1]
 
 
-def test_deeply_nested_input_exits_2_without_traceback():
-    formula = "E x. (" + " | ".join(["R(x)"] * 1200) + ")"
-    code, out, err = run_cli("check", "--property", "extensions", "--semiring", "viterbi",
-                             "--formula", formula)
+@pytest.mark.parametrize("width", [1200, 5000])
+def test_wide_disjunction_gets_the_verdict_of_a_narrow_one(width, interp_file):
+    def outputs(n):
+        formula = "E x. (" + " | ".join(["R(x)"] * n) + ")"
+        check = run_cli("check", "--property", "extensions", "--semiring", "viterbi",
+                        "--formula", formula)
+        value = run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                        "--formula", formula)
+        return check, value
+
+    check, value = outputs(width)
+    assert check[0] == 0 and check[1].startswith("holds on search space (")
+    assert value == (0, "1/2\n", "")
+    assert (check, value) == outputs(3)
+
+
+def test_deeply_nested_input_exits_2_without_traceback(monkeypatch, interp_file):
+    import semlog.cli as cli
+
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_eval", too_deep)
+    code, out, err = run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                             "--formula", "E x. R(x)")
     assert code == 2
     assert out == ""
     assert err == "error: input nested too deeply\n"

@@ -132,6 +132,15 @@ def test_substitute_capture_avoiding():
     assert free_vars(g) == {"y"}
 
 
+def test_fresh_names_do_not_depend_on_earlier_calls():
+    f = parse("E y. R(x, y)")
+    renamed = substitute(f, {"x": "y"})
+    assert renamed == substitute(f, {"x": "y"})
+    assert render(renamed) == "E y_1. R(y, y_1)"
+    g = parse("(E x. R(x)) | E x. Q(x)")
+    assert flatten_sigma1(g) == flatten_sigma1(g)
+
+
 def test_substitute_subformula_and_errors():
     host = parse("E! x. A! y. R(x)")
     out = substitute_subformula(host, (0,), TRUE)

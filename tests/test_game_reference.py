@@ -92,9 +92,30 @@ def tree_view(module, f, interp):
 
 
 def optimal_view(module, f, interp):
+    """The optimum and, within the guard, the stream of tied strategies: the
+    reference lists every pool of its stream, however large."""
     res = module.optimal(interp, f)
-    stream = [key(s) for s in itertools.islice(res.stream_optimal(), STREAM_LIMIT)]
+    stream = None
+    if res.all_optimal_count <= STRATEGY_GUARD:
+        stream = [key(s) for s in itertools.islice(res.stream_optimal(), STREAM_LIMIT)]
     return res.value, key(res.strategy), res.all_optimal_count, stream
+
+
+def check_stream_beyond_guard(f, interp):
+    """Beyond the guard `games` streams without the reference: it starts with
+    the extracted strategy, or raises when a pool exceeds the guard (lowered
+    to this file's, so that no pool of a million strategies is listed)."""
+    res = games.optimal(interp, f)
+    if res.all_optimal_count <= STRATEGY_GUARD:
+        return
+    saved, games.STRATEGY_GUARD = games.STRATEGY_GUARD, STRATEGY_GUARD
+    try:
+        first = next(res.stream_optimal())
+    except GuardExceeded:
+        return
+    finally:
+        games.STRATEGY_GUARD = saved
+    assert key(first) == key(res.strategy)
 
 
 def existential_view(has_existential_optimal, f, interp):
@@ -123,6 +144,8 @@ def test_shared_trees_agree_with_reference(case):
         assert _outcome(view, games, f, interp) == _outcome(view, ref, f, interp), view
     assert (_outcome(existential_view, preservation.has_existential_optimal, f, interp)
             == _outcome(existential_view, ref.has_existential_optimal, f, interp))
+    if _outcome(games.optimal, interp, f)[0] == "value":
+        check_stream_beyond_guard(f, interp)
 
 
 @pytest.mark.parametrize("text, nodes, shared", [

@@ -132,6 +132,23 @@ def test_optimal_matches_eval_and_counts_ties():
     assert all(eval_strategy(pi2, s) == Fraction(1, 4) for s in streamed)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_optimal_stream_lists_no_pool_beyond_the_guard(n):
+    # every or node ties, so the pool under each child of the root holds
+    # 2^(n*n) strategies: 65,536 at n = 4, 2^25 at n = 5
+    universe = tuple(range(1, n + 1))
+    pi = Interpretation.from_atoms(
+        VITERBI, universe, UNARY_R, {("R", (b,)): Fraction(1, 2) for b in universe})
+    res = optimal(pi, parse("A x. A y. A z. (R(x) | R(x))"))
+    if n == 5:
+        with pytest.raises(GuardExceeded):
+            next(res.stream_optimal())
+        return
+    first = next(res.stream_optimal())
+    validate_strategy(first, n)
+    assert eval_strategy(pi, first) == res.value
+
+
 def test_optimal_value_equals_eval_on_corpus():
     rng = random.Random(29)
     for _ in range(20):
