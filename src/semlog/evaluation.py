@@ -17,10 +17,10 @@ distinct assignments and no entry could be hit.  Leaves are never memoized.
 Leaves check universe membership only for constants and, in atoms, the
 root's elements; bound elements come from the universe.
 
-Neither step recurses on the width of a left-nested chain (what `make_or`
-and the parser build): compiling folds over And/Or chains, and a run walks a
-chain's left spine in a loop that checks the memos on the way down and fills
-them on the way up, in the order of a recursive walk.
+Compiling is a fold of `formulas` and does not recurse.  A run recurses
+per quantifier and per chain but not on a chain's width: it walks the left
+spine of a chain (what `make_or` and the parser build) in a loop that checks
+the memos on the way down and fills them on the way up, as recursion would.
 
 This is the one valuation in semlog: game trees and strategies take their
 quantifier ranges (`quantifier_range`) and read their leaves (`_leaf_reader`,
@@ -48,7 +48,6 @@ from .formulas import (
     Top,
     _fold,
     _free_table,
-    _operands,
 )
 from .interpretations import (
     Interpretation,
@@ -136,59 +135,62 @@ class Plan(NamedTuple):
 def compile_formula(f: Formula) -> Plan:
     """Compile a formula into a plan for `run_plan`."""
     free_of = _free_table(f)
-    free = tuple(sorted(free_of[id(f)]))
+    free = free_of[id(f)]
     k = len(free)
     width = k
     constants = []  # constant j (1-based) lives in slot -j
     checked = set()
     memos = 0
 
-    def plan(g, scope: dict, depth: int):
-        """The plan of g, whose variables sit at the levels scope gives."""
+    def kids(node):  # node: (g, the levels of its variables, its quantifier depth)
+        g, scope, depth = node
+        kind = type(g)
+        if kind is And or kind is Or:
+            return (g.left, scope, depth), (g.right, scope, depth)
+        if kind is Exists or kind is Forall:
+            return ((g.body, {**scope, g.var: k + depth}, depth + 1),)
+        return ()
 
-        def step(h, *below):
-            nonlocal width, memos
-            kind = type(h)
-            if kind in _INNER:
-                levels = tuple(sorted([scope[v] for v in free_of[id(h)]]))
-                head = (_INNER[kind], -1, None)
-                if len(levels) < k + depth:
-                    head = (_INNER[kind], memos, itemgetter(*levels) if levels else _no_args)
-                    memos += 1
-                if below:
-                    return (*head, *below)
-                level = k + depth
-                width = max(width, level + 1)
-                body = plan(h.body, {**scope, h.var: level}, depth + 1)
-                return (*head, level, body, levels if h.distinct else None, h)
-            if kind is Top or kind is Bottom:
-                return (_CONST, kind is Top)
-            if kind is not Atom and kind is not Eq:
-                raise PreconditionError(f"not a formula: {h!r}")
-            is_atom = kind is Atom
-            slots, check = [], []
-            for t in h.args if is_atom else (h.left, h.right):
-                if isinstance(t, str):
-                    slot = scope[t]
-                    if is_atom and slot < k:
-                        check.append(slot)
-                else:
-                    constants.append(t)
-                    slot = -len(constants)
+    def step(node, *below):
+        nonlocal width, memos
+        g, scope, depth = node
+        kind = type(g)
+        if kind in _INNER:
+            levels = tuple(sorted([scope[v] for v in free_of[id(g)]]))
+            head = (_INNER[kind], -1, None)
+            if len(levels) < k + depth:
+                head = (_INNER[kind], memos, itemgetter(*levels) if levels else _no_args)
+                memos += 1
+            if kind is And or kind is Or:
+                return (*head, *below)
+            width = max(width, k + depth + 1)
+            return (*head, k + depth, below[0], levels if g.distinct else None, g)
+        if kind is Top or kind is Bottom:
+            return (_CONST, kind is Top)
+        if kind is not Atom and kind is not Eq:
+            raise PreconditionError(f"not a formula: {g!r}")
+        is_atom = kind is Atom
+        slots, check = [], []
+        for t in g.args if is_atom else (g.left, g.right):
+            if isinstance(t, str):
+                slot = scope[t]
+                if is_atom and slot < k:
                     check.append(slot)
-                slots.append(slot)
-            checked.update(check)
-            check = tuple(check)
-            if not is_atom:
-                return (_EQ, slots[0], slots[1], h.positive, check)
-            side = 0 if h.positive else 1
-            if len(slots) == 1:
-                return (_ATOM1, h.rel, slots[0], side, check)
-            return (_ATOM, h.rel, itemgetter(*slots) if slots else _no_args, side, check)
+            else:
+                constants.append(t)
+                slot = -len(constants)
+                check.append(slot)
+            slots.append(slot)
+        checked.update(check)
+        check = tuple(check)
+        if not is_atom:
+            return (_EQ, slots[0], slots[1], g.positive, check)
+        side = 0 if g.positive else 1
+        if len(slots) == 1:
+            return (_ATOM1, g.rel, slots[0], side, check)
+        return (_ATOM, g.rel, itemgetter(*slots) if slots else _no_args, side, check)
 
-        return _fold(g, step, _operands)
-
-    root = plan(f, {v: i for i, v in enumerate(free)}, 0)
+    root = _fold((f, {v: i for i, v in enumerate(free)}, 0), step, kids)
     blank = (None,) * width + tuple(reversed(constants))
     return Plan(root, free, blank, frozenset(checked), memos)
 

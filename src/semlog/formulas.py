@@ -103,41 +103,35 @@ def children(f: Formula) -> Tuple[Formula, ...]:
     return (f.body,) if kind is Exists or kind is Forall else ()
 
 
-def _operands(f: Formula) -> Tuple[Formula, ...]:
-    return (f.left, f.right) if type(f) in (And, Or) else ()
+_UP = object()  # on the fold's stack: the node and kid count below it are done
 
 
-# Every formula walk keeps its own stack, so no width of disjunction or
-# conjunction costs recursion: bottom-up walks are a `_fold`, visits read
-# `_preorder`.  A walk whose environment changes at binders folds the And/Or
-# chains only (kids=_operands) and recurses at quantifiers, as deep as they nest.
-_ONE, _TWO = object(), object()  # on the fold's stack: fold the node below with 1 / 2 values
-
-
-def _fold(f: Formula, step, kids=children):
-    """f folded bottom-up: each node g becomes step(g, *values), the values
-    being what its kids(g) (at most two) became, left to right."""
-    values, stack = [], [f]
+def _fold(root, step, kids=children):
+    """root folded bottom-up from an explicit stack: each node g becomes
+    step(g, *values), the values being what the nodes of kids(g) became, left
+    to right.  Every formula walk is a fold (visits read `_preorder`), so
+    neither width nor nesting costs recursion; a walk whose environment
+    changes at binders folds nodes that carry it, (formula, env, ...).  kids
+    runs on the nodes in pre-order, so names drawn there are drawn in order."""
+    values, stack = [], [root]
     while stack:
         g = stack.pop()
-        if g is _TWO:
-            right = values.pop()
-            values[-1] = step(stack.pop(), values[-1], right)
-        elif g is _ONE:
-            values[-1] = step(stack.pop(), values[-1])
+        if g is _UP:
+            n, g = stack.pop(), stack.pop()
+            if n == 1:
+                values[-1] = step(g, values[-1])
+            else:
+                below = values[-n:]
+                del values[-n:]
+                values.append(step(g, *below))
         else:
             below = kids(g)
-            if not below:
-                values.append(step(g))
+            if below:
+                stack += (g, len(below), _UP)
+                stack += below[::-1]
             else:
-                stack += (g, _TWO, below[1], below[0]) if len(below) == 2 else (g, _ONE, below[0])
+                values.append(step(g))
     return values[0]
-
-
-def _rebuild(f: Formula, operand) -> Formula:
-    """f with every operand of its And/Or chains (a leaf or a quantifier)
-    replaced by operand(g)."""
-    return _fold(f, lambda g, *below: type(g)(*below) if below else operand(g), _operands)
 
 
 def _preorder(f, kids=children) -> Iterator:
@@ -229,9 +223,15 @@ def free_vars(f: Formula) -> frozenset:
 
 
 def _free_table(f: Formula) -> dict:
-    """The free variables of every subformula of f, keyed by id."""
+    """The free variables of every subformula of f, sorted, keyed by id."""
     table = {}
-    _fold(f, lambda g, *below: table.setdefault(id(g), _free_step(g, *below)))
+
+    def step(g, *below):
+        free = _free_step(g, *below)
+        table[id(g)] = tuple(sorted(free))
+        return free
+
+    _fold(f, step)
     return table
 
 
@@ -304,13 +304,18 @@ def qr_forall(f: Formula) -> int:
 
 def fresh_var(stem: str, avoid) -> str:
     """stem itself, or else the first of stem_1, stem_2, ... outside avoid."""
-    if stem not in avoid:
-        return stem
-    return next(_numbered(f"{stem}_", avoid))
+    return stem if stem not in avoid else next(_numbered(f"{stem}_", avoid))
 
 
-def _renamed_leaf(g: Formula, mapping: dict) -> Formula:
-    """The constant, literal or equality leaf g with its terms mapped."""
+def _renamed(node, *below) -> Formula:
+    """The step of the renaming walks, whose nodes are (g, term mapping) and at
+    a binder (g, mapping, its new variable): g rebuilt from what its kids
+    became, its terms mapped (a binder without kids keeps its body)."""
+    g, mapping = node[0], node[1]
+    if isinstance(g, (And, Or)):
+        return type(g)(*below)
+    if isinstance(g, (Exists, Forall)):
+        return type(g)(node[2], below[0] if below else g.body, g.distinct)
     if isinstance(g, (Top, Bottom)):
         return g
     if isinstance(g, Atom):
@@ -323,21 +328,22 @@ def _renamed_leaf(g: Formula, mapping: dict) -> Formula:
 def substitute(f: Formula, mapping: dict) -> Formula:
     """Capture-avoiding substitution of terms for free variables."""
 
-    def operand(g):
+    def kids(node: list):
+        g, mapping = node
+        if isinstance(g, (And, Or)):
+            return [g.left, mapping], [g.right, mapping]
         if not isinstance(g, (Exists, Forall)):
-            return _renamed_leaf(g, mapping)
+            return ()
         live = {k: v for k, v in mapping.items() if k != g.var and k in free_vars(g.body)}
-        if not live:
-            return type(g)(g.var, g.body, g.distinct)
         clash = {v for v in live.values() if isinstance(v, str)}
         var, body = g.var, g.body
         if var in clash:
-            new = fresh_var(var, clash | free_vars(body) | bound_vars(body) | set(live))
-            body = substitute(body, {var: new})
-            var = new
-        return type(g)(var, substitute(body, live), g.distinct)
+            var = fresh_var(var, clash | free_vars(body) | bound_vars(body) | set(live))
+            body = substitute(body, {g.var: var})
+        node.append(var)
+        return ([body, live],) if live else ()
 
-    return _rebuild(f, operand)
+    return _fold([f, mapping], _renamed, kids)
 
 
 def _numbered(stem: str, avoid=()) -> Iterator[str]:
@@ -346,26 +352,27 @@ def _numbered(stem: str, avoid=()) -> Iterator[str]:
     return (name for name in names if name not in avoid)
 
 
-def _rename_binders(f: Formula, names: Iterator[str]) -> Formula:
-    """Give the binders, in pre-order, the successive names drawn from names,
-    and rename their bound occurrences along."""
+def _rename_binders(f: Formula, name) -> Formula:
+    """Rename each binder g to name(g), called on the binders in pre-order,
+    and its bound occurrences along."""
 
-    def walk(g: Formula, env: dict) -> Formula:
-        def operand(h):
-            if not isinstance(h, (Exists, Forall)):
-                return _renamed_leaf(h, env)
-            name = next(names)
-            return type(h)(name, walk(h.body, {**env, h.var: name}), h.distinct)
+    def kids(node: list):
+        g, env = node
+        if isinstance(g, (And, Or)):
+            return [g.left, env], [g.right, env]
+        if not isinstance(g, (Exists, Forall)):
+            return ()
+        node.append(name(g))
+        return ([g.body, {**env, g.var: node[2]}],)
 
-        return _rebuild(g, operand)
-
-    return walk(f, {})
+    return _fold([f, {}], _renamed, kids)
 
 
 def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
     """Alpha-rename bound variables to a canonical left-to-right numbering,
     so alpha-equivalent formulae become syntactically equal."""
-    return _rename_binders(f, _numbered(stem))
+    names = _numbered(stem)
+    return _rename_binders(f, lambda g: next(names))
 
 
 def _path_nodes(f: Formula, path: Sequence[int]) -> list:
@@ -440,14 +447,10 @@ def simplify_constants(f: Formula) -> Formula:
 def dedupe_or_idempotent(f: Formula) -> Formula:
     """Drop repeated disjuncts (up to bound renaming); sound when addition is
     idempotent."""
-    parts = []
-    seen = set()
+    parts = {}  # canonical renaming -> the first disjunct with it
     for g in _chain(f, Or):
-        key = canonical_bound_names(g)
-        if key not in seen:
-            seen.add(key)
-            parts.append(g)
-    return make_or(parts)
+        parts.setdefault(canonical_bound_names(g), g)
+    return make_or(list(parts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +468,13 @@ def fo_to_foneq(f: Formula) -> Formula:
     if not is_fo(f):
         raise FlavorError("input must be an FO formula")
 
-    def operand(g: Formula) -> Formula:
+    def kids(g: Formula):
+        """A quantifier's body instantiated by each visible variable, then its body."""
+        if not isinstance(g, (Exists, Forall)):
+            return children(g)
+        return [substitute(g.body, {g.var: x}) for x in sorted(free_vars(g))] + [g.body]
+
+    def step(g: Formula, *below) -> Formula:
         if isinstance(g, (Top, Bottom, Atom)):
             return g
         if isinstance(g, Eq):
@@ -473,14 +482,14 @@ def fo_to_foneq(f: Formula) -> Formula:
                 raise PreconditionError("translation expects variable terms")
             same = g.left == g.right
             return (TRUE if same else FALSE) if g.positive else (FALSE if same else TRUE)
+        if isinstance(g, (And, Or)):
+            return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
-            outer = sorted(free_vars(g))
-            parts = [_rebuild(substitute(g.body, {g.var: x}), operand) for x in outer]
-            rest = type(g)(g.var, _rebuild(g.body, operand), distinct=True)
-            return (make_or if isinstance(g, Exists) else make_and)(parts + [rest])
+            rest = type(g)(g.var, below[-1], distinct=True)
+            return (make_or if isinstance(g, Exists) else make_and)([*below[:-1], rest])
         raise PreconditionError(f"not a formula: {g!r}")
 
-    return _rebuild(f, operand)
+    return _fold(f, step, kids)
 
 
 def foneq_to_fo(f: Formula) -> Formula:
@@ -497,7 +506,7 @@ def foneq_to_fo(f: Formula) -> Formula:
             return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
             universal = isinstance(g, Forall)
-            guards = [Eq(g.var, x, positive=universal) for x in sorted(free[id(g)])]
+            guards = [Eq(g.var, x, positive=universal) for x in free[id(g)]]
             return type(g)(g.var, (make_or if universal else make_and)(guards + [below[0]]))
         raise PreconditionError(f"not a formula: {g!r}")
 
@@ -518,15 +527,18 @@ def psi_n(f: Formula, n: int) -> Formula:
         raise FlavorError("psi_n expects an FO sentence")
 
     def star(xs) -> Formula:
-        def operand(g):
+        def kids(node):
+            g, env = node
             if isinstance(g, (Exists, Forall)):
-                parts = [_rebuild(substitute(g.body, {g.var: x}), operand) for x in xs]
-                return make_or(parts) if isinstance(g, Exists) else make_and(parts)
-            if isinstance(g, (Top, Bottom, Atom, Eq)):
-                return g
-            raise PreconditionError(f"not a formula: {g!r}")
+                return [(g.body, {**env, g.var: x}) for x in xs]
+            return ((g.left, env), (g.right, env)) if isinstance(g, (And, Or)) else ()
 
-        return _rebuild(f, operand)
+        def step(node, *below):
+            if isinstance(node[0], (Exists, Forall)):
+                return (make_or if isinstance(node[0], Exists) else make_and)(below)
+            return _renamed(node, *below)
+
+        return _fold((f, {}), step, kids)
 
     return _exists_distinct(f, n, "u", star)
 
@@ -558,27 +570,23 @@ def flatten_sigma1(f: Formula) -> Formula:
 
     used = set(free_vars(f))
 
-    def pull(g: Formula, *below):
-        """Returns (prefix variables, matrix)."""
-        if below:
-            (lp, lm), (rp, rm) = below
-            return lp + rp, type(g)(lm, rm)
-        if isinstance(g, (Top, Bottom, Atom, Eq)):
-            return [], g
-        if isinstance(g, Exists):
-            var, body = g.var, g.body
-            if var in used:
-                new = fresh_var(var, used | bound_vars(body) | free_vars(body))
-                body = substitute(body, {var: new})
-                var = new
-            used.add(var)
-            inner_prefix, matrix = _fold(body, pull, _operands)
-            return [var] + inner_prefix, matrix
-        raise PreconditionError(f"not a formula: {g!r}")
+    def name(g: Exists) -> str:
+        """g's variable, renamed apart from the ones pulled before it."""
+        var = g.var
+        if var in used:
+            var = fresh_var(var, used | bound_vars(g.body) | free_vars(g.body))
+        used.add(var)
+        return var
 
-    prefix, matrix = _fold(f, pull, _operands)
-    out = matrix
-    for v in reversed(prefix):
+    def strip(g: Formula, *below) -> Formula:
+        """g without its existential quantifiers."""
+        if isinstance(g, Exists):
+            return below[0]
+        return type(g)(*below) if below else g
+
+    g = _rename_binders(f, name)
+    out = _fold(g, strip)
+    for v in reversed([h.var for h in subformulas(g) if isinstance(h, Exists)]):
         out = Exists(v, out)
     return out
 
@@ -591,7 +599,8 @@ def flatten_sigma1(f: Formula) -> Formula:
 def uniquify_bound(f: Formula, stem: str = "w") -> Formula:
     """Give every binder a globally fresh name (w1, w2, ... avoiding the
     formula's existing variables)."""
-    return _rename_binders(f, _numbered(stem, free_vars(f) | bound_vars(f)))
+    names = _numbered(stem, free_vars(f) | bound_vars(f))
+    return _rename_binders(f, lambda g: next(names))
 
 
 def _conj_parts(g: Formula) -> Optional[list]:
@@ -630,7 +639,7 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
             # Instantiation tuples also range over the visible free variables:
             # the merged prefix excludes their values, which the separate
             # prefixes of the operands did not necessarily do.
-            pool = prefix + sorted(free[id(g)])
+            pool = prefix + list(free[id(g)])
             out = []
             if isinstance(g, Or):
                 for zs, ds in ((zl, dl), (zr, dr)):
@@ -651,11 +660,8 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
                                         "disjunct is not a literal conjunction"
                                     )
                                 out.append(make_and(parts_p + parts_t))
-            uniq = []
-            for d in map(simplify_constants, out):
-                if not isinstance(d, Bottom) and d not in uniq:
-                    uniq.append(d)
-            return tuple(prefix), tuple(uniq)
+            out = map(simplify_constants, out)
+            return tuple(prefix), tuple(dict.fromkeys(d for d in out if not isinstance(d, Bottom)))
         raise PreconditionError(f"not a formula: {g!r}")
 
     zs, ds = _fold(f, step)

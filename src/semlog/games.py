@@ -92,7 +92,7 @@ def build_game_tree(
         universe = tuple(range(1, universe + 1))
     else:
         universe = tuple(universe)
-    free = {k: tuple(sorted(v)) for k, v in _free_table(formula).items()}
+    free = _free_table(formula)
     if free[id(formula)]:
         raise PreconditionError(f"game trees need a sentence; free: {list(free[id(formula)])}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
@@ -285,13 +285,13 @@ def validate_strategy(s: Strategy, universe) -> None:
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     universe = tuple(universe)
-    free: Dict[int, frozenset] = {}
+    free: Dict[int, tuple] = {}
 
     def walk(node: Strategy, env: dict):
         g = node.formula
         if id(g) not in free:
             free.update(_free_table(g))
-        expected_env = tuple((v, env[v]) for v in sorted(free[id(g)]))
+        expected_env = tuple((v, env[v]) for v in free[id(g)])
         if node.env != expected_env:
             raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")
         if node.kind == "leaf":

@@ -34,6 +34,7 @@ from .formulas import (
     _exists_distinct,
     _fold,
     _free_table,
+    assemble_prenex_dnf,
     canonical_bound_names,
     dedupe_or_idempotent,
     existential_prenex_dnf,
@@ -241,7 +242,7 @@ def is_trivial_at(formula: Formula, n: int) -> bool:
     if not is_foneq(formula):
         raise PreconditionError("triviality is defined for FO-distinct formulae")
     free = _free_table(formula)
-    fv = sorted(free[id(formula)])
+    fv = list(free[id(formula)])
     if n < len(fv) + 1:
         raise PreconditionError(f"n = {n} too small for the instantiation of {fv}")
     universe = range(1, n + 1)
@@ -686,12 +687,7 @@ def rewrite_sigma1_strict(
 def _continuity_split(sub: Formula) -> dict:
     zs, disjuncts = existential_prenex_dnf(sub.body)
     kept = [theta for theta in disjuncts if sub.var not in free_vars(theta)]
-    pieces = []
-    for theta in kept:
-        piece = theta
-        for z in reversed([z for z in zs if z in free_vars(theta)]):
-            piece = Exists(z, piece, distinct=True)
-        pieces.append(piece)
+    pieces = [assemble_prenex_dnf([z for z in zs if z in free_vars(theta)], [theta]) for theta in kept]
     return {
         "subformula": sub,
         "verdict": "continuity-split",

@@ -235,6 +235,12 @@ def test_wide_disjunction_gets_the_verdict_of_a_narrow_one(width, interp_file):
     assert (check, value) == outputs(3)
 
 
+def test_quantifiers_nested_as_deep_as_the_parser_reads(interp_file):
+    formula = "".join(f"E x{i}. " for i in range(400)) + "R(x0) & R(x399)"
+    assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                   "--formula", formula) == (0, "1/4\n", "")
+
+
 def test_deeply_nested_input_exits_2_without_traceback(monkeypatch, interp_file):
     import semlog.cli as cli
 

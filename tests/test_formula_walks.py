@@ -222,3 +222,67 @@ def test_walks_return_on_a_disjunction_wider_than_the_recursion_limit():
     assert evaluate(interp, f) == Fraction(1, 3)
     assert compile_formula(f).memos == 0
     assert is_trivial_at(fd, 3) is False
+
+
+def nested_quantifiers(depth: int, last: str):
+    """E x0. (R(x0) & E x1. (R(x1) & ... E(x{depth-1}, last))), hand-built."""
+    f = Atom("E", (f"x{depth - 1}", last))
+    for i in reversed(range(depth)):
+        f = Exists(f"x{i}", And(Atom("R", (f"x{i}",)), f))
+    return f
+
+
+def innermost(f):
+    """The last leaf of f, reached through quantifier bodies and right operands."""
+    while isinstance(f, (And, Or, Exists, Forall)):
+        f = f.right if isinstance(f, (And, Or)) else f.body
+    return f
+
+
+def test_walks_return_on_quantifiers_nested_as_deep_as_the_parser_reads():
+    """400 nested quantifiers, each over a conjunction: the walks that carry
+    an environment across binders (and evaluation) return."""
+    f, s = nested_quantifiers(400, "y"), nested_quantifiers(400, "x399")
+    atoms = {("R", (1,)): Fraction(1, 2), ("E", (1, 1)): Fraction(1, 3)}
+    interp = Interpretation.from_atoms(VITERBI, (1,), VOCAB, atoms)
+    assert evaluate(interp, f, {"y": 1}) == Fraction(1, 2) ** 400 / 3
+    assert compile_formula(f).free == ("y",)
+    renamed = formulas.substitute(f, {"y": "x0"})
+    assert renamed.var == "x0_1" and renamed.body.left == Atom("R", ("x0_1",))
+    assert innermost(renamed) == Atom("E", ("x399", "x0"))
+    assert innermost(formulas.canonical_bound_names(f)) == Atom("E", ("v400", "y"))
+    assert innermost(formulas.uniquify_bound(f)) == Atom("E", ("w400", "y"))
+    foneq = formulas.fo_to_foneq(s)
+    assert foneq.distinct and innermost(foneq) == innermost(s)
+    assert innermost(formulas.foneq_to_fo(foneq)) == innermost(s)
+    assert is_trivial_at(foneq, 2) is False
+    flat = formulas.flatten_sigma1(s)
+    for i in range(400):
+        assert flat.var == f"x{i}"
+        flat = flat.body
+    assert flat.left == Atom("R", ("x0",)) and innermost(flat) == innermost(s)
+    assert formulas.free_vars(f) == {"y"}
+    assert render(f).startswith("E x0. R(x0) & (E x1. R(x1) & (E x2.")
+    assert innermost(formulas.negate(f)) == Atom("E", ("x399", "y"), False)
+    assert innermost(formulas.simplify_constants(f)) == innermost(f)
+    assert len(formulas.find_subformula_paths(f, lambda g: isinstance(g, Atom))) == 401
+
+
+def test_folds_do_not_recurse_at_binders():
+    """Nesting deeper than the recursion limit: a fold carries the binder
+    environment on its own stack.  (substitute and fo_to_foneq compute the
+    free variables of every quantifier's body, quadratic in the depth; the
+    test above covers them.)"""
+    f, s = nested_quantifiers(1200, "y"), nested_quantifiers(1200, "x1199")
+    assert formulas.free_vars(f) == {"y"}
+    assert formulas.metrics(f) == formulas.FormulaMetrics(3601, 1200, 0)
+    assert repr(f).startswith("E x0. (R(x0) & E x1. (R(x1) & E x2.")
+    assert render(f).endswith("E x1199. R(x1199) & E(x1199, y)" + ")" * 1199)
+    assert innermost(formulas.negate(f)) == Atom("E", ("x1199", "y"), False)
+    assert innermost(formulas.simplify_constants(f)) == innermost(f)
+    assert innermost(formulas.canonical_bound_names(f)) == Atom("E", ("v1200", "y"))
+    assert innermost(formulas.uniquify_bound(f)) == Atom("E", ("w1200", "y"))
+    assert innermost(formulas.flatten_sigma1(s)) == innermost(s)
+    assert innermost(formulas.psi_n(s, 1)) == Atom("E", ("u1", "u1"))
+    assert compile_formula(f).free == ("y",)
+    assert len(formulas.find_subformula_paths(f, lambda g: isinstance(g, Atom))) == 1201
