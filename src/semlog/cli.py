@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import SemlogError
 from .evaluation import evaluate
-from .formulas import is_fo, fo_to_foneq
+from .formulas import _preorder, is_fo, fo_to_foneq
 from .games import build_game_tree, classify, enumerate_strategies, optimal
 from .interpretations import Vocabulary, load_interpretation
 from .parser import parse, render
@@ -73,14 +73,14 @@ def cmd_strategies(args) -> int:
         result = optimal(interp, formula)
         print(f"value {interp.semiring.format_value(result.value)}")
         print(f"optimal-count {result.all_optimal_count}")
-        _print_strategy(result.strategy, interp)
+        _print_strategy(result.strategy)
         return HOLDS
     count = 0
     for s in enumerate_strategies(build_game_tree(formula, args.n), args.guard):
         count += 1
         if args.list:
             print(f"strategy {count}:")
-            _print_strategy(s, None)
+            _print_strategy(s)
         if args.classify:
             stats = classify(s)
             print(
@@ -91,17 +91,17 @@ def cmd_strategies(args) -> int:
     return HOLDS
 
 
-def _print_strategy(s, interp, depth=0):
-    pad = "  " * depth
-    label = render(s.formula) if not s.env else f"{render(s.formula)} @ {dict(s.env)}"
-    if s.kind == "exists":
-        print(f"{pad}{label} -> pick {s.tag}")
-    elif s.kind == "or":
-        print(f"{pad}{label} -> branch {s.tag}")
-    else:
-        print(f"{pad}{label}")
-    for c in s.children:
-        _print_strategy(c, interp, depth + 1)
+def _print_strategy(s):
+    below = lambda item: [(c, item[1] + 1) for c in item[0].children]
+    for node, depth in _preorder((s, 0), below):
+        pad = "  " * depth
+        label = render(node.formula) if not node.env else f"{render(node.formula)} @ {dict(node.env)}"
+        if node.kind == "exists":
+            print(f"{pad}{label} -> pick {node.tag}")
+        elif node.kind == "or":
+            print(f"{pad}{label} -> branch {node.tag}")
+        else:
+            print(f"{pad}{label}")
 
 
 def cmd_provenance(args) -> int:
@@ -330,7 +330,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("entail", help="S3 entailment criterion")
-    p.add_argument("--semiring", default="s3")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--sizes", default="1..3")

@@ -4,9 +4,13 @@ extraction, classification, and the strategy-translation algorithms.
 A node of the game tree is labelled by an instantiated subformula (formula
 plus an assignment of its free variables), and the label fixes the subtree
 under it.  `build_game_tree` therefore keeps one `GameNode` per label: the
-tree is a DAG in which equal labels share one node, and the walks over it
-(strategy counting and enumeration, the optimal DP) visit each shared node
-once.  `GameTree.node_count` and the build guard count the unshared tree.
+tree is a DAG in which equal labels share one node, and `GameTree.order`
+lists every node once, children before parents.  A bottom-up walk over the
+tree (strategy counting, the optimal DP) is one loop over that list, so it
+visits each shared node once; a top-down walk (strategy enumeration and
+extraction) keeps its own stack.  `GameTree.node_count` and the build guard
+count the unshared tree.  No walk here recurses, over game trees or over
+strategies, so neither the width nor the depth of a formula costs stack.
 
 A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
@@ -34,7 +38,9 @@ from .formulas import (
     Formula,
     Or,
     Top,
+    _fold,
     _free_table,
+    _preorder,
     metrics,
     qr,
     size,
@@ -72,10 +78,14 @@ class GameNode:
 
 
 class GameTree:
-    def __init__(self, root: GameNode, universe: Tuple[int, ...], node_count: int):
+    """`order` lists every node once, children before parents (root last)."""
+
+    def __init__(self, root: GameNode, universe: Tuple[int, ...], node_count: int,
+                 order: List[GameNode]):
         self.root = root
         self.universe = universe
         self.node_count = node_count
+        self.order = order
 
 
 def build_game_tree(
@@ -96,10 +106,15 @@ def build_game_tree(
     if free[id(formula)]:
         raise PreconditionError(f"game trees need a sentence; free: {list(free[id(formula)])}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
+    order: List[GameNode] = []
     count = 0
 
-    def node(g: Formula, env: dict) -> GameNode:
+    # An item is [g, env].  kids looks its label up when the item is popped (a
+    # label still pending is an ancestor's, which no descendant shares): a hit
+    # appends its node, a new label its node, label and the count before it.
+    def kids(item: list):
         nonlocal count
+        g, env = item
         env_t = tuple([(v, env[v]) for v in free[id(g)]])
         label = (id(g), env_t)
         hit = shared.get(label)
@@ -108,23 +123,31 @@ def build_game_tree(
         if count > guard:
             raise GuardExceeded(f"game tree exceeds {guard} nodes")
         if hit is not None:
-            return hit[0]
+            item.append(hit[0])
+            return ()
         kind = type(g)
         if kind is Or or kind is And:
-            out = GameNode(g, env_t, (node(g.left, env), node(g.right, env)), (0, 1))
+            tags, below = (0, 1), ([g.left, env], [g.right, env])
         elif kind is Exists or kind is Forall:
-            domain = quantifier_range(g, universe, [e for _, e in env_t])
-            kids = tuple(node(g.body, {**env, g.var: b}) for b in domain)
-            out = GameNode(g, env_t, kids, tuple(domain))
+            tags = tuple(quantifier_range(g, universe, [e for _, e in env_t]))
+            below = [[g.body, {**env, g.var: b}] for b in tags]
         elif kind is Top or kind is Bottom or kind is Atom or kind is Eq:
-            out = GameNode(g, env_t, (), ())
+            tags, below = (), ()
         else:
             raise PreconditionError(f"not a formula: {g!r}")
-        shared[label] = (out, count - start)
-        return out
+        item += (GameNode(g, env_t, (), tags), label, start)
+        return below
 
-    root = node(formula, {})
-    return GameTree(root, universe, count)
+    def step(item: list, *below) -> GameNode:
+        node = item[2]
+        if len(item) > 3:
+            node.children = below
+            shared[item[3]] = (node, count - item[4])
+            order.append(node)
+        return node
+
+    root = _fold([formula, {}], step, kids)
+    return GameTree(root, universe, count, order)
 
 
 @dataclass(eq=False)
@@ -143,111 +166,139 @@ class Strategy:
         return _kind(self.formula)
 
     @staticmethod
-    def leaves_of(node: "Strategy") -> Iterator["Strategy"]:
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if not cur.children:
-                yield cur
-            else:
-                stack.extend(cur.children)
+    def leaves_of(node: "Strategy") -> List["Strategy"]:
+        return [n for n in strategy_nodes(node) if not n.children]
 
     def __repr__(self):
         return f"<strategy for {self.formula!r}>"
 
 
-def strategy_nodes(s: Strategy) -> Iterator[Strategy]:
-    stack = [s]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        stack.extend(cur.children)
+def strategy_nodes(s: Strategy) -> List[Strategy]:
+    """The nodes of s, breadth-first."""
+    out = [s]
+    for node in out:
+        out.extend(node.children)
+    return out
 
 
-def _strategy_counts(root: GameNode) -> Dict[int, int]:
-    """The number of strategies under every node below root, keyed by id;
-    each shared node is counted once."""
+def _rebuild(s: Strategy, step) -> Strategy:
+    """s rebuilt bottom-up: each node becomes step(node, *what its children
+    became)."""
+    return _fold(s, step, lambda node: node.children)
+
+
+def _strategy_counts(tree: GameTree, choices: Optional[Dict[int, List[int]]] = None
+                     ) -> Dict[int, int]:
+    """The number of strategies under every node, keyed by id: a strategy
+    takes, at every or/exists node, a child whose index choices[id(node)]
+    lists (any child without choices).  A leaf is the empty product."""
     counts: Dict[int, int] = {}
-
-    def go(node: GameNode) -> int:
-        got = counts.get(id(node))
-        if got is None:
-            if node.kind in ("or", "exists"):
-                got = sum(go(c) for c in node.children)
-            else:  # a leaf is the empty product
-                got = 1
-                for c in node.children:
-                    got *= go(c)
+    for node in tree.order:
+        kids = node.children
+        if node.kind == "or" or node.kind == "exists":
+            if choices is not None:
+                kids = [kids[i] for i in choices[id(node)]]
+            counts[id(node)] = sum([counts[id(c)] for c in kids])
+        else:
+            got = 1
+            for c in kids:
+                got *= counts[id(c)]
             counts[id(node)] = got
-        return got
-
-    go(root)
     return counts
 
 
 def count_strategies(tree: GameTree) -> int:
-    return _strategy_counts(tree.root)[id(tree.root)]
+    return _strategy_counts(tree)[id(tree.root)]
 
 
 def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterator[Strategy]:
-    counts = _strategy_counts(tree.root)
+    counts = _strategy_counts(tree)
     total = counts[id(tree.root)]
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    yield from _strategies(tree.root, lambda node: range(len(node.children)), counts, guard)
+    yield from _strategies(tree.root, None, counts, guard)
 
 
 def _strategies(root: GameNode, choices, counts, guard: int) -> Iterator[Strategy]:
     """The strategies under root that take, at every or/exists node, a child
-    whose index choices(node) lists, in enumeration order; counts[id(node)]
-    is their number under node.  The strategies under a child of an
-    and/forall node are listed once per shared node and shared above it,
-    unless they exceed guard (`GuardExceeded`) or the and/forall has none."""
+    whose index choices[id(node)] lists (any child without choices), in
+    enumeration order; counts[id(node)] is their number under node.  A stack
+    follows the chains of choices down to leaves and and/forall nodes.  The
+    strategies under a child of an and/forall node are listed once per shared
+    node (its pool, folded from the pools below it) and shared above it,
+    unless they exceed guard (`GuardExceeded`; the pools below stay within
+    it) or the and/forall has none."""
     pools: Dict[int, List[Strategy]] = {}
+
+    def picks(node):
+        return range(len(node.children)) if choices is None else choices[id(node)]
+
+    def made(node, below):  # from the strategies of node's picked (or all) children
+        if node.kind == "leaf":
+            return [Strategy(node.formula, node.env, None, ())]
+        if node.kind == "or" or node.kind == "exists":
+            return [Strategy(node.formula, node.env, node.tags[i], (sub,))
+                    for i, subs in zip(picks(node), below) for sub in subs]
+        if not counts[id(node)]:
+            return ()
+        return (Strategy(node.formula, node.env, node.tags, ps)
+                for ps in itertools.product(*below))
+
+    def kids(node):
+        if id(node) in pools:
+            return ()
+        if node.kind == "or" or node.kind == "exists":
+            return [node.children[i] for i in picks(node)]
+        return node.children if counts[id(node)] else ()
+
+    def step(node, *below):
+        got = pools.get(id(node))
+        if got is None:
+            got = pools[id(node)] = list(made(node, below))
+        return got
 
     def pool(node: GameNode) -> List[Strategy]:
         if id(node) not in pools:
             if counts[id(node)] > guard:
                 raise GuardExceeded(
                     f"{counts[id(node)]} strategies under one node exceed the guard {guard}")
-            pools[id(node)] = list(go(node))
+            _fold(node, step, kids)
         return pools[id(node)]
 
-    def go(node: GameNode) -> Iterator[Strategy]:
-        if node.kind == "leaf":
-            yield Strategy(node.formula, node.env, None, ())
-        elif node.kind in ("and", "forall"):
-            if counts[id(node)]:
-                for picks in itertools.product(*[pool(c) for c in node.children]):
-                    yield Strategy(node.formula, node.env, node.tags, picks)
-        else:
-            for i in choices(node):
-                for sub in go(node.children[i]):
-                    yield Strategy(node.formula, node.env, node.tags[i], (sub,))
-
-    return go(root)
+    stack = [(root, None)]  # (node, chain): chain links (outer chain, choice node, index)
+    while stack:
+        node, chain = stack.pop()
+        if node.kind == "or" or node.kind == "exists":
+            stack += [(node.children[i], (chain, node, i)) for i in reversed(picks(node))]
+        elif counts[id(node)]:
+            for s in made(node, [pool(c) for c in node.children]):
+                link = chain
+                while link is not None:
+                    link, up, i = link
+                    s = Strategy(up.formula, up.env, up.tags[i], (s,))
+                yield s
 
 
 def strategy_from_choices(node: GameNode, chooser) -> Strategy:
     """Build a strategy by asking chooser(game_node) for a child index at
-    every or/exists node."""
-    if node.kind == "leaf":
-        return Strategy(node.formula, node.env, None, ())
-    if node.kind in ("or", "exists"):
-        i = chooser(node)
-        return Strategy(
-            node.formula,
-            node.env,
-            node.tags[i],
-            (strategy_from_choices(node.children[i], chooser),),
-        )
-    return Strategy(
-        node.formula,
-        node.env,
-        node.tags,
-        tuple(strategy_from_choices(c, chooser) for c in node.children),
-    )
+    every or/exists node, in pre-order."""
+
+    def kids(item: list):
+        node = item[0]
+        if node.kind == "or" or node.kind == "exists":
+            item.append(chooser(node))
+            return ([node.children[item[1]]],)
+        return [[c] for c in node.children]
+
+    def step(item: list, *below) -> Strategy:
+        node = item[0]
+        if node.kind == "leaf":
+            return Strategy(node.formula, node.env, None, ())
+        tag = node.tags[item[1]] if len(item) > 1 else node.tags
+        return Strategy(node.formula, node.env, tag, below)
+
+    return _fold([node], step, kids)
 
 
 def random_strategy(tree: GameTree, rng) -> Strategy:
@@ -287,8 +338,13 @@ def validate_strategy(s: Strategy, universe) -> None:
     universe = tuple(universe)
     free: Dict[int, tuple] = {}
 
-    def walk(node: Strategy, env: dict):
+    # An item is (node, env, side): side is None, or the formula that the
+    # parent's label puts here and the parent's kind.
+    def kids(item: tuple):
+        node, env, side = item
         g = node.formula
+        if side is not None and g != side[0]:
+            raise PreconditionError(f"{side[1]}-child label mismatch")
         if id(g) not in free:
             free.update(_free_table(g))
         expected_env = tuple((v, env[v]) for v in free[id(g)])
@@ -297,23 +353,15 @@ def validate_strategy(s: Strategy, universe) -> None:
         if node.kind == "leaf":
             if node.children:
                 raise PreconditionError("leaf with children")
-            return
+            return ()
         if node.kind == "or":
             if len(node.children) != 1 or node.tag not in (0, 1):
                 raise PreconditionError("or-node must keep exactly one tagged child")
-            side = g.left if node.tag == 0 else g.right
-            if node.children[0].formula is not side and node.children[0].formula != side:
-                raise PreconditionError("or-child label mismatch")
-            walk(node.children[0], env)
-            return
+            return ((node.children[0], env, (g.left if node.tag == 0 else g.right, "or")),)
         if node.kind == "and":
             if len(node.children) != 2:
                 raise PreconditionError("and-node must keep both children")
-            for child, sub in zip(node.children, (g.left, g.right)):
-                if child.formula != sub:
-                    raise PreconditionError("and-child label mismatch")
-                walk(child, env)
-            return
+            return [(c, env, (sub, "and")) for c, sub in zip(node.children, (g.left, g.right))]
         domain = quantifier_range(g, universe, [e for _, e in expected_env])
         if node.kind == "exists":
             if len(node.children) != 1:
@@ -322,21 +370,15 @@ def validate_strategy(s: Strategy, universe) -> None:
                 raise PreconditionError(
                     f"witness {node.tag} outside quantifier range {domain}"
                 )
-            env2 = dict(env)
-            env2[g.var] = node.tag
-            walk(node.children[0], env2)
-            return
-        # forall
+            return ((node.children[0], {**env, g.var: node.tag}, None),)
         if list(node.tag) != domain or len(node.children) != len(domain):
             raise PreconditionError(
                 f"forall-node must keep all children {domain}, has {node.tag}"
             )
-        for b, child in zip(node.tag, node.children):
-            env2 = dict(env)
-            env2[g.var] = b
-            walk(child, env2)
+        return [(c, {**env, g.var: b}, None) for b, c in zip(node.tag, node.children)]
 
-    walk(s, dict(s.env))
+    for _ in _preorder((s, dict(s.env), None), kids):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +399,11 @@ def sum_of_strategies_check(
 ) -> SumOfStrategiesReport:
     tree = build_game_tree(formula, interp.universe)
     sr = interp.semiring
-    total = sr.sum(eval_strategy(interp, s) for s in enumerate_strategies(tree, guard))
+    total, count = sr.zero, 0
+    for count, s in enumerate(enumerate_strategies(tree, guard), 1):
+        total = sr.add(total, eval_strategy(interp, s))
     value = evaluate(interp, formula)
-    return SumOfStrategiesReport(value == total, value, total, count_strategies(tree))
+    return SumOfStrategiesReport(value == total, value, total, count)
 
 
 # ---------------------------------------------------------------------------
@@ -375,103 +419,67 @@ def _require_maxplus(sr: Semiring):
 
 
 class _OptimalDP:
-    """Argmax dynamic program.  `value` is the evaluation of each subtree: a
-    choice node takes the maximum over its strategy-bearing children, or zero
-    without one (every strategy-less subtree, such as an empty exists range,
-    evaluates to zero); `argmax` lists the children that reach it and `ties`
-    counts the strategies built from such maximal choices.  The maps are
-    keyed by node id, and each shared node is valued once.
+    """Argmax dynamic program, one loop over the tree's nodes.  `value` is the
+    evaluation of each subtree: a choice node takes the maximum over its
+    strategy-bearing children, or zero without one (every strategy-less
+    subtree, such as an empty exists range, evaluates to zero); `argmax`
+    lists the children that reach it.  The maps are keyed by node id.
 
-    With `existential` set, forall nodes bear no strategy and are not
-    descended into: the root then bears a strategy iff some strategy avoids
-    forall nodes, and its value is the best value among those strategies."""
+    With `existential` set, forall nodes bear no strategy and what lies only
+    below them is not valued: the root then bears a strategy iff some
+    strategy avoids forall nodes, and its value is the best value among those
+    strategies."""
 
     def __init__(self, interp: Interpretation, tree: GameTree, existential: bool = False):
-        self.interp = interp
-        self.sr = interp.semiring
         self.tree = tree
-        self.existential = existential
         self.value: Dict[int, object] = {}
         self.has_strategy: Dict[int, bool] = {}
         self.argmax: Dict[int, List[int]] = {}
-        self.ties: Dict[int, int] = {}
-        self._run(tree.root)
-
-    def _run(self, root: GameNode):
-        value, has_strategy, argmax, ties = self.value, self.has_strategy, self.argmax, self.ties
-        sr, existential = self.sr, self.existential
-        read = _leaf_reader(self.interp)
-
-        def run(node: GameNode):
-            if id(node) in value:
-                return
+        value, has_strategy, argmax = self.value, self.has_strategy, self.argmax
+        sr = interp.semiring
+        read = _leaf_reader(interp)
+        order = tree.order
+        if existential:
+            live = {id(tree.root)}
+            for node in reversed(order):
+                if node.kind != "forall" and id(node) in live:
+                    live.update([id(c) for c in node.children])
+            order = [node for node in order if id(node) in live]
+        for node in order:
             kind = node.kind
             if kind == "leaf":
-                val, has, count = read(node.formula, node.env), True, 1
+                val, has = read(node.formula, node.env), True
             elif kind == "forall" and existential:
-                val, has, count = sr.zero, False, 0
+                val, has = sr.zero, False
             elif kind == "and" or kind == "forall":
-                val, has, count = sr.one, True, 1
+                val, has = sr.one, True
                 for c in node.children:
-                    run(c)
                     val = sr.mul(val, value[id(c)])
                     has = has and has_strategy[id(c)]
-                    count *= ties[id(c)]
             else:
                 best = None
                 for c in node.children:
-                    run(c)
-                    if not has_strategy[id(c)]:
-                        continue
-                    v = value[id(c)]
-                    if best is None or sr.lt(best, v):
-                        best = v
+                    if has_strategy[id(c)]:
+                        v = value[id(c)]
+                        if best is None or sr.lt(best, v):
+                            best = v
                 has = best is not None
                 val = best if has else sr.zero
-                tops = argmax[id(node)] = [
+                argmax[id(node)] = [
                     i
                     for i, c in enumerate(node.children)
                     if has_strategy[id(c)] and value[id(c)] == val
                 ]
-                count = sum(ties[id(node.children[i])] for i in tops)
             value[id(node)] = val
             has_strategy[id(node)] = has
-            ties[id(node)] = count
 
-        run(root)
-
-    def extract(self, node: Optional[GameNode] = None) -> Strategy:
+    def extract(self) -> Strategy:
         """The strategy that takes the first maximal child at every choice
-        node; a shared node yields one shared sub-strategy."""
-        memo: Dict[int, Strategy] = {}
-
-        def go(node: GameNode) -> Strategy:
-            if id(node) in memo:
-                return memo[id(node)]
-            if not self.has_strategy[id(node)]:
-                raise PreconditionError("no strategy exists over this universe")
-            if node.kind == "leaf":
-                out = Strategy(node.formula, node.env, None, ())
-            elif node.kind in ("and", "forall"):
-                kids = tuple(go(c) for c in node.children)
-                out = Strategy(node.formula, node.env, node.tags, kids)
-            else:
-                i = self.argmax[id(node)][0]
-                out = Strategy(node.formula, node.env, node.tags[i], (go(node.children[i]),))
-            memo[id(node)] = out
-            return out
-
-        return go(node or self.tree.root)
-
-    def tie_count(self, node: Optional[GameNode] = None) -> int:
-        return self.ties[id(node or self.tree.root)]
-
-    def stream(self, node: Optional[GameNode] = None) -> Iterator[Strategy]:
-        node = node or self.tree.root
-        if not self.has_strategy[id(node)]:
-            return iter(())
-        # below a strategy-bearing node every node reached bears one
-        return _strategies(node, lambda n: self.argmax[id(n)], self.ties, STRATEGY_GUARD)
+        node."""
+        root, argmax = self.tree.root, self.argmax
+        if not self.has_strategy[id(root)]:
+            raise PreconditionError("no strategy exists over this universe")
+        return strategy_from_choices(root, lambda node: argmax[id(node)][0])
 
 
 @dataclass
@@ -487,7 +495,8 @@ class OptimalResult:
         this family; the class-membership checks below do their own search.
         The strategies under each child of an and/forall node are listed, so
         more than `STRATEGY_GUARD` of them raise `GuardExceeded`."""
-        return self.dp.stream()
+        tree, argmax = self.dp.tree, self.dp.argmax
+        return _strategies(tree.root, argmax, _strategy_counts(tree, argmax), STRATEGY_GUARD)
 
 
 def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
@@ -496,7 +505,8 @@ def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
     dp = _OptimalDP(interp, tree)
-    return OptimalResult(dp.value[id(tree.root)], dp.extract(), dp.tie_count(), dp)
+    ties = _strategy_counts(tree, dp.argmax)[id(tree.root)]
+    return OptimalResult(dp.value[id(tree.root)], dp.extract(), ties, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +566,19 @@ def _map_env(env: Env, f) -> Env:
 
 
 def _map_strategy(s: Strategy, f) -> Strategy:
-    children = tuple(_map_strategy(c, f) for c in s.children)
-    if s.kind == "exists":
-        tag = f(s.tag)
-    elif s.kind == "forall":
-        pairs = sorted(zip((f(b) for b in s.tag), children), key=lambda p: p[0])
-        tag = tuple(b for b, _ in pairs)
-        children = tuple(c for _, c in pairs)
-    else:
-        tag = s.tag
-    return Strategy(s.formula, _map_env(s.env, f), tag, children)
+    """s with every element e replaced by f(e); forall children stay sorted."""
+
+    def step(node: Strategy, *children) -> Strategy:
+        tag = node.tag
+        if node.kind == "exists":
+            tag = f(tag)
+        elif node.kind == "forall":
+            pairs = sorted(zip([f(b) for b in tag], children), key=lambda p: p[0])
+            tag = tuple(b for b, _ in pairs)
+            children = tuple(c for _, c in pairs)
+        return Strategy(node.formula, _map_env(node.env, f), tag, children)
+
+    return _rebuild(s, step)
 
 
 def swap_instantiation(s: Strategy, b: int, c: int) -> Strategy:
@@ -624,8 +637,13 @@ def translate_strategy(
         moved = [v for k, v in g.items() if k != v]
         return min(moved + [big])
 
-    def walk(node: Strategy, g: Dict[int, int]) -> Strategy:
-        mapper = lambda e: g.get(e, e)
+    # An item is [node, relabelling] (a dropped forall child: [node, None,
+    # its forall node]); an exists item gets its new tag appended.
+    def kids(item: list):
+        node, g = item[0], item[1]
+        if g is None:
+            dropped.append((item[2], node))
+            return ()
         if node.kind == "exists":
             i = eliminated(g)
             child = node.children[0]
@@ -640,39 +658,31 @@ def translate_strategy(
                 if not candidates:
                     raise PreconditionError("no fresh element available for relabelling")
                 j = max(candidates)
-                g2 = dict(g)
-                g2[i] = j
-                new_child = walk(child, g2)
-                new_tag = j
-            else:
-                new_child = walk(child, g)
-                new_tag = mapper(node.tag)
-            return Strategy(node.formula, _map_env(node.env, mapper), new_tag, (new_child,))
+                item.append(j)
+                return ([child, {**g, i: j}],)
+            item.append(g.get(node.tag, node.tag))
+            return ([child, g],)
         if node.kind == "forall":
             i = eliminated(g)
-            kept_children = []
-            kept_tags = []
-            for b, child in zip(node.tag, node.children):
-                if b == i:
-                    dropped.append((node, child))
-                    continue
-                kept_children.append(walk(child, g))
-                kept_tags.append(mapper(b))
-            order = sorted(range(len(kept_tags)), key=lambda idx: kept_tags[idx])
-            return Strategy(
-                node.formula,
-                _map_env(node.env, mapper),
-                tuple(kept_tags[idx] for idx in order),
-                tuple(kept_children[idx] for idx in order),
-            )
-        return Strategy(
-            node.formula,
-            _map_env(node.env, mapper),
-            node.tag,
-            tuple(walk(c, g) for c in node.children),
-        )
+            return [[c, g] if b != i else [c, None, node] for b, c in zip(node.tag, node.children)]
+        return [[c, g] for c in node.children]
 
-    out = walk(s, {})
+    def step(item: list, *children) -> Optional[Strategy]:
+        node, g = item[0], item[1]
+        if g is None:
+            return None
+        mapper = lambda e: g.get(e, e)
+        tag = node.tag
+        if node.kind == "exists":
+            tag = item[2]
+        elif node.kind == "forall":
+            kept = sorted([(mapper(b), c) for b, c in zip(tag, children) if c is not None],
+                          key=lambda p: p[0])
+            tag = tuple(b for b, _ in kept)
+            children = tuple(c for _, c in kept)
+        return Strategy(node.formula, _map_env(node.env, mapper), tag, children)
+
+    out = _fold([s, {}], step, kids)
     validate_strategy(out, n + r)
     return out, dropped
 
@@ -694,8 +704,6 @@ def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
     """Bound the witness and literal footprint under forall nodes of
     universal depth <= m by rewriting sibling branches into copies of one
     branch whose instantiation avoids its own literals."""
-    if isinstance(universe, int):
-        universe = tuple(range(1, universe + 1))
 
     def compact_node(v: Strategy) -> Strategy:
         tags = list(v.tag)
@@ -721,20 +729,15 @@ def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
                 new_children.append(child)
         return Strategy(v.formula, v.env, tuple(tags), tuple(new_children))
 
-    def walk(node: Strategy, level: int) -> Strategy:
-        rebuilt = Strategy(
-            node.formula,
-            node.env,
-            node.tag,
-            tuple(walk(c, level) for c in node.children),
-        )
+    def step(node: Strategy, *children) -> Strategy:
+        rebuilt = Strategy(node.formula, node.env, node.tag, children)
         if rebuilt.kind == "forall" and metrics(rebuilt.formula).qr_forall == level:
             return compact_node(rebuilt)
         return rebuilt
 
     out = s
     for level in range(1, m + 1):
-        out = walk(out, level)
+        out = _rebuild(out, step)
     validate_strategy(out, universe)
     return out
 
@@ -777,22 +780,16 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
     for a, b in zip(need, frees):
         out = _map_strategy(out, lambda e, a=a, b=b: b if e == a else (a if e == b else e))
 
-    def prune(node: Strategy) -> Strategy:
-        if node.kind == "forall":
-            kept = [
-                (b, prune(child))
-                for b, child in zip(node.tag, node.children)
-                if b <= n
-            ]
-            return Strategy(
-                node.formula,
-                node.env,
-                tuple(b for b, _ in kept),
-                tuple(c for _, c in kept),
-            )
-        return Strategy(node.formula, node.env, node.tag, tuple(prune(c) for c in node.children))
+    def kept(node: Strategy):  # a forall loses the children of overflow elements
+        if node.kind != "forall":
+            return node.children
+        return [c for b, c in zip(node.tag, node.children) if b <= n]
 
-    out = prune(out)
+    def prune(node: Strategy, *children) -> Strategy:
+        tag = tuple(b for b in node.tag if b <= n) if node.kind == "forall" else node.tag
+        return Strategy(node.formula, node.env, tag, children)
+
+    out = _fold(out, prune, kept)
     validate_strategy(out, n)
     if any(e > n for e in literal_elements(out)):
         raise PreconditionError("translation left an overflow literal element")

@@ -1,18 +1,29 @@
-"""A frozen copy of the game-tree code that the label-shared trees in
-`semlog.games` replaced, kept as the oracle of the differential test in
-test_game_reference.py: unshared tree construction, strategy enumeration,
-the strategy valuation and the argmax dynamic program, with the dict-based
+"""A frozen copy of the game-tree code that `semlog.games` replaced, kept as
+the oracle of the differential tests in test_game_reference.py.
+
+The first part is the code that the label-shared trees replaced: unshared
+tree construction, strategy enumeration, the strategy valuation and the
+argmax dynamic program (with its strategy extraction), with the dict-based
 leaf rule they read.  Every node is built and visited once per path, and its
-label recomputes free variables.  Do not optimize it: its value is that it is
-the old semantics, line for line."""
+label recomputes free variables.
+
+The second part is the recursive strategy code that the stack-based walks
+replaced: building a strategy from choices, validation, relabelling and
+element swaps, the downward translation, compaction and the almost
+existential translation, with the classification helpers they read.
+
+Do not optimize either part: its value is that it is the old semantics, line
+for line."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from semlog.errors import GuardExceeded, PreconditionError
 from semlog.formulas import (
+    _free_table,
     And,
     Atom,
     Bottom,
@@ -23,9 +34,18 @@ from semlog.formulas import (
     Or,
     Top,
     free_vars,
+    metrics,
+    qr,
+    size,
 )
 from semlog.evaluation import evaluate
-from semlog.games import OptimalResult, Strategy, SumOfStrategiesReport, _require_maxplus
+from semlog.games import (
+    Strategy,
+    StrategyStats,
+    SumOfStrategiesReport,
+    _require_maxplus,
+    c_constants,
+)
 from semlog.interpretations import Interpretation
 
 STRATEGY_GUARD = 10**6
@@ -301,6 +321,17 @@ class _OptimalDP:
                 yield Strategy(node.formula, node.env, node.tags[i], (sub,))
 
 
+@dataclass
+class OptimalResult:
+    value: object
+    strategy: Strategy
+    all_optimal_count: int
+    dp: _OptimalDP = field(repr=False)
+
+    def stream_optimal(self) -> Iterator[Strategy]:
+        return self.dp.stream()
+
+
 def sum_of_strategies_check(
     interp: Interpretation, formula: Formula, guard: int = STRATEGY_GUARD
 ) -> SumOfStrategiesReport:
@@ -328,3 +359,348 @@ def has_existential_optimal(
     if not dp.has_strategy[root] or dp.value[root] != target:
         return False, None
     return True, dp.extract()
+
+
+# ---------------------------------------------------------------------------
+# The recursive strategy walks
+# ---------------------------------------------------------------------------
+
+
+def leaves_of(node: Strategy) -> Iterator[Strategy]:
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if not cur.children:
+            yield cur
+        else:
+            stack.extend(cur.children)
+
+
+def strategy_nodes(s: Strategy) -> Iterator[Strategy]:
+    stack = [s]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        stack.extend(cur.children)
+
+
+def resolve_args(leaf: Strategy) -> Tuple[int, ...]:
+    env = dict(leaf.env)
+    return tuple(env[a] if isinstance(a, str) else a for a in leaf.formula.args)
+
+
+def witnesses(s: Strategy) -> frozenset:
+    return frozenset(n.tag for n in strategy_nodes(s) if n.kind == "exists")
+
+
+def literal_elements(s: Strategy) -> frozenset:
+    out = set()
+    for leaf in leaves_of(s):
+        if isinstance(leaf.formula, Atom):
+            out.update(resolve_args(leaf))
+    return frozenset(out)
+
+
+def classify(s: Strategy) -> StrategyStats:
+    has_forall = False
+    relies = False
+    for node in strategy_nodes(s):
+        if node.kind != "forall":
+            continue
+        has_forall = True
+        if all(b in literal_elements(child) for b, child in zip(node.tag, node.children)):
+            relies = True
+            break
+    if not has_forall:
+        cls = "existential"
+    elif relies:
+        cls = "relies_on_forall"
+    else:
+        cls = "almost_existential"
+    return StrategyStats(witnesses(s), literal_elements(s), cls)
+
+
+def strategy_from_choices(node, chooser) -> Strategy:
+    """Build a strategy by asking chooser(game_node) for a child index at
+    every or/exists node."""
+    if node.kind == "leaf":
+        return Strategy(node.formula, node.env, None, ())
+    if node.kind in ("or", "exists"):
+        i = chooser(node)
+        return Strategy(
+            node.formula,
+            node.env,
+            node.tags[i],
+            (strategy_from_choices(node.children[i], chooser),),
+        )
+    return Strategy(
+        node.formula,
+        node.env,
+        node.tags,
+        tuple(strategy_from_choices(c, chooser) for c in node.children),
+    )
+
+
+def validate_strategy(s: Strategy, universe) -> None:
+    """Structural check that s is a strategy of the game tree over universe."""
+    if isinstance(universe, int):
+        universe = tuple(range(1, universe + 1))
+    universe = tuple(universe)
+    free: Dict[int, tuple] = {}
+
+    def walk(node: Strategy, env: dict):
+        g = node.formula
+        if id(g) not in free:
+            free.update(_free_table(g))
+        expected_env = tuple((v, env[v]) for v in free[id(g)])
+        if node.env != expected_env:
+            raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")
+        if node.kind == "leaf":
+            if node.children:
+                raise PreconditionError("leaf with children")
+            return
+        if node.kind == "or":
+            if len(node.children) != 1 or node.tag not in (0, 1):
+                raise PreconditionError("or-node must keep exactly one tagged child")
+            side = g.left if node.tag == 0 else g.right
+            if node.children[0].formula is not side and node.children[0].formula != side:
+                raise PreconditionError("or-child label mismatch")
+            walk(node.children[0], env)
+            return
+        if node.kind == "and":
+            if len(node.children) != 2:
+                raise PreconditionError("and-node must keep both children")
+            for child, sub in zip(node.children, (g.left, g.right)):
+                if child.formula != sub:
+                    raise PreconditionError("and-child label mismatch")
+                walk(child, env)
+            return
+        domain = quantifier_range(g, universe, [e for _, e in expected_env])
+        if node.kind == "exists":
+            if len(node.children) != 1:
+                raise PreconditionError("exists-node must keep exactly one child")
+            if node.tag not in domain:
+                raise PreconditionError(
+                    f"witness {node.tag} outside quantifier range {domain}"
+                )
+            env2 = dict(env)
+            env2[g.var] = node.tag
+            walk(node.children[0], env2)
+            return
+        # forall
+        if list(node.tag) != domain or len(node.children) != len(domain):
+            raise PreconditionError(
+                f"forall-node must keep all children {domain}, has {node.tag}"
+            )
+        for b, child in zip(node.tag, node.children):
+            env2 = dict(env)
+            env2[g.var] = b
+            walk(child, env2)
+
+    walk(s, dict(s.env))
+
+
+def _map_env(env: Env, f) -> Env:
+    return tuple(sorted((v, f(e)) for v, e in env))
+
+
+def _map_strategy(s: Strategy, f) -> Strategy:
+    children = tuple(_map_strategy(c, f) for c in s.children)
+    if s.kind == "exists":
+        tag = f(s.tag)
+    elif s.kind == "forall":
+        pairs = sorted(zip((f(b) for b in s.tag), children), key=lambda p: p[0])
+        tag = tuple(b for b, _ in pairs)
+        children = tuple(c for _, c in pairs)
+    else:
+        tag = s.tag
+    return Strategy(s.formula, _map_env(s.env, f), tag, children)
+
+
+def swap_instantiation(s: Strategy, b: int, c: int) -> Strategy:
+    root_elems = {e for _, e in s.env}
+    if c in root_elems and c != b:
+        raise PreconditionError(f"element {c} occurs in the root instantiation")
+    if b == c:
+        return s
+
+    def f(e):
+        if e == b:
+            return c
+        if e == c:
+            return b
+        return e
+
+    return _map_strategy(s, f)
+
+
+def translate_strategy(
+    s: Strategy, n: int, r: Optional[int] = None, strict_bound: bool = True
+) -> Tuple[Strategy, List[Tuple[Strategy, Strategy]]]:
+    if r is None:
+        r = qr(s.formula)
+    big = n + r + 1
+    lits = literal_elements(s)
+    if any(e > n for e in lits):
+        raise PreconditionError(
+            f"support precondition violated: literal elements {sorted(lits)} exceed {n}"
+        )
+    if strict_bound and n <= 2 ** (size(s.formula) + 1) + r:
+        raise PreconditionError(
+            f"n = {n} is not above the bound 2^(|psi|+1) + r = {2 ** (size(s.formula) + 1) + r}"
+        )
+    dropped: List[Tuple[Strategy, Strategy]] = []
+
+    def eliminated(g: Dict[int, int]) -> int:
+        moved = [v for k, v in g.items() if k != v]
+        return min(moved + [big])
+
+    def walk(node: Strategy, g: Dict[int, int]) -> Strategy:
+        mapper = lambda e: g.get(e, e)
+        if node.kind == "exists":
+            i = eliminated(g)
+            child = node.children[0]
+            if node.tag == i:
+                visible = {e for _, e in node.env}
+                moved_images = {v for k, v in g.items() if k != v}
+                candidates = [
+                    k
+                    for k in range(1, n + r + 1)
+                    if k not in visible and k not in moved_images
+                ]
+                if not candidates:
+                    raise PreconditionError("no fresh element available for relabelling")
+                j = max(candidates)
+                g2 = dict(g)
+                g2[i] = j
+                new_child = walk(child, g2)
+                new_tag = j
+            else:
+                new_child = walk(child, g)
+                new_tag = mapper(node.tag)
+            return Strategy(node.formula, _map_env(node.env, mapper), new_tag, (new_child,))
+        if node.kind == "forall":
+            i = eliminated(g)
+            kept_children = []
+            kept_tags = []
+            for b, child in zip(node.tag, node.children):
+                if b == i:
+                    dropped.append((node, child))
+                    continue
+                kept_children.append(walk(child, g))
+                kept_tags.append(mapper(b))
+            order = sorted(range(len(kept_tags)), key=lambda idx: kept_tags[idx])
+            return Strategy(
+                node.formula,
+                _map_env(node.env, mapper),
+                tuple(kept_tags[idx] for idx in order),
+                tuple(kept_children[idx] for idx in order),
+            )
+        return Strategy(
+            node.formula,
+            _map_env(node.env, mapper),
+            node.tag,
+            tuple(walk(c, g) for c in node.children),
+        )
+
+    out = walk(s, {})
+    validate_strategy(out, n + r)
+    return out, dropped
+
+
+def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
+    if isinstance(universe, int):
+        universe = tuple(range(1, universe + 1))
+
+    def compact_node(v: Strategy) -> Strategy:
+        tags = list(v.tag)
+        children = list(v.children)
+        pivot = None
+        for idx, (b, child) in enumerate(zip(tags, children)):
+            if b not in literal_elements(child):
+                pivot = idx
+                break
+        if pivot is None:
+            raise PreconditionError(
+                f"strategy relies on forall at {v.formula!r}; compaction needs an "
+                "almost existential strategy"
+            )
+        base = children[pivot]
+        i_l = tags[pivot]
+        blocked = witnesses(base) | literal_elements(base)
+        new_children = []
+        for idx, (b, child) in enumerate(zip(tags, children)):
+            if idx != pivot and b not in blocked:
+                new_children.append(swap_instantiation(base, i_l, b))
+            else:
+                new_children.append(child)
+        return Strategy(v.formula, v.env, tuple(tags), tuple(new_children))
+
+    def walk(node: Strategy, level: int) -> Strategy:
+        rebuilt = Strategy(
+            node.formula,
+            node.env,
+            node.tag,
+            tuple(walk(c, level) for c in node.children),
+        )
+        if rebuilt.kind == "forall" and metrics(rebuilt.formula).qr_forall == level:
+            return compact_node(rebuilt)
+        return rebuilt
+
+    out = s
+    for level in range(1, m + 1):
+        out = walk(out, level)
+    validate_strategy(out, universe)
+    return out
+
+
+def translate_almost_existential(s: Strategy, n: int) -> Strategy:
+    psi = s.formula
+    r = qr(psi)
+    if r == 0:
+        return s
+    if classify(s).cls == "relies_on_forall":
+        raise PreconditionError("strategy relies on forall")
+    lits = literal_elements(s)
+    if any(e > n for e in lits):
+        raise PreconditionError("support precondition violated")
+    big_universe = tuple(range(1, n + r + 1))
+    fresh_y = "y*"
+    wrapper_formula = Forall(fresh_y, psi, distinct=True)
+    wrapper = Strategy(
+        wrapper_formula, (), tuple(big_universe), tuple(s for _ in big_universe)
+    )
+    compacted = compact_almost_existential(wrapper, r + 1, big_universe)
+    used = witnesses(compacted)
+    frees = [k for k in range(1, n + 1) if k not in used]
+    need = [n + j for j in range(1, r + 1) if (n + j) in used]
+    if len(frees) < len(need):
+        raise PreconditionError(
+            f"only {len(frees)} fresh elements available; need {len(need)} "
+            f"(sufficient universe bound: n >= {c_constants(size(wrapper_formula), r + 1) + r})"
+        )
+    chosen = compacted.children[0]
+    out = chosen
+    for a, b in zip(need, frees):
+        out = _map_strategy(out, lambda e, a=a, b=b: b if e == a else (a if e == b else e))
+
+    def prune(node: Strategy) -> Strategy:
+        if node.kind == "forall":
+            kept = [
+                (b, prune(child))
+                for b, child in zip(node.tag, node.children)
+                if b <= n
+            ]
+            return Strategy(
+                node.formula,
+                node.env,
+                tuple(b for b, _ in kept),
+                tuple(c for _, c in kept),
+            )
+        return Strategy(node.formula, node.env, node.tag, tuple(prune(c) for c in node.children))
+
+    out = prune(out)
+    validate_strategy(out, n)
+    if any(e > n for e in literal_elements(out)):
+        raise PreconditionError("translation left an overflow literal element")
+    return out

@@ -6,6 +6,7 @@ import contextlib
 import pytest
 
 from semlog.cli import main
+from semlog.parser import parse, render
 
 VIT_AB = """semiring: viterbi
 universe: a b
@@ -163,6 +164,8 @@ def test_entail(tmp_path):
     assert code == 1 and "witness" in out
     code2, out2, _ = run_cli("entail", "--phi", str(psi), "--psi", str(psi))
     assert code2 == 0 and "consistent" in out2
+    # the criterion is over S3 only: a --semiring option would be ignored
+    assert run_cli("entail", "--semiring", "viterbi", "--phi", str(psi), "--psi", str(psi))[0] == 2
 
 
 def test_repro_commands():
@@ -233,6 +236,18 @@ def test_wide_disjunction_gets_the_verdict_of_a_narrow_one(width, interp_file):
     assert check[0] == 0 and check[1].startswith("holds on search space (")
     assert value == (0, "1/2\n", "")
     assert (check, value) == outputs(3)
+
+
+def test_strategies_over_a_disjunction_wider_than_the_recursion_limit(interp_file):
+    formula = "E x. (" + " | ".join(["R(x)"] * 1200) + ")"
+    assert run_cli("strategies", "--n", "1", "--formula", formula) == (0, "strategies 1200\n", "")
+    code, out, err = run_cli("strategies", "--n", "2", "--optimal", "--semiring", "viterbi",
+                             "--interp", interp_file, "--formula", formula)
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[:3] == ["value 1/2", "optimal-count 1200", render(parse(formula)) + " -> pick 1"]
+    # the chosen R(x) is the first disjunct, 1,199 or nodes down
+    assert len(lines) == 3 + 1200 and lines[-1] == "  " * 1200 + "R(x) @ {'x': 1}"
 
 
 def test_quantifiers_nested_as_deep_as_the_parser_reads(interp_file):

@@ -1,17 +1,18 @@
-"""Label-shared game trees: a differential test against the frozen unshared
-game-tree code (reference_games.py), and the node guard on shared trees."""
+"""Label-shared game trees and stack-based strategy walks: differential tests
+against the frozen unshared game-tree code and the frozen recursive strategy
+walks (reference_games.py), and the node guard on shared trees."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_games as ref
 from semlog import games, preservation
 from semlog.errors import GuardExceeded
-from semlog.formulas import FALSE, TRUE, And, Atom, Eq, Exists, Forall, Or, free_vars
+from semlog.formulas import FALSE, TRUE, And, Atom, Eq, Exists, Forall, Or, free_vars, metrics, qr
 from semlog.interpretations import Interpretation, Vocabulary
 from semlog.parser import parse
 from semlog.semirings import INF, LUKASIEWICZ, S3, TROPICAL, VITERBI
@@ -54,13 +55,20 @@ def formulas(draw, distinct: bool, depth: int = 3):
 
 
 @st.composite
-def cases(draw):
-    """A sentence (free names closed by a quantifier prefix) and an
-    interpretation of size 0 to 4; distinct ranges run empty at small sizes."""
+def sentences(draw):
+    """A formula with its free names closed by a quantifier prefix."""
     distinct = draw(st.booleans())
     f = draw(formulas(distinct))
     for name in sorted(free_vars(f)):
         f = draw(st.sampled_from((Exists, Forall)))(name, f, distinct)
+    return f
+
+
+@st.composite
+def cases(draw):
+    """A sentence and an interpretation of size 0 to 4; distinct ranges run
+    empty at small sizes."""
+    f = draw(sentences())
     sr, values = CARRIERS[draw(st.sampled_from(sorted(CARRIERS)))]
     universe = tuple(range(1, draw(st.integers(0, 4)) + 1))
     pair = st.tuples(st.sampled_from(values), st.sampled_from(values))
@@ -146,6 +154,102 @@ def test_shared_trees_agree_with_reference(case):
             == _outcome(existential_view, ref.has_existential_optimal, f, interp))
     if _outcome(games.optimal, interp, f)[0] == "value":
         check_stream_beyond_guard(f, interp)
+
+
+# Sentences whose strategies often keep their literals inside a small
+# support, so that the translations get past their preconditions.
+SHAPES = [
+    "E! x. A! y. R(x)",
+    "E! x. (true | A! y. R(x))",
+    "E! x. A! y. (true | R(y))",
+    "E! x. A! y. (R(x) | R(y))",
+    "A! y. E! z. R(z)",
+    "A! y. (R(y) | E! z. R(z))",
+    "A! y. E! z. (false | A! w. (true | R(w)))",
+    "A x. E y. (false | R(y))",
+]
+
+
+@st.composite
+def strategy_cases(draw):
+    """A sentence, a universe size k, the child picks that build a strategy
+    of its game over {1..k} (taken in turn, modulo the number of children),
+    and the arguments of the strategy operations."""
+    f = draw(st.one_of(sentences(), st.sampled_from(SHAPES).map(parse)))
+    k = draw(st.integers(1, 5))
+    picks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    swap = draw(st.tuples(st.integers(1, k + 1), st.integers(1, k + 1)))
+    perm = draw(st.permutations(range(1, k + 1)))
+    mutation = draw(st.tuples(st.integers(0, 50), st.sampled_from(("tag", "child", "env", "order")),
+                              st.integers(0, k + 1)))
+    return f, k, picks, swap, perm, mutation
+
+
+def chooser(picks):
+    it = itertools.cycle(picks)
+    return lambda node: next(it) % len(node.children)
+
+
+def mutated(s, target, change):
+    """s with its node target (by identity) replaced by change(target)."""
+    if s is target:
+        return change(s)
+    return games.Strategy(s.formula, s.env, s.tag,
+                          tuple(mutated(c, target, change) for c in s.children))
+
+
+def mutant(s, mutation):
+    """s broken at one node: a new tag, a child dropped, an env entry dropped
+    or the children reversed."""
+    at, how, value = mutation
+    nodes = list(ref.strategy_nodes(s))
+    target = nodes[at % len(nodes)]
+    change = {
+        "tag": lambda n: games.Strategy(n.formula, n.env, value, n.children),
+        "child": lambda n: games.Strategy(n.formula, n.env, n.tag, n.children[:-1]),
+        "env": lambda n: games.Strategy(n.formula, n.env[:-1], n.tag, n.children),
+        "order": lambda n: games.Strategy(n.formula, n.env, n.tag, n.children[::-1]),
+    }[how]
+    return mutated(s, target, change)
+
+
+def strategy_views(module, s, f, k, swap, perm):
+    """What the strategy operations of module make of s, a strategy over
+    {1..k}: each outcome is a key or an exception type."""
+    r = qr(f)
+
+    def translated(*args):
+        out, dropped = module.translate_strategy(*args)
+        return key(out), [(key(v), key(w)) for v, w in dropped]
+
+    return [
+        _outcome(module.validate_strategy, s, k),
+        _outcome(module.validate_strategy, s, k - 1),
+        _outcome(lambda: key(module.swap_instantiation(s, *swap))),
+        _outcome(lambda: key(module._map_strategy(s, lambda e: perm[e - 1]))),
+        _outcome(translated, s, k - r - 1, r, False),
+        _outcome(lambda: key(module.compact_almost_existential(s, metrics(f).qr_forall, k))),
+        _outcome(lambda: key(module.translate_almost_existential(s, k - r))),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategy_cases())
+# Every exists picks 5 and every or its left side: under z = 4 (visible to
+# E x) the witness 5 is renamed 3, so the translated forall y keeps the tags
+# 1, 2, 4, 5 -> 3 and must sort them.
+@example((parse("A z. E x. A y. (true | E(y, z))"), 5, [4, 0, 0, 0, 0, 0], (2, 3),
+          (2, 1, 3, 4, 5), (0, "tag", 0)))
+def test_strategy_walks_agree_with_reference(case):
+    f, k, picks, swap, perm, mutation = case
+    built = _outcome(games.strategy_from_choices, games.build_game_tree(f, k).root, chooser(picks))
+    want = _outcome(ref.strategy_from_choices, ref.build_game_tree(f, k).root, chooser(picks))
+    assert (built[0], key(built[1]) if built[0] == "value" else built[1]) == (
+        want[0], key(want[1]) if want[0] == "value" else want[1])
+    if built[0] == "raised":
+        return
+    for s in (built[1], mutant(built[1], mutation)):
+        assert strategy_views(games, s, f, k, swap, perm) == strategy_views(ref, s, f, k, swap, perm)
 
 
 @pytest.mark.parametrize("text, nodes, shared", [

@@ -8,7 +8,7 @@ import pytest
 from corpus import UNARY_R, UNARY_RQ, random_foneq_sentence
 from semlog.errors import GuardExceeded, PreconditionError
 from semlog.evaluation import evaluate
-from semlog.formulas import Eq, metrics, qr, size
+from semlog.formulas import Atom, Eq, Exists, make_or, metrics, qr, size
 from semlog.games import (
     Strategy,
     build_game_tree,
@@ -37,7 +37,7 @@ from semlog.interpretations import (
 )
 from semlog.parser import parse
 from semlog.polynomials import SPOLY
-from semlog.preservation import S3_VALUES, VITERBI_GRID
+from semlog.preservation import S3_VALUES, VITERBI_GRID, has_existential_optimal
 from semlog.provenance import pi_n
 from semlog.semirings import NAT, S3, VITERBI
 
@@ -453,3 +453,26 @@ def test_strategy_tree_size_bound():
             return 1 + sum(truncated_inner_count(c) for c in node.children)
 
         assert truncated_inner_count(strat) < 2 ** size(psi)
+
+
+def test_game_walks_return_on_a_disjunction_wider_than_the_recursion_limit():
+    """The game tree and every walk over it or its strategies keep their own
+    stack, so they return at the default recursion limit."""
+    f = Exists("x", make_or([Atom("R", ("x",))] * 5000))
+    pi = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_R, {("R", (2,)): Fraction(1, 3)})
+    tree = build_game_tree(f, 2)
+    # per element: 4,999 or nodes over one shared leaf, unshared 5,000 leaves
+    assert tree.node_count == 1 + 2 * (4999 + 5000)
+    assert len(tree.order) == 1 + 2 * (4999 + 1) and tree.order[-1] is tree.root
+    assert count_strategies(tree) == 10000
+    res = optimal(pi, f)
+    assert (res.value, res.all_optimal_count) == (Fraction(1, 3), 5000)
+    validate_strategy(res.strategy, 2)
+    assert eval_strategy(pi, res.strategy) == res.value
+    found, s = has_existential_optimal(pi, f)
+    assert found and eval_strategy(pi, s) == res.value
+
+
+def test_enumeration_over_a_wide_disjunction():
+    f = Exists("x", make_or([Atom("R", ("x",))] * 1200))
+    assert sum(1 for _ in enumerate_strategies(build_game_tree(f, 1))) == 1200
