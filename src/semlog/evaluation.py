@@ -47,7 +47,6 @@ from .formulas import (
     Or,
     Top,
     _fold,
-    _free_table,
 )
 from .interpretations import (
     Interpretation,
@@ -134,9 +133,7 @@ class Plan(NamedTuple):
 
 def compile_formula(f: Formula) -> Plan:
     """Compile a formula into a plan for `run_plan`."""
-    free_of = _free_table(f)
-    free = free_of[id(f)]
-    k = len(free)
+    k = len(f.free)
     width = k
     constants = []  # constant j (1-based) lives in slot -j
     checked = set()
@@ -156,7 +153,7 @@ def compile_formula(f: Formula) -> Plan:
         g, scope, depth = node
         kind = type(g)
         if kind in _INNER:
-            levels = tuple(sorted([scope[v] for v in free_of[id(g)]]))
+            levels = tuple(sorted([scope[v] for v in g.free]))
             head = (_INNER[kind], -1, None)
             if len(levels) < k + depth:
                 head = (_INNER[kind], memos, itemgetter(*levels) if levels else _no_args)
@@ -190,9 +187,9 @@ def compile_formula(f: Formula) -> Plan:
             return (_ATOM1, g.rel, slots[0], side, check)
         return (_ATOM, g.rel, itemgetter(*slots) if slots else _no_args, side, check)
 
-    root = _fold((f, {v: i for i, v in enumerate(free)}, 0), step, kids)
+    root = _fold((f, {v: i for i, v in enumerate(f.free)}, 0), step, kids)
     blank = (None,) * width + tuple(reversed(constants))
-    return Plan(root, free, blank, frozenset(checked), memos)
+    return Plan(root, f.free, blank, frozenset(checked), memos)
 
 
 def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):

@@ -5,12 +5,16 @@ atoms), plus the syntactic transformations used by the rewriting pipelines.
 
 Terms are variable names (str) or universe elements (int) for instantiated
 formulae.  Negation exists only on atoms; `negate` dualizes an arbitrary AST.
+
+Every node carries its sorted free variables (`free`), its `FormulaMetrics`
+(`metrics`) and its hash, derived from its children's when it is built;
+`==` and `hash` do not recurse, so they take formulas of any width or depth.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, SemlogError
@@ -22,51 +26,114 @@ class FlavorError(SemlogError):
     """Formula is in the wrong quantifier flavor for the operation."""
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(frozen=True, slots=True)
+class FormulaMetrics:
+    """Node count (every AST node counts one), quantifier rank, and the
+    nesting depth of universal quantifiers."""
+
+    size: int
+    qr: int
+    qr_forall: int
+
+
+_LEAF_METRICS = FormulaMetrics(1, 0, 0)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Node:
+    """The base of the formula nodes: what a node carries besides its fields."""
+
+    free: Tuple[str, ...] = field(init=False, repr=False)  # sorted
+    metrics: FormulaMetrics = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """The one rule for a node's free variables, metrics and hash, read off
+        its kids'; the hash is a dataclass's, that of the field tuple."""
+        kind = type(self)
+        if kind is And or kind is Or:
+            free = tuple(sorted({*self.left.free, *self.right.free}))
+            m, n = self.left.metrics, self.right.metrics
+            m = FormulaMetrics(1 + m.size + n.size, max(m.qr, n.qr), max(m.qr_forall, n.qr_forall))
+        elif kind is Exists or kind is Forall:
+            free, m = tuple([v for v in self.body.free if v != self.var]), self.body.metrics
+            m = FormulaMetrics(1 + m.size, m.qr + 1, m.qr_forall + (kind is Forall))
+        else:
+            terms = self.args if kind is Atom else (self.left, self.right) if kind is Eq else ()
+            free, m = tuple(sorted({t for t in terms if isinstance(t, str)})), _LEAF_METRICS
+        fields = tuple([getattr(self, name) for name in kind.__match_args__])
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "metrics", m)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        """The dataclass rule (same class, equal fields) on a stack of node pairs."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bottom:
+@dataclass(frozen=True, eq=False, slots=True)
+class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False, slots=True)
+class Atom(_Node):
     rel: str
     args: Tuple[Term, ...]
     positive: bool = True
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, eq=False, slots=True)
+class Eq(_Node):
     left: Term
     right: Term
     positive: bool = True
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, slots=True)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, slots=True)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False, slots=True)
+class Exists(_Node):
     var: str
     body: "Formula"
     distinct: bool = False
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, eq=False, slots=True)
+class Forall(_Node):
     var: str
     body: "Formula"
     distinct: bool = False
@@ -207,32 +274,8 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     return _preorder(f)
 
 
-def _free_step(g: Formula, *below) -> frozenset:
-    """The one free-variable rule: the free variables of g from its kids'."""
-    kind = type(g)
-    if kind is Atom or kind is Eq:
-        terms = g.args if kind is Atom else (g.left, g.right)
-        return frozenset([t for t in terms if isinstance(t, str)])
-    if kind is Exists or kind is Forall:
-        return below[0] - {g.var}
-    return frozenset().union(*below)
-
-
 def free_vars(f: Formula) -> frozenset:
-    return _fold(f, _free_step)
-
-
-def _free_table(f: Formula) -> dict:
-    """The free variables of every subformula of f, sorted, keyed by id."""
-    table = {}
-
-    def step(g, *below):
-        free = _free_step(g, *below)
-        table[id(g)] = tuple(sorted(free))
-        return free
-
-    _fold(f, step)
-    return table
+    return frozenset(f.free)
 
 
 def bound_vars(f: Formula) -> set:
@@ -240,7 +283,7 @@ def bound_vars(f: Formula) -> set:
 
 
 def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
+    return not f.free
 
 
 def flavor(f: Formula) -> str:
@@ -271,35 +314,20 @@ def is_fo(f: Formula) -> bool:
     return flavor(f) in ("fo", "quantifier-free")
 
 
-@dataclass(frozen=True)
-class FormulaMetrics:
-    size: int
-    qr: int
-    qr_forall: int
-
-
 def metrics(f: Formula) -> FormulaMetrics:
-    """Node count (every AST node counts one), quantifier rank, and the
-    nesting depth of universal quantifiers."""
-
-    def step(g, *below):
-        qr = max([m.qr for m in below], default=0) + isinstance(g, (Exists, Forall))
-        qf = max([m.qr_forall for m in below], default=0) + isinstance(g, Forall)
-        return FormulaMetrics(1 + sum(m.size for m in below), qr, qf)
-
-    return _fold(f, step)
+    return f.metrics
 
 
 def size(f: Formula) -> int:
-    return metrics(f).size
+    return f.metrics.size
 
 
 def qr(f: Formula) -> int:
-    return metrics(f).qr
+    return f.metrics.qr
 
 
 def qr_forall(f: Formula) -> int:
-    return metrics(f).qr_forall
+    return f.metrics.qr_forall
 
 
 def fresh_var(stem: str, avoid) -> str:
@@ -334,7 +362,7 @@ def substitute(f: Formula, mapping: dict) -> Formula:
             return [g.left, mapping], [g.right, mapping]
         if not isinstance(g, (Exists, Forall)):
             return ()
-        live = {k: v for k, v in mapping.items() if k != g.var and k in free_vars(g.body)}
+        live = {k: v for k, v in mapping.items() if k != g.var and k in g.body.free}
         clash = {v for v in live.values() if isinstance(v, str)}
         var, body = g.var, g.body
         if var in clash:
@@ -472,7 +500,7 @@ def fo_to_foneq(f: Formula) -> Formula:
         """A quantifier's body instantiated by each visible variable, then its body."""
         if not isinstance(g, (Exists, Forall)):
             return children(g)
-        return [substitute(g.body, {g.var: x}) for x in sorted(free_vars(g))] + [g.body]
+        return [substitute(g.body, {g.var: x}) for x in g.free] + [g.body]
 
     def step(g: Formula, *below) -> Formula:
         if isinstance(g, (Top, Bottom, Atom)):
@@ -497,8 +525,6 @@ def foneq_to_fo(f: Formula) -> Formula:
     guarded by inequalities (disjoined equalities for the universal case)."""
     if not is_foneq(f):
         raise FlavorError("input must be an FO-distinct formula")
-    free = _free_table(f)
-
     def step(g: Formula, *below) -> Formula:
         if isinstance(g, (Top, Bottom, Atom)):
             return g
@@ -506,7 +532,7 @@ def foneq_to_fo(f: Formula) -> Formula:
             return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
             universal = isinstance(g, Forall)
-            guards = [Eq(g.var, x, positive=universal) for x in free[id(g)]]
+            guards = [Eq(g.var, x, positive=universal) for x in g.free]
             return type(g)(g.var, (make_or if universal else make_and)(guards + [below[0]]))
         raise PreconditionError(f"not a formula: {g!r}")
 
@@ -563,7 +589,7 @@ def flatten_sigma1(f: Formula) -> Formula:
     """Pull every existential quantifier of a universal-free FO sentence to the
     front.  Valid in all additively idempotent semirings (pulling over a
     disjunction duplicates the other disjunct once per element)."""
-    if any(isinstance(g, Forall) for g in subformulas(f)):
+    if f.metrics.qr_forall:
         raise PreconditionError("input contains a universal quantifier")
     if not is_fo(f):
         raise FlavorError("flatten expects the FO flavor")
@@ -608,6 +634,11 @@ def _conj_parts(g: Formula) -> Optional[list]:
     return parts if all(isinstance(p, (Atom, Top, Bottom)) for p in parts) else None
 
 
+def _instances(theta: Formula, zs: Sequence[str], pool: list) -> Iterator[Formula]:
+    """theta with zs instantiated by each tuple of distinct names from pool."""
+    return (substitute(theta, dict(zip(zs, tup))) for tup in itertools.permutations(pool, len(zs)))
+
+
 def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, ...]]:
     """Bring a universal-free FO-distinct formula into the shape
     E! z1 ... E! zk (theta_1 | ... | theta_m), each theta a conjunction of
@@ -619,13 +650,12 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
     universes large enough to instantiate the whole prefix (the only regime
     the rewriting pipelines use it in).
     """
-    if any(isinstance(g, Forall) for g in subformulas(f)):
+    if f.metrics.qr_forall:
         raise PreconditionError("universal node found")
     if not is_foneq(f):
         raise FlavorError("expected FO-distinct flavor")
 
     f = uniquify_bound(f)
-    free = _free_table(f)
 
     def step(g: Formula, *below):
         if isinstance(g, (Top, Bottom, Atom)):
@@ -639,33 +669,22 @@ def existential_prenex_dnf(f: Formula) -> Tuple[Tuple[str, ...], Tuple[Formula, 
             # Instantiation tuples also range over the visible free variables:
             # the merged prefix excludes their values, which the separate
             # prefixes of the operands did not necessarily do.
-            pool = prefix + list(free[id(g)])
-            out = []
+            pool = prefix + list(g.free)
             if isinstance(g, Or):
-                for zs, ds in ((zl, dl), (zr, dr)):
-                    for theta in ds:
-                        for tup in itertools.permutations(pool, len(zs)):
-                            out.append(substitute(theta, dict(zip(zs, tup))))
+                out = [d for zs, ds in below for theta in ds for d in _instances(theta, zs, pool)]
             else:
-                for psi in dl:
-                    for theta in dr:
-                        for tup_l in itertools.permutations(pool, len(zl)):
-                            inst_p = substitute(psi, dict(zip(zl, tup_l)))
-                            parts_p = _conj_parts(inst_p)
-                            for tup in itertools.permutations(pool, len(zr)):
-                                inst = substitute(theta, dict(zip(zr, tup)))
-                                parts_t = _conj_parts(inst)
-                                if parts_p is None or parts_t is None:
-                                    raise PreconditionError(
-                                        "disjunct is not a literal conjunction"
-                                    )
-                                out.append(make_and(parts_p + parts_t))
+                out = []
+                for psi, theta in itertools.product(dl, dr):
+                    for left in map(_conj_parts, _instances(psi, zl, pool)):
+                        for right in map(_conj_parts, _instances(theta, zr, pool)):
+                            if left is None or right is None:
+                                raise PreconditionError("disjunct is not a literal conjunction")
+                            out.append(make_and(left + right))
             out = map(simplify_constants, out)
             return tuple(prefix), tuple(dict.fromkeys(d for d in out if not isinstance(d, Bottom)))
         raise PreconditionError(f"not a formula: {g!r}")
 
-    zs, ds = _fold(f, step)
-    return tuple(zs), tuple(ds)
+    return _fold(f, step)
 
 
 def assemble_prenex_dnf(zs: Sequence[str], disjuncts: Sequence[Formula]) -> Formula:

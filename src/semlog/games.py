@@ -39,9 +39,7 @@ from .formulas import (
     Or,
     Top,
     _fold,
-    _free_table,
     _preorder,
-    metrics,
     qr,
     size,
 )
@@ -102,9 +100,8 @@ def build_game_tree(
         universe = tuple(range(1, universe + 1))
     else:
         universe = tuple(universe)
-    free = _free_table(formula)
-    if free[id(formula)]:
-        raise PreconditionError(f"game trees need a sentence; free: {list(free[id(formula)])}")
+    if formula.free:
+        raise PreconditionError(f"game trees need a sentence; free: {list(formula.free)}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
     order: List[GameNode] = []
     count = 0
@@ -115,7 +112,7 @@ def build_game_tree(
     def kids(item: list):
         nonlocal count
         g, env = item
-        env_t = tuple([(v, env[v]) for v in free[id(g)]])
+        env_t = tuple([(v, env[v]) for v in g.free])
         label = (id(g), env_t)
         hit = shared.get(label)
         start = count
@@ -336,7 +333,6 @@ def validate_strategy(s: Strategy, universe) -> None:
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     universe = tuple(universe)
-    free: Dict[int, tuple] = {}
 
     # An item is (node, env, side): side is None, or the formula that the
     # parent's label puts here and the parent's kind.
@@ -345,9 +341,7 @@ def validate_strategy(s: Strategy, universe) -> None:
         g = node.formula
         if side is not None and g != side[0]:
             raise PreconditionError(f"{side[1]}-child label mismatch")
-        if id(g) not in free:
-            free.update(_free_table(g))
-        expected_env = tuple((v, env[v]) for v in free[id(g)])
+        expected_env = tuple((v, env[v]) for v in g.free)
         if node.env != expected_env:
             raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")
         if node.kind == "leaf":
@@ -731,7 +725,7 @@ def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
 
     def step(node: Strategy, *children) -> Strategy:
         rebuilt = Strategy(node.formula, node.env, node.tag, children)
-        if rebuilt.kind == "forall" and metrics(rebuilt.formula).qr_forall == level:
+        if rebuilt.kind == "forall" and rebuilt.formula.metrics.qr_forall == level:
             return compact_node(rebuilt)
         return rebuilt
 

@@ -33,7 +33,6 @@ from .formulas import (
     Top,
     _exists_distinct,
     _fold,
-    _free_table,
     assemble_prenex_dnf,
     canonical_bound_names,
     dedupe_or_idempotent,
@@ -42,12 +41,10 @@ from .formulas import (
     flatten_sigma1,
     fo_to_foneq,
     foneq_to_fo,
-    free_vars,
     is_fo,
     is_foneq,
     is_sentence,
     make_or,
-    metrics,
     path_get,
     psi_n,
     qr,
@@ -201,12 +198,12 @@ def check_preservation(
     if prop != "homomorphisms":
         raise PreconditionError(f"unknown property {prop!r}")
     for a_size in range(1, max_size + 1):
-        pas = list(enumerate_interpretations(semiring, vocab, a_size, value_set, guard))
+        pas = [(pa, run_plan(plan, pa))
+               for pa in enumerate_interpretations(semiring, vocab, a_size, value_set, guard)]
         for b_size in range(1, max_size + 1):
             for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
                 vb = run_plan(plan, pb)
-                for pa in pas:
-                    va = run_plan(plan, pa)
+                for pa, va in pas:
                     if semiring.leq(va, vb):
                         continue
                     if b_size ** a_size > guard:
@@ -241,8 +238,7 @@ def is_trivial_at(formula: Formula, n: int) -> bool:
     in an atom visited under no empty range."""
     if not is_foneq(formula):
         raise PreconditionError("triviality is defined for FO-distinct formulae")
-    free = _free_table(formula)
-    fv = list(free[id(formula)])
+    fv = list(formula.free)
     if n < len(fv) + 1:
         raise PreconditionError(f"n = {n} too small for the instantiation of {fv}")
     universe = range(1, n + 1)
@@ -251,7 +247,7 @@ def is_trivial_at(formula: Formula, n: int) -> bool:
         """(value, the error a valuation of f raises or None)."""
         kind = type(f)
         if kind is Exists or kind is Forall:
-            return below[0] if n > len(free[id(f)]) else (kind is Forall, None)
+            return below[0] if n > len(f.free) else (kind is Forall, None)
         if kind is And or kind is Or:
             (left, lerr), (right, rerr) = below
             return (left and right) if kind is And else (left or right), lerr or rerr
@@ -282,7 +278,7 @@ def is_eventually_trivial(formula: Formula) -> TrivialityVerdict:
     """Whether pi_n values the formula 1 for all large n.  A quantifier at
     depth d sees at most |fv| + d free variables, so no range is empty and the
     value is final at the threshold |fv| + qr + 1, the last size probed."""
-    lo = len(free_vars(formula)) + 1
+    lo = len(formula.free) + 1
     threshold = lo + qr(formula)
     probes = tuple((n, is_trivial_at(formula, n)) for n in range(lo, threshold + 1))
     return TrivialityVerdict("trivial" if probes[-1][1] else "non_trivial", probes, threshold)
@@ -602,7 +598,7 @@ def _innermost_forall_paths(f: Formula) -> List[tuple]:
         f,
         lambda g: isinstance(g, Forall)
         and g.distinct
-        and metrics(g.body).qr_forall == 0,
+        and g.body.metrics.qr_forall == 0,
     )
 
 
@@ -686,8 +682,8 @@ def rewrite_sigma1_strict(
 
 def _continuity_split(sub: Formula) -> dict:
     zs, disjuncts = existential_prenex_dnf(sub.body)
-    kept = [theta for theta in disjuncts if sub.var not in free_vars(theta)]
-    pieces = [assemble_prenex_dnf([z for z in zs if z in free_vars(theta)], [theta]) for theta in kept]
+    kept = [theta for theta in disjuncts if sub.var not in theta.free]
+    pieces = [assemble_prenex_dnf([z for z in zs if z in theta.free], [theta]) for theta in kept]
     return {
         "subformula": sub,
         "verdict": "continuity-split",

@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from semlog.errors import GuardExceeded, PreconditionError
 from semlog.formulas import (
-    _free_table,
     And,
     Atom,
     Bottom,
@@ -47,6 +46,8 @@ from semlog.games import (
     c_constants,
 )
 from semlog.interpretations import Interpretation
+
+from reference_formulas import free_names
 
 STRATEGY_GUARD = 10**6
 TREE_NODE_GUARD = 5 * 10**5
@@ -451,7 +452,7 @@ def validate_strategy(s: Strategy, universe) -> None:
     def walk(node: Strategy, env: dict):
         g = node.formula
         if id(g) not in free:
-            free.update(_free_table(g))
+            free.update(free_names(g))
         expected_env = tuple((v, env[v]) for v in free[id(g)])
         if node.env != expected_env:
             raise PreconditionError(f"label mismatch at {g!r}: {node.env} != {expected_env}")

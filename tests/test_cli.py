@@ -250,6 +250,17 @@ def test_strategies_over_a_disjunction_wider_than_the_recursion_limit(interp_fil
     assert len(lines) == 3 + 1200 and lines[-1] == "  " * 1200 + "R(x) @ {'x': 1}"
 
 
+@pytest.mark.parametrize("mode", ["strict", "lattice"])
+def test_rewrite_over_a_disjunction_wider_than_the_recursion_limit(mode):
+    """dedupe_or_idempotent keys a dict by the disjuncts, so this hashes and
+    compares formulas 2,000 connectives deep."""
+    formula = "E x. (" + " | ".join(["R(x)"] * 2000) + ")"
+    code, out, err = run_cli("rewrite", "--mode", mode, "--formula", formula)
+    verifications = [line for line in out.splitlines() if line.startswith("verify: ")]
+    assert (code, err) == (0, "")
+    assert verifications and all(v.startswith("verify: verified (") for v in verifications)
+
+
 def test_quantifiers_nested_as_deep_as_the_parser_reads(interp_file):
     formula = "".join(f"E x{i}. " for i in range(400)) + "R(x0) & R(x399)"
     assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,

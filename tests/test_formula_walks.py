@@ -5,6 +5,7 @@ semiring operations, and walks over disjunctions far wider than the
 recursion limit."""
 
 import contextlib
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -116,9 +117,9 @@ def cases(draw):
 def test_walks_agree_with_recursive_reference(case):
     f, mapping, leaf, pick = case
     assert formulas.free_vars(f) == ref.free_vars(f)
-    table, names = formulas._free_table(f), ref.free_names(f)
+    names = ref.free_names(f)
     for g in ref.subformulas(f):
-        assert tuple(sorted(table[id(g)])) == names[id(g)]
+        assert g.free == names[id(g)]
     assert [id(g) for g in formulas.subformulas(f)] == [id(g) for g in ref.subformulas(f)]
     assert repr(f) == ref.show(f)
     same(render, ref.render, f)
@@ -144,6 +145,46 @@ def test_walks_agree_with_recursive_reference(case):
     paths = ref.find_subformula_paths(f, lambda g: True)
     path = paths[pick % len(paths)]
     same(formulas.substitute_subformula, ref.substitute_subformula, f, path, leaf)
+
+
+def structure(f):
+    """f as nested tuples of its class and fields, built recursively: the
+    dataclass rule of equality spelled out."""
+    if isinstance(f, (And, Or)):
+        return type(f), structure(f.left), structure(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return type(f), f.var, structure(f.body), f.distinct
+    if isinstance(f, Atom):
+        return Atom, f.rel, f.args, f.positive
+    return (Eq, f.left, f.right, f.positive) if isinstance(f, Eq) else (type(f),)
+
+
+def replaced(f, path, leaf):
+    """f with the node at path (child indices) replaced by leaf."""
+    if not path:
+        return leaf
+    if isinstance(f, (And, Or)):
+        left, right = f.left, f.right
+        if path[0] == 0:
+            return type(f)(replaced(left, path[1:], leaf), right)
+        return type(f)(left, replaced(right, path[1:], leaf))
+    return type(f)(f.var, replaced(f.body, path[1:], leaf), f.distinct)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cases())
+def test_equality_and_hash_agree_with_structural_comparison(case):
+    """== and hash on an unshared copy of f, and on f with one leaf replaced,
+    against the recursive comparison of their structures."""
+    f, _, leaf, pick = case
+    leaf_paths = ref.find_subformula_paths(f, lambda g: not formulas.children(g))
+    for g in (unshared(f), replaced(f, leaf_paths[pick % len(leaf_paths)], leaf)):
+        equal = structure(f) == structure(g)
+        assert (f == g) is (g == f) is equal and (f != g) is not equal
+        assert (g in {f: 0}) is equal
+        if equal:
+            assert hash(f) == hash(g)
+    assert f != structure(f) and f != None  # noqa: E711
 
 
 @contextlib.contextmanager
@@ -224,6 +265,14 @@ def test_walks_return_on_a_disjunction_wider_than_the_recursion_limit():
     assert is_trivial_at(fd, 3) is False
 
 
+def test_equality_and_hash_on_a_disjunction_wider_than_the_recursion_limit():
+    f, g = (Exists("x", make_or([Atom("R", ("x",))] * 5000)) for _ in range(2))
+    h = Exists("x", make_or([Atom("R", ("x",))] * 4999 + [Atom("R", ("y",))]))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert {f: "f"}[g] == "f" and g in {f} and h not in {f: "f"}
+    assert f != h and h.free == ("y",) and f.free == ()
+
+
 def nested_quantifiers(depth: int, last: str):
     """E x0. (R(x0) & E x1. (R(x1) & ... E(x{depth-1}, last))), hand-built."""
     f = Atom("E", (f"x{depth - 1}", last))
@@ -270,9 +319,7 @@ def test_walks_return_on_quantifiers_nested_as_deep_as_the_parser_reads():
 
 def test_folds_do_not_recurse_at_binders():
     """Nesting deeper than the recursion limit: a fold carries the binder
-    environment on its own stack.  (substitute and fo_to_foneq compute the
-    free variables of every quantifier's body, quadratic in the depth; the
-    test above covers them.)"""
+    environment on its own stack."""
     f, s = nested_quantifiers(1200, "y"), nested_quantifiers(1200, "x1199")
     assert formulas.free_vars(f) == {"y"}
     assert formulas.metrics(f) == formulas.FormulaMetrics(3601, 1200, 0)
@@ -286,3 +333,31 @@ def test_folds_do_not_recurse_at_binders():
     assert innermost(formulas.psi_n(s, 1)) == Atom("E", ("u1", "u1"))
     assert compile_formula(f).free == ("y",)
     assert len(formulas.find_subformula_paths(f, lambda g: isinstance(g, Atom))) == 1201
+
+
+def test_substitution_and_translation_read_free_variables_off_the_nodes():
+    """On E x1. ... E x1200. R(x1200[, y]), substitute and fo_to_foneq take
+    about as long as negate, which rebuilds every node once.  When they
+    recomputed each quantifier's free variables (quadratic in the depth) they
+    took about 1 s each (Python 3.11, a 2-core Xeon), over 200 times as long as
+    negate."""
+    def chain(*last):
+        f = Atom("R", ("x1200", *last))
+        for i in reversed(range(1, 1201)):
+            f = Exists(f"x{i}", f)
+        return f
+
+    def seconds(fn, *args):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn(*args)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    open_chain, sentence = chain("y"), chain()
+    linear = seconds(formulas.negate, open_chain)
+    assert innermost(formulas.substitute(open_chain, {"y": "z"})) == Atom("R", ("x1200", "z"))
+    assert seconds(formulas.substitute, open_chain, {"y": "z"}) < 10 * linear
+    assert formulas.fo_to_foneq(sentence).distinct
+    assert seconds(formulas.fo_to_foneq, sentence) < 10 * linear

@@ -122,6 +122,30 @@ def test_homomorphism_search_respects_the_guard():
         check_preservation(f, S3, "homomorphisms", 3, (2,), guard=8)
 
 
+def test_homomorphism_search_values_each_interpretation_once(monkeypatch):
+    """Each enumerated interpretation is valued once, not once per pair."""
+    import semlog.preservation as preservation
+
+    counts = {"enumerated": 0, "valued": 0}
+    enumerate_, run = preservation.enumerate_interpretations, preservation.run_plan
+
+    def enumerating(*args):
+        for interp in enumerate_(*args):
+            counts["enumerated"] += 1
+            yield interp
+
+    def valuing(plan, interp):
+        counts["valued"] += 1
+        return run(plan, interp)
+
+    monkeypatch.setattr(preservation, "enumerate_interpretations", enumerating)
+    monkeypatch.setattr(preservation, "run_plan", valuing)
+    verdict = check_preservation(parse("E x. R(x)"), VITERBI, "homomorphisms", 2)
+    assert (verdict.result, verdict.witness) == ("holds_on_search_space", None)
+    # valuing each source once per target took 1,848 run_plan calls
+    assert counts == {"enumerated": 126, "valued": 126}
+
+
 # -- triviality --------------------------------------------------------------
 
 
