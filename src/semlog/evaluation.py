@@ -17,10 +17,11 @@ distinct assignments and no entry could be hit.  Leaves are never memoized.
 Leaves check universe membership only for constants and, in atoms, the
 root's elements; bound elements come from the universe.
 
-Compiling is a fold of `formulas` and does not recurse.  A run recurses
-per quantifier and per chain but not on a chain's width: it walks the left
-spine of a chain (what `make_or` and the parser build) in a loop that checks
-the memos on the way down and fills them on the way up, as recursion would.
+Compiling is a fold of `formulas` and a run is one loop over a stack of
+frames, so neither recurses, however deep or wide the formula.  A quantifier
+frame holds its running value and its place in its domain, a connective
+frame its left value; a node's memo is checked when it is reached and filled
+when its frame is done, in the order a recursive walk would.
 
 This is the one valuation in semlog: game trees and strategies take their
 quantifier ranges (`quantifier_range`) and read their leaves (`_leaf_reader`,
@@ -206,57 +207,65 @@ def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):
     add, mul, zero, one = sr.add, sr.mul, sr.zero, sr.one
     get, default = interp.table.get, interp.default
     memos = [{} for _ in range(plan.memos)]
-
-    def visit(node):
+    # The nodes being valued, root first, with their memo keys: a quantifier
+    # frame is [node, key, running value, iterator over its domain], a
+    # connective frame [node, key, left value (_MISS until known)].
+    frames = []
+    node = plan.root
+    while True:
         op = node[0]
         if op < _CONST:
             if bad and not bad.isdisjoint(node[4]):
                 out = next(i for i in node[4] if i in bad)
                 raise PreconditionError(f"element {slots[out]} not in universe")
             if op == _ATOM1:
-                return get((node[1], (slots[node[2]],)), default)[node[3]]
-            if op == _ATOM:
-                return get((node[1], node[2](slots)), default)[node[3]]
-            return one if (slots[node[1]] == slots[node[2]]) == node[3] else zero
-        if op == _CONST:
-            return one if node[1] else zero
-        if op >= _EXISTS:
-            memo = node[1]
-            if memo >= 0:
-                key = node[2](slots)
-                hit = memos[memo].get(key, _MISS)
-                if hit is not _MISS:
-                    return hit
-            level, body, excluded = node[3], node[4], node[5]
-            domain = universe if excluded is None else quantifier_range(
-                node[6], universe, [slots[i] for i in excluded])
-            fold, val = (add, zero) if op == _EXISTS else (mul, one)
-            for b in domain:
-                slots[level] = b
-                val = fold(val, visit(body))
-            if memo >= 0:
-                memos[memo][key] = val
-            return val
-        spine = []  # the op nodes down the left spine and their memo keys
-        while True:
-            memo, key = node[1], None
-            if memo >= 0:
-                key = node[2](slots)
-                val = memos[memo].get(key, _MISS)
-                if val is not _MISS:
-                    break
-            spine.append((node, key))
-            node = node[3]
-            if node[0] != op:
-                val = visit(node)
-                break
-        for node, key in reversed(spine):
-            val = (add if op == _OR else mul)(val, visit(node[4]))
+                val = get((node[1], (slots[node[2]],)), default)[node[3]]
+            elif op == _ATOM:
+                val = get((node[1], node[2](slots)), default)[node[3]]
+            else:
+                val = one if (slots[node[1]] == slots[node[2]]) == node[3] else zero
+        elif op == _CONST:
+            val = one if node[1] else zero
+        else:
+            key, val = None, _MISS
             if node[1] >= 0:
-                memos[node[1]][key] = val
-        return val
-
-    return visit(plan.root)
+                key = node[2](slots)
+                val = memos[node[1]].get(key, _MISS)
+            if val is _MISS:
+                if op < _EXISTS:
+                    frames.append([node, key, _MISS])
+                    node = node[3]
+                    continue
+                excluded = node[5]
+                domain = universe if excluded is None else quantifier_range(
+                    node[6], universe, [slots[i] for i in excluded])
+                frames.append([node, key, zero if op == _EXISTS else one, iter(domain)])
+        # Hand val (_MISS: none yet, for a new quantifier frame) up the
+        # frames until one of them has a node left to value.
+        while frames:
+            frame = frames[-1]
+            node = frame[0]
+            op = node[0]
+            if op >= _EXISTS:
+                if val is not _MISS:
+                    frame[2] = (add if op == _EXISTS else mul)(frame[2], val)
+                b = next(frame[3], _MISS)
+                if b is not _MISS:
+                    slots[node[3]] = b
+                    node = node[4]
+                    break
+                val = frame[2]
+            elif frame[2] is _MISS:
+                frame[2] = val
+                node = node[4]
+                break
+            else:
+                val = (add if op == _OR else mul)(frame[2], val)
+            frames.pop()
+            if node[1] >= 0:
+                memos[node[1]][frame[1]] = val
+        else:
+            return val
 
 
 def evaluate(interp: Interpretation, f: Formula, env: Optional[dict] = None):

@@ -9,12 +9,19 @@ Grammar::
 
 `&` binds tighter than `|`; quantifiers extend maximally to the right.
 Negation may appear on any subformula and is compiled away to NNF.
+
+`parse` reads the tokens in one operator-precedence loop (Dijkstra's
+shunting-yard) with an operand stack and an operator stack of its own, so
+neither nested quantifiers nor nested parentheses cost recursion.  `~` and
+the quantifiers are prefix operators: `~` binds tightest, and a quantifier
+binds loosest, so only a `)` or the end of input closes its scope.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import SemlogError
 from .formulas import (
@@ -81,136 +88,109 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _at(tokens, pos):
+    """tokens[pos]; past the end, the error "unexpected end of input" at the
+    last token."""
+    if pos < len(tokens):
+        return tokens[pos]
+    last = tokens[-1] if tokens else _Token("", "", 1, 1)
+    raise ParseError("unexpected end of input", last.line, last.column)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                raise ParseError("unexpected end of input", last.line, last.column)
-            raise ParseError("unexpected end of input", 1, 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def at_quantifier(self):
-        tok = self.peek()
-        if tok is None or tok.kind != "name" or tok.text not in ("E", "A"):
-            return False
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        # "E" / "A" start a quantifier when followed by "!"+var or a var
-        if nxt is None:
-            return False
-        if nxt.text == "!":
-            return True
-        return nxt.kind == "name" and nxt.text not in ("E", "A")
-
-    def parse_formula(self) -> Formula:
-        if self.at_quantifier():
-            return self.parse_quantified()
-        return self.parse_or()
-
-    def parse_quantified(self) -> Formula:
-        tok = self.next()
-        distinct = False
-        if self.peek() is not None and self.peek().text == "!":
-            self.next()
-            distinct = True
-        var_tok = self.next()
-        if var_tok.kind != "name":
-            raise ParseError("expected a variable", var_tok.line, var_tok.column)
-        self.expect(".")
-        body = self.parse_formula()
-        cls = Exists if tok.text == "E" else Forall
-        return cls(var_tok.text, body, distinct)
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek() is not None and self.peek().text == "|":
-            self.next()
-            if self.at_quantifier():
-                return Or(left, self.parse_quantified())
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek() is not None and self.peek().text == "&":
-            self.next()
-            if self.at_quantifier():
-                return And(left, self.parse_quantified())
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            self.next()  # raises with the last token's position
-        if tok.text == "~":
-            self.next()
-            return negate(self.parse_unary())
-        if tok.text == "(":
-            self.next()
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        if self.at_quantifier():
-            return self.parse_quantified()
-        if tok.kind == "name":
-            self.next()
-            if tok.text == "true":
-                return TRUE
-            if tok.text == "false":
-                return FALSE
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "(":
-                return self.parse_atom_args(tok)
-            if nxt is not None and nxt.text in ("=", "!="):
-                op = self.next()
-                rhs = self.next()
-                if rhs.kind != "name":
-                    raise ParseError("expected a variable", rhs.line, rhs.column)
-                return Eq(tok.text, rhs.text, positive=(op.text == "="))
-            raise ParseError(
-                f"bare variable {tok.text!r} is not a formula", tok.line, tok.column
-            )
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
-
-    def parse_atom_args(self, name_tok) -> Formula:
-        self.expect("(")
-        args = []
-        while True:
-            arg = self.next()
+def _leaf(tokens, pos):
+    """The constant, atom or equality whose first token, a name, is
+    tokens[pos], and the position after it."""
+    tok = tokens[pos]
+    if tok.text in ("true", "false"):
+        return (TRUE if tok.text == "true" else FALSE), pos + 1
+    nxt = tokens[pos + 1].text if pos + 1 < len(tokens) else None
+    if nxt == "(":
+        args, pos = [], pos + 1
+        while True:  # pos is at the "(" or "," before the next argument
+            arg = _at(tokens, pos + 1)
             if arg.kind != "name":
                 raise ParseError("expected a variable", arg.line, arg.column)
             args.append(arg.text)
-            tok = self.next()
-            if tok.text == ")":
-                break
-            if tok.text != ",":
-                raise ParseError(f"expected ',' or ')', found {tok.text!r}", tok.line, tok.column)
-        return Atom(name_tok.text, tuple(args))
+            sep = _at(tokens, pos + 2)
+            pos += 2
+            if sep.text == ")":
+                return Atom(tok.text, tuple(args)), pos + 1
+            if sep.text != ",":
+                raise ParseError(f"expected ',' or ')', found {sep.text!r}", sep.line, sep.column)
+    if nxt in ("=", "!="):
+        rhs = _at(tokens, pos + 2)
+        if rhs.kind != "name":
+            raise ParseError("expected a variable", rhs.line, rhs.column)
+        return Eq(tok.text, rhs.text, positive=(nxt == "=")), pos + 3
+    raise ParseError(f"bare variable {tok.text!r} is not a formula", tok.line, tok.column)
+
+
+def _starts_quantifier(tokens, pos) -> bool:
+    """Whether tokens[pos] is "E" or "A" followed by "!" or by a variable."""
+    if pos + 1 >= len(tokens) or tokens[pos].text not in ("E", "A"):
+        return False
+    nxt = tokens[pos + 1]
+    return nxt.text == "!" or (nxt.kind == "name" and nxt.text not in ("E", "A"))
+
+
+# Operators waiting on the operator stack, as (precedence, operand count,
+# build).  An arriving "&" or "|" first applies the operators above it that
+# bind at least as tightly; ")" and the end of input apply every one down to
+# the matching "(".  A quantifier (precedence 0) binds loosest, so its scope
+# extends as far right as it can, and "~" binds tightest.
+_OPEN, _OR, _AND, _NOT = (-1, 0, None), (1, 2, Or), (2, 2, And), (3, 1, negate)
+_BINARY = {"|": _OR, "&": _AND}
 
 
 def parse(text: str, vocabulary=None) -> Formula:
     """Parse a formula; with a vocabulary, check relation arities."""
-    parser = _Parser(text)
-    f = parser.parse_formula()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    tokens = _tokenize(text)
+    operands, operators = [], []
+    pos, want_operand = 0, True
+    while True:
+        if want_operand:
+            tok = _at(tokens, pos)
+            if tok.text == "~" or tok.text == "(":
+                operators.append(_NOT if tok.text == "~" else _OPEN)
+                pos += 1
+            elif _starts_quantifier(tokens, pos):
+                distinct = tokens[pos + 1].text == "!"
+                var = _at(tokens, pos + 1 + distinct)
+                if var.kind != "name":
+                    raise ParseError("expected a variable", var.line, var.column)
+                dot = _at(tokens, pos + 2 + distinct)
+                if dot.text != ".":
+                    raise ParseError(f"expected '.', found {dot.text!r}", dot.line, dot.column)
+                build = partial(Exists if tok.text == "E" else Forall, var.text, distinct=distinct)
+                operators.append((0, 1, build))
+                pos += 3 + distinct
+            elif tok.kind == "name":
+                leaf, pos = _leaf(tokens, pos)
+                operands.append(leaf)
+                want_operand = False
+            else:
+                raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+            continue
+        tok = tokens[pos] if pos < len(tokens) else None
+        binary = _BINARY.get(tok.text) if tok is not None else None
+        level = binary[0] if binary else 0
+        while operators and operators[-1][0] >= level:
+            _, count, build = operators.pop()
+            operands[-count:] = [build(*operands[-count:])]
+        if binary:
+            operators.append(binary)
+            want_operand = True
+        elif operators:  # a "(" is open
+            tok = _at(tokens, pos)
+            if tok.text != ")":
+                raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
+            operators.pop()
+        elif tok is not None:
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        else:
+            break
+        pos += 1
+    f = operands[0]
     if vocabulary is not None:
         vocabulary.check_formula(f)
     return f

@@ -197,12 +197,18 @@ def check_preservation(
         return PreservationVerdict(prop, "holds_on_search_space", None, space)
     if prop != "homomorphisms":
         raise PreconditionError(f"unknown property {prop!r}")
+    valued = {}  # size -> [(interp, value)], filled when the size is first needed
+
+    def of_size(size):
+        if size not in valued:
+            interps = enumerate_interpretations(semiring, vocab, size, value_set, guard)
+            valued[size] = [(p, run_plan(plan, p)) for p in interps]
+        return valued[size]
+
     for a_size in range(1, max_size + 1):
-        pas = [(pa, run_plan(plan, pa))
-               for pa in enumerate_interpretations(semiring, vocab, a_size, value_set, guard)]
+        pas = of_size(a_size)
         for b_size in range(1, max_size + 1):
-            for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
-                vb = run_plan(plan, pb)
+            for pb, vb in of_size(b_size):
                 for pa, va in pas:
                     if semiring.leq(va, vb):
                         continue

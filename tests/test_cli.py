@@ -262,9 +262,16 @@ def test_rewrite_over_a_disjunction_wider_than_the_recursion_limit(mode):
 
 
 def test_quantifiers_nested_as_deep_as_the_parser_reads(interp_file):
-    formula = "".join(f"E x{i}. " for i in range(400)) + "R(x0) & R(x399)"
-    assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
-                   "--formula", formula) == (0, "1/4\n", "")
+    """Nesting far deeper than the recursion limit: parsing and valuation
+    keep their own stacks."""
+    def quantifiers(depth):
+        return "".join(f"E x{i}. " for i in range(depth)) + f"R(x0) & R(x{depth - 1})"
+
+    disjunction = "E x. " + "(R(x) | " * 2999 + "R(x)" + ")" * 2999
+    for formula, value in ((quantifiers(400), "1/4"), (quantifiers(5000), "1/4"),
+                           (disjunction, "1/2")):
+        assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                       "--formula", formula) == (0, value + "\n", "")
 
 
 def test_deeply_nested_input_exits_2_without_traceback(monkeypatch, interp_file):

@@ -29,7 +29,7 @@ from semlog.formulas import (
     make_or,
 )
 from semlog.interpretations import Interpretation, Vocabulary
-from semlog.parser import render
+from semlog.parser import parse, render
 from semlog.preservation import is_trivial_at
 from semlog.semirings import BOOLEAN, S3, VITERBI
 
@@ -321,6 +321,10 @@ def test_folds_do_not_recurse_at_binders():
     """Nesting deeper than the recursion limit: a fold carries the binder
     environment on its own stack."""
     f, s = nested_quantifiers(1200, "y"), nested_quantifiers(1200, "x1199")
+    atoms = {("R", (1,)): Fraction(1, 2), ("E", (1, 1)): Fraction(1, 3)}
+    interp = Interpretation.from_atoms(VITERBI, (1,), VOCAB, atoms)
+    assert evaluate(interp, f, {"y": 1}) == Fraction(1, 2) ** 1200 / 3
+    assert parse(render(f)) == f
     assert formulas.free_vars(f) == {"y"}
     assert formulas.metrics(f) == formulas.FormulaMetrics(3601, 1200, 0)
     assert repr(f).startswith("E x0. (R(x0) & E x1. (R(x1) & E x2.")

@@ -155,6 +155,12 @@ def test_plan_with_free_variables_and_constants():
 
 def test_wide_disjunction_under_a_quantifier():
     interp = Interpretation.from_atoms(VITERBI, (1, 2), VOCAB, {("R", (2,)): Fraction(1, 3)})
-    for width in (450, 5000):
-        f = Exists("x", make_or([Atom("R", ("x",))] * width))
+    deep_quantifiers = Atom("R", ("x4999",))
+    for i in reversed(range(5000)):
+        deep_quantifiers = Exists(f"x{i}", deep_quantifiers)
+    deep_or = Atom("R", ("x",))
+    for _ in range(2999):
+        deep_or = Or(Atom("R", ("x",)), deep_or)
+    inputs = [Exists("x", make_or([Atom("R", ("x",))] * width)) for width in (450, 5000)]
+    for f in inputs + [deep_quantifiers, Exists("x", deep_or)]:
         assert evaluate(interp, f) == Fraction(1, 3)
