@@ -139,20 +139,28 @@ def compile_formula(f: Formula) -> Plan:
     constants = []  # constant j (1-based) lives in slot -j
     checked = set()
     memos = 0
+    # The levels of the names in scope, and per binder in scope the level it
+    # shadows.  _fold finishes a subtree before it starts the next, so a
+    # binder sets its entry in kids and restores it in step (None: unbound).
+    scope = dict(zip(f.free, range(k)))
+    shadowed = []
 
-    def kids(node):  # node: (g, the levels of its variables, its quantifier depth)
-        g, scope, depth = node
+    def kids(g):
         kind = type(g)
         if kind is And or kind is Or:
-            return (g.left, scope, depth), (g.right, scope, depth)
+            return g.left, g.right
         if kind is Exists or kind is Forall:
-            return ((g.body, {**scope, g.var: k + depth}, depth + 1),)
+            shadowed.append(scope.get(g.var))
+            scope[g.var] = k + len(shadowed) - 1
+            return (g.body,)
         return ()
 
-    def step(node, *below):
+    def step(g, *below):
         nonlocal width, memos
-        g, scope, depth = node
         kind = type(g)
+        if kind is Exists or kind is Forall:
+            scope[g.var] = shadowed.pop()
+        depth = len(shadowed)
         if kind in _INNER:
             levels = tuple(sorted([scope[v] for v in g.free]))
             head = (_INNER[kind], -1, None)
@@ -188,7 +196,7 @@ def compile_formula(f: Formula) -> Plan:
             return (_ATOM1, g.rel, slots[0], side, check)
         return (_ATOM, g.rel, itemgetter(*slots) if slots else _no_args, side, check)
 
-    root = _fold((f, {v: i for i, v in enumerate(f.free)}, 0), step, kids)
+    root = _fold(f, step, kids)
     blank = (None,) * width + tuple(reversed(constants))
     return Plan(root, f.free, blank, frozenset(checked), memos)
 

@@ -6,11 +6,18 @@ plus an assignment of its free variables), and the label fixes the subtree
 under it.  `build_game_tree` therefore keeps one `GameNode` per label: the
 tree is a DAG in which equal labels share one node, and `GameTree.order`
 lists every node once, children before parents.  A bottom-up walk over the
-tree (strategy counting, the optimal DP) is one loop over that list, so it
-visits each shared node once; a top-down walk (strategy enumeration and
-extraction) keeps its own stack.  `GameTree.node_count` and the build guard
-count the unshared tree.  No walk here recurses, over game trees or over
-strategies, so neither the width nor the depth of a formula costs stack.
+tree is one loop over that list, so it visits each shared node once; a
+top-down walk (strategy enumeration and extraction) keeps its own stack.
+`GameTree.node_count` and the build guard count the unshared tree.  No walk
+here recurses, over game trees or over strategies, so neither the width nor
+the depth of a formula costs stack.  Side tables are keyed on the `GameNode`
+or `Strategy` itself (both hash by identity).
+
+Optimal strategies come from one bottom-up pass that gives every node its
+value and its ties, the number of strategies under it that take a maximal
+child at every choice node (0: the node bears no strategy).  Extraction and
+`stream_optimal` follow the maximal children; with forall nodes barred, the
+same pass decides whether some optimal strategy is existential.
 
 A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
@@ -184,91 +191,83 @@ def _rebuild(s: Strategy, step) -> Strategy:
     return _fold(s, step, lambda node: node.children)
 
 
-def _strategy_counts(tree: GameTree, choices: Optional[Dict[int, List[int]]] = None
-                     ) -> Dict[int, int]:
-    """The number of strategies under every node, keyed by id: a strategy
-    takes, at every or/exists node, a child whose index choices[id(node)]
-    lists (any child without choices).  A leaf is the empty product."""
-    counts: Dict[int, int] = {}
+def _strategy_counts(tree: GameTree) -> Dict[GameNode, int]:
+    """The number of strategies under every node.  A leaf is the empty
+    product."""
+    counts: Dict[GameNode, int] = {}
     for node in tree.order:
-        kids = node.children
         if node.kind == "or" or node.kind == "exists":
-            if choices is not None:
-                kids = [kids[i] for i in choices[id(node)]]
-            counts[id(node)] = sum([counts[id(c)] for c in kids])
+            counts[node] = sum([counts[c] for c in node.children])
         else:
             got = 1
-            for c in kids:
-                got *= counts[id(c)]
-            counts[id(node)] = got
+            for c in node.children:
+                got *= counts[c]
+            counts[node] = got
     return counts
 
 
 def count_strategies(tree: GameTree) -> int:
-    return _strategy_counts(tree)[id(tree.root)]
+    return _strategy_counts(tree)[tree.root]
 
 
 def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterator[Strategy]:
     counts = _strategy_counts(tree)
-    total = counts[id(tree.root)]
+    total = counts[tree.root]
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    yield from _strategies(tree.root, None, counts, guard)
+    yield from _strategies(tree.root, lambda node: range(len(node.children)),
+                           counts.__getitem__, guard)
 
 
-def _strategies(root: GameNode, choices, counts, guard: int) -> Iterator[Strategy]:
+def _strategies(root: GameNode, picks, count, guard: int) -> Iterator[Strategy]:
     """The strategies under root that take, at every or/exists node, a child
-    whose index choices[id(node)] lists (any child without choices), in
-    enumeration order; counts[id(node)] is their number under node.  A stack
-    follows the chains of choices down to leaves and and/forall nodes.  The
-    strategies under a child of an and/forall node are listed once per shared
-    node (its pool, folded from the pools below it) and shared above it,
-    unless they exceed guard (`GuardExceeded`; the pools below stay within
-    it) or the and/forall has none."""
-    pools: Dict[int, List[Strategy]] = {}
+    whose index picks(node) lists, in enumeration order; count(node) is their
+    number under node.  A stack follows the chains of picks down to leaves
+    and and/forall nodes.  The strategies under a child of an and/forall node
+    are listed once per shared node (its pool, folded from the pools below
+    it) and shared above it, unless they exceed guard (`GuardExceeded`; the
+    pools below stay within it) or the and/forall has none."""
+    pools: Dict[GameNode, List[Strategy]] = {}
 
-    def picks(node):
-        return range(len(node.children)) if choices is None else choices[id(node)]
-
-    def made(node, below):  # from the strategies of node's picked (or all) children
+    def made(node, below):  # from the strategies of node's picked children
         if node.kind == "leaf":
             return [Strategy(node.formula, node.env, None, ())]
         if node.kind == "or" or node.kind == "exists":
             return [Strategy(node.formula, node.env, node.tags[i], (sub,))
                     for i, subs in zip(picks(node), below) for sub in subs]
-        if not counts[id(node)]:
+        if not count(node):
             return ()
         return (Strategy(node.formula, node.env, node.tags, ps)
                 for ps in itertools.product(*below))
 
     def kids(node):
-        if id(node) in pools:
+        if node in pools:
             return ()
         if node.kind == "or" or node.kind == "exists":
             return [node.children[i] for i in picks(node)]
-        return node.children if counts[id(node)] else ()
+        return node.children if count(node) else ()
 
     def step(node, *below):
-        got = pools.get(id(node))
+        got = pools.get(node)
         if got is None:
-            got = pools[id(node)] = list(made(node, below))
+            got = pools[node] = list(made(node, below))
         return got
 
     def pool(node: GameNode) -> List[Strategy]:
-        if id(node) not in pools:
-            if counts[id(node)] > guard:
+        if node not in pools:
+            if count(node) > guard:
                 raise GuardExceeded(
-                    f"{counts[id(node)]} strategies under one node exceed the guard {guard}")
+                    f"{count(node)} strategies under one node exceed the guard {guard}")
             _fold(node, step, kids)
-        return pools[id(node)]
+        return pools[node]
 
     stack = [(root, None)]  # (node, chain): chain links (outer chain, choice node, index)
     while stack:
         node, chain = stack.pop()
         if node.kind == "or" or node.kind == "exists":
             stack += [(node.children[i], (chain, node, i)) for i in reversed(picks(node))]
-        elif counts[id(node)]:
+        elif count(node):
             for s in made(node, [pool(c) for c in node.children]):
                 link = chain
                 while link is not None:
@@ -311,7 +310,7 @@ def eval_strategy(interp: Interpretation, s: Strategy):
     """Product of the leaf values; a leaf shared among branches is read once."""
     sr = interp.semiring
     read = _leaf_reader(interp)
-    values: Dict[int, object] = {}
+    values: Dict[Strategy, object] = {}
     out = sr.one
     for leaf in Strategy.leaves_of(s):
         g = leaf.formula
@@ -322,9 +321,9 @@ def eval_strategy(interp: Interpretation, s: Strategy):
             # childless choice nodes only arise from empty exists ranges: empty sum
             out = sr.mul(out, sr.zero)
             continue
-        if id(leaf) not in values:
-            values[id(leaf)] = read(g, leaf.env)
-        out = sr.mul(out, values[id(leaf)])
+        if leaf not in values:
+            values[leaf] = read(g, leaf.env)
+        out = sr.mul(out, values[leaf])
     return out
 
 
@@ -401,79 +400,67 @@ def sum_of_strategies_check(
 
 
 # ---------------------------------------------------------------------------
-# Optimal strategies (argmax dynamic program)
+# Optimal strategies: one (value, ties) pass
 # ---------------------------------------------------------------------------
 
 
 def _require_maxplus(sr: Semiring):
     if not (sr.additively_idempotent and sr.linearly_ordered):
-        raise PreconditionError(
-            f"{sr.id} is not linearly ordered with idempotent addition"
-        )
+        raise PreconditionError(f"{sr.id} is not linearly ordered with idempotent addition")
 
 
-class _OptimalDP:
-    """Argmax dynamic program, one loop over the tree's nodes.  `value` is the
-    evaluation of each subtree: a choice node takes the maximum over its
-    strategy-bearing children, or zero without one (every strategy-less
-    subtree, such as an empty exists range, evaluates to zero); `argmax`
-    lists the children that reach it.  The maps are keyed by node id.
+def _optimal_table(interp: Interpretation, tree: GameTree, existential: bool = False
+                   ) -> Dict[GameNode, Tuple[object, int]]:
+    """(value, ties) of every node, one loop over the tree's nodes.  A choice
+    node takes the maximum over its strategy-bearing children, or zero
+    without one: every strategy-less subtree, such as an empty exists range,
+    evaluates to zero.  With `existential` set, forall nodes bear no strategy
+    and what lies only below them is not read."""
+    sr = interp.semiring
+    read = _leaf_reader(interp)
+    order = tree.order
+    if existential:
+        live = {tree.root}
+        for node in reversed(order):
+            if node.kind != "forall" and node in live:
+                live.update(node.children)
+        order = [node for node in order if node in live]
+    table: Dict[GameNode, Tuple[object, int]] = {}
+    for node in order:
+        kind = node.kind
+        if kind == "leaf":
+            table[node] = read(node.formula, node.env), 1
+        elif kind == "forall" and existential:
+            table[node] = sr.zero, 0
+        elif kind == "and" or kind == "forall":
+            val, ties = sr.one, 1
+            for c in node.children:
+                v, t = table[c]
+                val, ties = sr.mul(val, v), ties * t
+            table[node] = val, ties
+        else:
+            best, ties = sr.zero, 0
+            for c in node.children:
+                v, t = table[c]
+                if t and (not ties or sr.lt(best, v)):
+                    best, ties = v, t
+                elif t and v == best:
+                    ties += t
+            table[node] = best, ties
+    return table
 
-    With `existential` set, forall nodes bear no strategy and what lies only
-    below them is not valued: the root then bears a strategy iff some
-    strategy avoids forall nodes, and its value is the best value among those
-    strategies."""
 
-    def __init__(self, interp: Interpretation, tree: GameTree, existential: bool = False):
-        self.tree = tree
-        self.value: Dict[int, object] = {}
-        self.has_strategy: Dict[int, bool] = {}
-        self.argmax: Dict[int, List[int]] = {}
-        value, has_strategy, argmax = self.value, self.has_strategy, self.argmax
-        sr = interp.semiring
-        read = _leaf_reader(interp)
-        order = tree.order
-        if existential:
-            live = {id(tree.root)}
-            for node in reversed(order):
-                if node.kind != "forall" and id(node) in live:
-                    live.update([id(c) for c in node.children])
-            order = [node for node in order if id(node) in live]
-        for node in order:
-            kind = node.kind
-            if kind == "leaf":
-                val, has = read(node.formula, node.env), True
-            elif kind == "forall" and existential:
-                val, has = sr.zero, False
-            elif kind == "and" or kind == "forall":
-                val, has = sr.one, True
-                for c in node.children:
-                    val = sr.mul(val, value[id(c)])
-                    has = has and has_strategy[id(c)]
-            else:
-                best = None
-                for c in node.children:
-                    if has_strategy[id(c)]:
-                        v = value[id(c)]
-                        if best is None or sr.lt(best, v):
-                            best = v
-                has = best is not None
-                val = best if has else sr.zero
-                argmax[id(node)] = [
-                    i
-                    for i, c in enumerate(node.children)
-                    if has_strategy[id(c)] and value[id(c)] == val
-                ]
-            value[id(node)] = val
-            has_strategy[id(node)] = has
+def _maximal(table, node: GameNode) -> List[int]:
+    """The indices of node's strategy-bearing children that reach its value."""
+    val = table[node][0]
+    return [i for i, c in enumerate(node.children) if table[c][1] and table[c][0] == val]
 
-    def extract(self) -> Strategy:
-        """The strategy that takes the first maximal child at every choice
-        node."""
-        root, argmax = self.tree.root, self.argmax
-        if not self.has_strategy[id(root)]:
-            raise PreconditionError("no strategy exists over this universe")
-        return strategy_from_choices(root, lambda node: argmax[id(node)][0])
+
+def _first_optimal(tree: GameTree, table) -> Strategy:
+    """The strategy that takes the first maximal child at every choice node."""
+    if not table[tree.root][1]:
+        raise PreconditionError("no strategy exists over this universe")
+    return strategy_from_choices(tree.root, lambda node: _maximal(table, node)[0])
 
 
 @dataclass
@@ -481,7 +468,7 @@ class OptimalResult:
     value: object
     strategy: Strategy
     all_optimal_count: int
-    dp: _OptimalDP = field(repr=False)
+    dp: Tuple[GameTree, Dict[GameNode, Tuple[object, int]]] = field(repr=False)
 
     def stream_optimal(self) -> Iterator[Strategy]:
         """All strategies assembled from locally maximal choices.  With an
@@ -489,18 +476,20 @@ class OptimalResult:
         this family; the class-membership checks below do their own search.
         The strategies under each child of an and/forall node are listed, so
         more than `STRATEGY_GUARD` of them raise `GuardExceeded`."""
-        tree, argmax = self.dp.tree, self.dp.argmax
-        return _strategies(tree.root, argmax, _strategy_counts(tree, argmax), STRATEGY_GUARD)
+        tree, table = self.dp
+        return _strategies(tree.root, lambda node: _maximal(table, node),
+                           lambda node: table[node][1], STRATEGY_GUARD)
 
 
 def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
-    """Optimal value and one optimal strategy by argmax dynamic programming;
-    requires a linearly ordered, additively idempotent semiring."""
+    """Optimal value, one optimal strategy and the number of tied ones, from
+    one (value, ties) pass; requires a linearly ordered, additively
+    idempotent semiring."""
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
-    dp = _OptimalDP(interp, tree)
-    ties = _strategy_counts(tree, dp.argmax)[id(tree.root)]
-    return OptimalResult(dp.value[id(tree.root)], dp.extract(), ties, dp)
+    table = _optimal_table(interp, tree)
+    value, ties = table[tree.root]
+    return OptimalResult(value, _first_optimal(tree, table), ties, (tree, table))
 
 
 # ---------------------------------------------------------------------------

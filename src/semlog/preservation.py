@@ -54,8 +54,9 @@ from .formulas import (
 )
 from .games import (
     Strategy,
-    _OptimalDP,
+    _first_optimal,
     _map_strategy,
+    _optimal_table,
     build_game_tree,
     classify,
     enumerate_strategies,
@@ -299,17 +300,17 @@ def has_existential_optimal(
     interp: Interpretation, formula: Formula
 ) -> Tuple[bool, Optional[Strategy]]:
     """Whether some optimal strategy avoids universal nodes entirely.  Decided
-    exactly by the argmax dynamic program restricted to forall-free
-    strategies (the argmax tie family of `optimal` can miss optimal
-    strategies when an absorbing zero is involved); the strategy returned
-    takes the first maximal child at every choice node."""
+    exactly by the (value, ties) pass of `optimal` with forall nodes barred
+    (the tie family of `optimal` can miss optimal strategies when an
+    absorbing zero is involved); the strategy returned takes the first
+    maximal child at every choice node."""
     tree = build_game_tree(formula, interp.universe)
     target = evaluate(interp, formula)
-    dp = _OptimalDP(interp, tree, existential=True)
-    root = id(tree.root)
-    if not dp.has_strategy[root] or dp.value[root] != target:
+    table = _optimal_table(interp, tree, existential=True)
+    value, ties = table[tree.root]
+    if not ties or value != target:
         return False, None
-    return True, dp.extract()
+    return True, _first_optimal(tree, table)
 
 
 def has_almost_existential_optimal(

@@ -76,6 +76,13 @@ def cases(draw):
     return f, Interpretation(sr, universe, VOCAB, table, draw(pair))
 
 
+def halves(n):
+    """The Viterbi interpretation over {1..n} with every R literal 1/2."""
+    half = Fraction(1, 2)
+    table = {("R", (e,)): (half, half) for e in range(1, n + 1)}
+    return Interpretation(VITERBI, tuple(range(1, n + 1)), VOCAB, table, (Fraction(0), Fraction(1)))
+
+
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -146,6 +153,15 @@ def sum_view(module, f, interp):
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
+# A strategy-less child (the empty range of E! y) beside a zero-valued leaf:
+# value 0, one tie, branch 1.
+@example((parse("(E! x. E! y. R(x)) | false"), halves(1)))
+# No strategy at all: optimal raises, and no existential strategy exists.
+@example((parse("E! x. E! y. R(x)"), halves(1)))
+# Two ties on each side of an and-node make 4.
+@example((parse("(E x. R(x)) & (E y. R(y))"), halves(2)))
+# The only existential strategies are worth 0, below the value 1/4.
+@example((parse("(A x. R(x)) | E x. false"), halves(2)))
 def test_shared_trees_agree_with_reference(case):
     f, interp = case
     for view in (tree_view, optimal_view, enumeration_view, sum_view):
