@@ -8,6 +8,10 @@ contain both polarities of one atom is the zero monomial and is never stored.
 Monomials are canonical: each variable occurs once, with a positive exponent
 (repeated variables are merged by summing their exponents).
 
+Both products run through one ranked kernel, ``_product``: variables ranked
+once per call by ``var_sort_key``, monomials multiplied as sorted integer
+tuples, each distinct product decoded once.  A print formats each variable once.
+
 An absorptive polynomial is an antichain of monomials under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
 union-then-prune, multiplication is pairwise product-then-prune.  Pruning
@@ -26,6 +30,8 @@ from .errors import CarrierMismatch, PreconditionError
 from .semirings import Semiring
 
 EXPONENT_CAP = 2**32
+_SHIFT = EXPONENT_CAP.bit_length() + 1  # room for the sum of two capped exponents
+_EXP = (1 << _SHIFT) - 1
 
 VarKey = Any  # str | (rel, args, positive)
 
@@ -105,25 +111,93 @@ class Monomial:
 
     def mul(self, other: "Monomial") -> Optional["Monomial"]:
         """Product, or None when the quotient x_a * x_{~a} = 0 kills it."""
-        merged: Dict[VarKey, int] = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        for v in merged:
-            d = _dual(v)
-            if d is not None and d in merged:
-                return None
-        return Monomial(merged.items())
+        prods = _product(((self, 1),), ((other, 1),), quotient=True)
+        return prods[0][0] if prods else None
 
     def is_unit(self) -> bool:
         return not self.exps
 
     def __repr__(self):
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            parts.append(format_var(v) if e == 1 else f"{format_var(v)}^{e}")
-        return "*".join(parts)
+        return _Printer().monomial(self)
+
+
+class _Printer(dict):
+    """The text of each factor ``(variable, exponent)`` met in one print, each
+    variable formatted once; ``monomial`` prints a monomial from it."""
+
+    def __init__(self):
+        self.names: Dict[VarKey, str] = {}
+
+    def __missing__(self, factor) -> str:
+        v, e = factor
+        name = self.names.get(v)
+        if name is None:
+            name = self.names[v] = format_var(v)
+        text = self[factor] = name if e == 1 else f"{name}^{e}"
+        return text
+
+    def monomial(self, m: Monomial) -> str:
+        return "*".join(map(self.__getitem__, m.exps)) or "1"
+
+
+def _product(left, right, quotient: bool) -> list:
+    """Every pairwise product of two term lists ``(monomial, coefficient)``,
+    coefficients summed per monomial: ``[(monomial, coefficient)]`` in
+    canonical order.  With ``quotient``, products holding a literal and its
+    dual are dropped.
+
+    The union of both sides' variables is ranked once by ``var_sort_key``.
+    Each monomial becomes a tuple of factors ``rank << _SHIFT | exponent``
+    with a support bitmask and, in the quotient, the mask of its variables'
+    duals.  A pair product is the concatenation of the two tuples, or a merge
+    on the shared ranks that checks ``EXPONENT_CAP``, sorted natively.  Ranks
+    keep ``var_sort_key`` order, which is injective on variables, so the
+    tuples sort exactly as ``_mono_sort_key`` sorts the monomials; each
+    distinct product is decoded to a ``Monomial`` once.
+    """
+    names = sorted({v for m, _ in (*left, *right) for v, _ in m.exps}, key=var_sort_key)
+    rank = {v: r for r, v in enumerate(names)}
+    dual_bit = [1 << rank[_dual(v)] if quotient and _dual(v) in rank else 0 for v in names]
+
+    def encode(terms):
+        out = []
+        for m, c in terms:
+            ranked = tuple((rank[v] << _SHIFT) | e for v, e in m.exps)
+            mask = duals = 0
+            for x in ranked:
+                r = x >> _SHIFT
+                mask |= 1 << r
+                duals |= dual_bit[r]
+            if not duals & mask:  # else every product with m holds a dual pair
+                out.append((ranked, mask, duals, c))
+        return out
+
+    acc: Dict[tuple, int] = {}
+    rights = encode(right)
+    for k1, mask1, duals1, c1 in encode(left):
+        for k2, mask2, _, c2 in rights:
+            if duals1 & mask2:
+                continue
+            if mask1 & mask2:
+                merged = {x >> _SHIFT: x for x in k1}
+                for x in k2:
+                    r = x >> _SHIFT
+                    if r in merged:
+                        x = merged[r] + (x & _EXP)
+                        if x & _EXP > EXPONENT_CAP:
+                            raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
+                    merged[r] = x
+                key = tuple(sorted(merged.values()))
+            else:
+                key = tuple(sorted(k1 + k2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    decode = {x: (names[x >> _SHIFT], x & _EXP) for x in set().union(*acc)}
+    out = []
+    for key, c in sorted(acc.items()):
+        m = object.__new__(Monomial)  # no second merge, cap check or sort
+        m.exps = tuple(map(decode.__getitem__, key))
+        out.append((m, c))
+    return out
 
 
 def absorbs(m1: Monomial, m2: Monomial) -> bool:
@@ -172,13 +246,10 @@ class AbsorptivePoly:
         return AbsorptivePoly(self.monomials + other.monomials)
 
     def mul(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        prods = []
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                p = m1.mul(m2)
-                if p is not None:
-                    prods.append(p)
-        return AbsorptivePoly(prods)
+        prods = _product(
+            [(m, 1) for m in self.monomials], [(m, 1) for m in other.monomials], quotient=True
+        )
+        return AbsorptivePoly(m for m, _ in prods)
 
     def leq(self, other: "AbsorptivePoly") -> bool:
         return self.add(other) == other
@@ -195,7 +266,7 @@ class AbsorptivePoly:
     def __repr__(self):
         if not self.monomials:
             return "0"
-        return " + ".join(repr(m) for m in self.monomials)
+        return " + ".join(map(_Printer().monomial, self.monomials))
 
 
 def collapse_exponents(p: AbsorptivePoly) -> AbsorptivePoly:
@@ -291,14 +362,9 @@ class NatPoly:
         return NatPoly(self.terms + other.terms)
 
     def mul(self, other: "NatPoly") -> "NatPoly":
-        out = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                merged: Dict[VarKey, int] = dict(m1.exps)
-                for v, e in m2.exps:
-                    merged[v] = merged.get(v, 0) + e
-                out.append((Monomial(merged.items()), c1 * c2))
-        return NatPoly(out)
+        p = object.__new__(NatPoly)
+        p.terms = tuple(_product(self.terms, other.terms, quotient=False))
+        return p
 
     def leq(self, other: "NatPoly") -> bool:
         """Natural order: coefficient-wise <= (a witness summand exists iff
@@ -318,14 +384,15 @@ class NatPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
+        printer = _Printer()
         parts = []
         for m, c in self.terms:
             if m.is_unit():
                 parts.append(str(c))
             elif c == 1:
-                parts.append(repr(m))
+                parts.append(printer.monomial(m))
             else:
-                parts.append(f"{c}*{m!r}")
+                parts.append(f"{c}*{printer.monomial(m)}")
         return " + ".join(parts)
 
 

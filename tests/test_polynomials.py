@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_polynomials as reference
 from corpus import UNARY_RQ
 from semlog.errors import PreconditionError
 from semlog.evaluation import evaluate
@@ -160,11 +161,18 @@ def test_exponent_cap():
         Monomial((("x", 2 ** 33),))
 
 
+# String variables and literal keys of both polarities, so that dual pairs meet.
+_VARS = ["u", "v", "w"] + [
+    lit_var(rel, (i,), pos) for rel in ("R", "Q") for i in (1, 2) for pos in (True, False)
+]
 _mono = st.lists(
-    st.tuples(st.sampled_from("uvwxy"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.sampled_from(_VARS), st.integers(min_value=1, max_value=4)),
     max_size=3,
 ).map(lambda pairs: Monomial(dict(pairs).items()))
 _spoly = st.lists(_mono, max_size=4).map(AbsorptivePoly)
+_natpoly = st.lists(st.tuples(_mono, st.integers(min_value=1, max_value=4)), max_size=4).map(
+    NatPoly
+)
 
 
 @given(_spoly, _spoly, _spoly)
@@ -174,6 +182,18 @@ def test_absorptive_laws_hypothesis(a, b, c):
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
     assert a.add(a.mul(b)) == a
     assert _is_antichain(a.add(b)) and _is_antichain(a.mul(b))
+
+
+@given(_natpoly, _natpoly, _natpoly)
+@settings(max_examples=300, deadline=None)
+def test_natpoly_laws_hypothesis(a, b, c):
+    assert a.add(b) == b.add(a)
+    assert a.mul(b) == b.mul(a)
+    assert a.add(b).add(c) == a.add(b.add(c))
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
+    assert a.add(NATPOLY.zero) == a and a.mul(NATPOLY.one) == a
+    assert a.mul(NATPOLY.zero) == NATPOLY.zero
 
 
 @given(_spoly, _spoly)
@@ -206,6 +226,14 @@ def test_monomial_rejects_negative_exponent_before_summing():
         Monomial((("x", 1), ("x", -1)))
 
 
+def test_products_check_the_exponent_cap():
+    big = Monomial.var("x", EXPONENT_CAP // 2 + 1)
+    with pytest.raises(PreconditionError, match="cap"):
+        NatPoly(((big, 1),)).mul(NatPoly(((big, 1),)))
+    with pytest.raises(PreconditionError, match="cap"):
+        AbsorptivePoly((big,)).mul(AbsorptivePoly((big,)))
+
+
 def test_exponent_cap_applies_to_summed_exponent():
     half = EXPONENT_CAP // 2
     assert Monomial((("x", half), ("x", half))).exponent("x") == EXPONENT_CAP
@@ -233,11 +261,8 @@ def _prune_by_definition(monomials):
     return out
 
 
-_prune_vars = ["u", "v", "w"] + [
-    lit_var(rel, (i,), pos) for rel in ("R", "Q") for i in (1, 2) for pos in (True, False)
-]
 _prune_mono = st.lists(
-    st.tuples(st.sampled_from(_prune_vars), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.sampled_from(_VARS), st.integers(min_value=1, max_value=3)),
     max_size=4,
 ).map(Monomial)
 _prune_input = st.lists(_prune_mono, min_size=1, max_size=12).flatmap(
@@ -272,3 +297,40 @@ def test_spoly_pi_6_scale():
         concrete = random_interpretation(target, UNARY_RQ, 6, grid, rng)
         assignment = assignment_from_interpretation(concrete)
         assert specialize(p, assignment, target) == evaluate(concrete, f)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception is part of the behaviour compared
+        return "raised", type(exc), str(exc)
+
+
+# Exponents small, or near half the cap, so that a product of two can exceed it.
+_ref_exp = st.integers(min_value=1, max_value=3) | st.integers(
+    min_value=EXPONENT_CAP // 2 - 1, max_value=EXPONENT_CAP // 2 + 1
+)
+_ref_mono = st.lists(st.tuples(st.sampled_from(_VARS), _ref_exp), max_size=4).map(
+    lambda pairs: Monomial(dict(pairs).items())
+)
+_ref_spoly = st.lists(_ref_mono, max_size=5).map(AbsorptivePoly)
+_ref_natpoly = st.lists(
+    st.tuples(_ref_mono, st.integers(min_value=1, max_value=4)), max_size=5
+).map(NatPoly)
+
+
+@given(_ref_mono, _ref_mono, _ref_spoly, _ref_spoly, _ref_natpoly, _ref_natpoly)
+@settings(max_examples=500, deadline=None)
+def test_products_and_prints_match_reference(m1, m2, a, b, p, q):
+    cases = (
+        (Monomial.mul, reference.monomial_mul, reference.monomial_repr, m1, m2),
+        (AbsorptivePoly.mul, reference.absorptive_mul, reference.absorptive_repr, a, b),
+        (NatPoly.mul, reference.natpoly_mul, reference.natpoly_repr, p, q),
+    )
+    for mul, ref_mul, ref_repr, x, y in cases:
+        assert repr(x) == ref_repr(x)
+        for args in ((x, y), (y, x), (x, x)):
+            got, want = _outcome(mul, *args), _outcome(ref_mul, *args)
+            assert got == want, args
+            if got[0] == "value" and got[1] is not None:
+                assert repr(got[1]) == ref_repr(want[1])
