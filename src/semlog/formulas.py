@@ -397,9 +397,10 @@ def _rename_binders(f: Formula, name) -> Formula:
 
 
 def canonical_bound_names(f: Formula, stem: str = "v") -> Formula:
-    """Alpha-rename bound variables to a canonical left-to-right numbering,
-    so alpha-equivalent formulae become syntactically equal."""
-    names = _numbered(stem)
+    """Alpha-rename bound variables to a canonical left-to-right numbering
+    that skips f's free variables, so alpha-equivalent formulae become
+    syntactically equal."""
+    names = _numbered(stem, f.free)
     return _rename_binders(f, lambda g: next(names))
 
 
@@ -473,12 +474,21 @@ def simplify_constants(f: Formula) -> Formula:
 
 
 def dedupe_or_idempotent(f: Formula) -> Formula:
-    """Drop repeated disjuncts (up to bound renaming); sound when addition is
-    idempotent."""
-    parts = {}  # canonical renaming -> the first disjunct with it
-    for g in _chain(f, Or):
-        parts.setdefault(canonical_bound_names(g), g)
-    return make_or(list(parts.values()))
+    """Drop repeated disjuncts (up to bound renaming) from every or-chain of f,
+    each chain rebuilt left-nested; sound when addition is idempotent."""
+
+    def step(g, *below):  # below: the operands of g's chain when g is an or
+        kind = type(g)
+        if kind is Or:
+            parts = {}  # canonical renaming -> the first disjunct with it
+            for h in below:
+                parts.setdefault(canonical_bound_names(h), h)
+            return make_or(list(parts.values()))
+        if kind is And:
+            return And(*below)
+        return kind(g.var, below[0], g.distinct) if below else g
+
+    return _fold(f, step, lambda g: _chain(g, Or) if type(g) is Or else children(g))
 
 
 # ---------------------------------------------------------------------------

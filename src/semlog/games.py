@@ -23,8 +23,12 @@ A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
 The value of a strategy under an interpretation is the product of its leaf
 values, read by the leaf rule of `evaluation` (equality leaves contribute
-their Boolean value).  Quantifier nodes range over
-`evaluation.quantifier_range`.
+their Boolean value).  One valuer computes it bottom-up and keeps the values
+of leaves and of the children of and/forall nodes while it lives.  The
+enumerated strategies share those sub-strategies (one pool per shared node),
+so a loop over them with one valuer, such as `sum_of_strategies_check`,
+values each sub-strategy once; `eval_strategy` is a valuer of its own.
+Quantifier nodes range over `evaluation.quantifier_range`.
 """
 
 from __future__ import annotations
@@ -306,25 +310,42 @@ def resolve_args(leaf: Strategy) -> Tuple[int, ...]:
     return tuple(env[a] if isinstance(a, str) else a for a in leaf.formula.args)
 
 
-def eval_strategy(interp: Interpretation, s: Strategy):
-    """Product of the leaf values; a leaf shared among branches is read once."""
+def _valuer(interp: Interpretation):
+    """value(s): the value of strategy s on interp.  A childless forall or
+    `true` node is one (an empty product), a childless choice node zero (an
+    empty sum), any other leaf is read, and a node with children is the
+    product of their values.  The memo keeps leaves and the children of
+    and/forall nodes, not the choice chains that every enumerated strategy
+    has its own of; a read that raises keeps nothing."""
     sr = interp.semiring
+    mul, one, zero = sr.mul, sr.one, sr.zero
     read = _leaf_reader(interp)
-    values: Dict[Strategy, object] = {}
-    out = sr.one
-    for leaf in Strategy.leaves_of(s):
-        g = leaf.formula
-        if isinstance(g, (Top, Forall)):
-            # a childless forall node has an empty quantifier range: empty product
-            continue
-        if isinstance(g, (Exists, Or, And)):
-            # childless choice nodes only arise from empty exists ranges: empty sum
-            out = sr.mul(out, sr.zero)
-            continue
-        if leaf not in values:
-            values[leaf] = read(g, leaf.env)
-        out = sr.mul(out, values[leaf])
-    return out
+    memo: Dict[Strategy, object] = {}
+
+    def kids(node: Strategy):
+        return () if node in memo else node.children
+
+    def step(node: Strategy, *below):
+        if below:
+            val = below[0]
+            for v in below[1:]:
+                val = mul(val, v)
+            kind = type(node.formula)
+            if kind is And or kind is Forall:
+                memo.update(zip(node.children, below))
+            return val
+        if node not in memo:
+            kind = _KINDS.get(type(node.formula))
+            memo[node] = (read(node.formula, node.env) if kind is None
+                          else one if kind == "forall" else zero)
+        return memo[node]
+
+    return lambda s: _fold(s, step, kids)
+
+
+def eval_strategy(interp: Interpretation, s: Strategy):
+    """Product of the leaf values, by a valuer of its own."""
+    return _valuer(interp)(s)
 
 
 def validate_strategy(s: Strategy, universe) -> None:
@@ -392,9 +413,10 @@ def sum_of_strategies_check(
 ) -> SumOfStrategiesReport:
     tree = build_game_tree(formula, interp.universe)
     sr = interp.semiring
+    value_of = _valuer(interp)
     total, count = sr.zero, 0
     for count, s in enumerate(enumerate_strategies(tree, guard), 1):
-        total = sr.add(total, eval_strategy(interp, s))
+        total = sr.add(total, value_of(s))
     value = evaluate(interp, formula)
     return SumOfStrategiesReport(value == total, value, total, count)
 

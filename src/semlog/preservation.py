@@ -57,6 +57,7 @@ from .games import (
     _first_optimal,
     _map_strategy,
     _optimal_table,
+    _valuer,
     build_game_tree,
     classify,
     enumerate_strategies,
@@ -319,8 +320,9 @@ def has_almost_existential_optimal(
     """Search all strategies for an optimal one that does not rely on forall."""
     tree = build_game_tree(formula, interp.universe)
     target = evaluate(interp, formula)
+    value_of = _valuer(interp)
     for s in enumerate_strategies(tree, guard):
-        if eval_strategy(interp, s) == target and classify(s).cls != "relies_on_forall":
+        if value_of(s) == target and classify(s).cls != "relies_on_forall":
             return True, s
     return False, None
 
@@ -360,8 +362,9 @@ def eliminate_one_valuations(
     tree = build_game_tree(formula, interp.universe)
     values = {sr.zero}
     max_leaves = 0
+    value_of = _valuer(interp)
     for s in enumerate_strategies(tree, guard):
-        values.add(eval_strategy(interp, s))
+        values.add(value_of(s))
         leaves = sum(1 for leaf in Strategy.leaves_of(s) if isinstance(leaf.formula, Atom))
         max_leaves = max(max_leaves, leaves)
     e = max(max_leaves, 1)
@@ -416,12 +419,13 @@ def shrink_counterexample(
     v0 = evaluate(interp, formula)
     if v0 == sr.zero:
         raise PreconditionError("formula evaluates to zero")
-    if eval_strategy(interp, strategy) != v0:
+    value_of = _valuer(interp)  # keeps the forall children's values for the check below
+    if value_of(strategy) != v0:
         raise PreconditionError("strategy is not optimal for the interpretation")
     has_good_forall = any(
         node.kind == "forall"
         and node.children
-        and all(eval_strategy(interp, c) != sr.one for c in node.children)
+        and all(value_of(c) != sr.one for c in node.children)
         for node in strategy_nodes(strategy)
     )
     if not has_good_forall:

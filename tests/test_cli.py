@@ -253,12 +253,14 @@ def test_strategies_over_a_disjunction_wider_than_the_recursion_limit(interp_fil
 @pytest.mark.parametrize("mode", ["strict", "lattice"])
 def test_rewrite_over_a_disjunction_wider_than_the_recursion_limit(mode):
     """dedupe_or_idempotent keys a dict by the disjuncts, so this hashes and
-    compares formulas 2,000 connectives deep."""
+    compares formulas 2,000 connectives deep; it dedupes the chain under the
+    quantifier too."""
     formula = "E x. (" + " | ".join(["R(x)"] * 2000) + ")"
     code, out, err = run_cli("rewrite", "--mode", mode, "--formula", formula)
     verifications = [line for line in out.splitlines() if line.startswith("verify: ")]
     assert (code, err) == (0, "")
     assert verifications and all(v.startswith("verify: verified (") for v in verifications)
+    assert "sigma1: E v1. R(v1)" in out.splitlines()
 
 
 def test_quantifiers_nested_as_deep_as_the_parser_reads(interp_file):

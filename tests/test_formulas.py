@@ -18,6 +18,7 @@ from semlog.formulas import (
     Or,
     assemble_prenex_dnf,
     canonical_bound_names,
+    dedupe_or_idempotent,
     existential_prenex_dnf,
     flatten_sigma1,
     fo_to_foneq,
@@ -346,6 +347,17 @@ def test_canonical_bound_names():
     g = parse("E z. R(z)")
     assert canonical_bound_names(f) == canonical_bound_names(g)
     assert canonical_bound_names(f) != canonical_bound_names(parse("A z. R(z)"))
+    # the numbering skips the free v1, so that no binder captures it
+    assert canonical_bound_names(parse("E y. S(y, v1)")) == parse("E v2. S(v2, v1)")
+    assert canonical_bound_names(parse("E v2. S(v1, v1)")) == parse("E v2. S(v1, v1)")
+
+
+def test_dedupe_reaches_every_or_chain():
+    f = parse("E x. ((R(x) | R(x) | R(x)) & A y. (Q(y) | (E z. Q(z)) | Q(y) | E w. Q(w)))")
+    assert dedupe_or_idempotent(f) == parse("E x. (R(x) & A y. (Q(y) | E z. Q(z)))")
+    # E y. S(y, v1) and the vacuous E v2. S(v1, v1) are not alpha-equivalent
+    g = parse("E v1. ((E y. S(y, v1)) | E v2. S(v1, v1))")
+    assert dedupe_or_idempotent(g) == g
 
 
 def test_transformations_preserve_sentencehood():

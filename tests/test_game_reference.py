@@ -162,6 +162,11 @@ def sum_view(module, f, interp):
 @example((parse("(E x. R(x)) & (E y. R(y))"), halves(2)))
 # The only existential strategies are worth 0, below the value 1/4.
 @example((parse("(A x. R(x)) | E x. false"), halves(2)))
+# The pool of each forall node's or children is shared by every strategy that
+# picks its x.
+@example((parse("E! x. A! y. (R(x) | R(y))"), halves(3)))
+# An empty exists range under a forall: no strategy, and a sum of zero.
+@example((parse("A x. E! y. R(y)"), halves(1)))
 def test_shared_trees_agree_with_reference(case):
     f, interp = case
     for view in (tree_view, optimal_view, enumeration_view, sum_view):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import UNARY_R, UNARY_RQ, random_foneq_sentence
+from semlog import games
 from semlog.errors import GuardExceeded, PreconditionError
 from semlog.evaluation import evaluate
 from semlog.formulas import Atom, Eq, Exists, make_or, metrics, qr, size
@@ -102,6 +103,50 @@ def test_sum_of_strategies_with_multiplicity_in_nat():
     rep = sum_of_strategies_check(pi, psi)
     # (2+3)^2 = 25 distributed over 4 strategies: 4, 6, 6, 9
     assert rep.ok and rep.strategy_count == 4 and rep.eval_value == 25
+
+
+def test_sum_of_strategies_values_each_shared_leaf_once(monkeypatch):
+    """The strategies share the pools of the and/forall nodes' children, so
+    one call reads each distinct leaf once (6 here), not once for each of
+    its 24 occurrences in the 12 strategies, and multiplies out each pooled
+    product once; a read that raises keeps no value."""
+    psi = parse("E! x. A! y. (R(x) | R(y))")
+    pi = random_interpretation(VITERBI, UNARY_R, 3, VITERBI_GRID, random.Random(5))
+    reads, summed = [], []
+    leaf_reader, enumerate_all = games._leaf_reader, games.enumerate_strategies
+
+    def counting_reader(interp):
+        read = leaf_reader(interp)
+        return lambda f, env: reads.append(f) or read(f, env)
+
+    def kept(tree, guard):
+        for s in enumerate_all(tree, guard):
+            summed.append(s)
+            yield s
+
+    monkeypatch.setattr(games, "_leaf_reader", counting_reader)
+    monkeypatch.setattr(games, "enumerate_strategies", kept)
+    rep = sum_of_strategies_check(pi, psi)
+    leaves = {id(leaf) for s in summed for leaf in Strategy.leaves_of(s)}
+    occurrences = sum(len(Strategy.leaves_of(s)) for s in summed)
+    assert rep.ok and rep.strategy_count == len(summed) == 12
+    assert len(reads) == len(leaves) == 6 and occurrences == 24
+
+    # 16 strategies, each the product of two of the 8 pooled A y strategies,
+    # each of those the product of two leaves: 16 + 8 products, not 16 * 3
+    muls = []
+    monkeypatch.setattr(VITERBI, "mul", lambda a, b, mul=VITERBI.mul: muls.append(1) or mul(a, b))
+    value_of = games._valuer(pi)
+    strategies = list(enumerate_all(build_game_tree(parse("A x. A y. (R(x) | R(y))"), 2)))
+    total = VITERBI.sum([value_of(s) for s in strategies])
+    assert len(strategies) == 16 and len(muls) == 24
+    assert total == evaluate(pi.restrict((1, 2)), parse("A x. A y. (R(x) | R(y))"))
+
+    value_of = games._valuer(pi.restrict((1, 2)))
+    reads_x3 = next(s for s in summed if s.tag == 3)  # R(x) at x = 3 under both y
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            value_of(reads_x3)
 
 
 def test_sum_of_strategies_guard():
