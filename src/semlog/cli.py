@@ -121,20 +121,20 @@ def cmd_check(args) -> int:
     ]
     grid = _parse_grid(semiring, args.grid)
     verdict = check_preservation(formula, semiring, prop, args.max_size, grid, guard=args.guard)
-    if verdict.refuted:
-        pa, pb, g = verdict.witness
-        va, vb = verdict.values
-        print(f"refuted ({verdict.search_space})")
-        print(f"pa = {pa!r}")
-        print(f"pb = {pb!r}")
-        if g is not None:
-            print(f"g  = {g}")
-        print(
-            f"values {semiring.format_value(va)} vs {semiring.format_value(vb)}"
-        )
-        return REFUTED
-    print(f"holds on search space ({verdict.search_space})")
-    return HOLDS
+    status = "refuted" if verdict.refuted else "holds on search space"
+    print(f"{status} ({verdict.search_space})")
+    if verdict.certified:
+        print(f"certified by pi_n at pairs {' '.join(map(str, verdict.certified))}")
+    if not verdict.refuted:
+        return HOLDS
+    pa, pb, g = verdict.witness
+    va, vb = verdict.values
+    print(f"pa = {pa!r}")
+    print(f"pb = {pb!r}")
+    if g is not None:
+        print(f"g  = {g}")
+    print(f"values {semiring.format_value(va)} vs {semiring.format_value(vb)}")
+    return REFUTED
 
 
 def cmd_trivial(args) -> int:

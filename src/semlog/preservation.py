@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import GuardExceeded, PreconditionError
 from .formulas import (
@@ -69,6 +69,7 @@ from .games import (
 from .interpretations import (
     Interpretation,
     Vocabulary,
+    _atom_choices,
     compose_hom,
     enumerate_interpretations,
     is_subinterpretation,
@@ -77,7 +78,7 @@ from .interpretations import (
 )
 from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
-from .polynomials import collapse_exponents
+from .polynomials import SPOLY, collapse_exponents
 from .provenance import pi_n
 from .semirings import FUZZY, INF, S3, VITERBI, Semiring
 
@@ -100,6 +101,7 @@ class PreservationVerdict:
     witness: Optional[Tuple[Interpretation, Interpretation, Optional[dict]]]
     search_space: str
     values: Optional[Tuple[object, object]] = None
+    certified: Tuple[Tuple[int, int], ...] = ()  # size pairs (a, b) decided by pi_n alone
 
     @property
     def refuted(self) -> bool:
@@ -110,11 +112,9 @@ class PreservationVerdict:
 
 
 def _violates(sr: Semiring, prop: str, va, vb) -> bool:
-    if prop in ("extensions", "homomorphisms"):
-        return not sr.leq(va, vb)
     if prop == "subinterpretations":
         return not sr.leq(vb, va)
-    raise PreconditionError(f"unknown property {prop!r}")
+    return not sr.leq(va, vb)
 
 
 def _lower_pairs(sr: Semiring, value_set):
@@ -167,20 +167,35 @@ def check_preservation(
     guard: int = 10**6,
     minimize: bool = True,
 ) -> PreservationVerdict:
-    """Exhaustive bounded check of a preservation property over the grid.
+    """Bounded check of a preservation property over the grid (checked
+    against the carrier even where nothing is enumerated).  A size pair
+    a < b with pi_a <= pi_b (see `_pi_n_valuer`) is certified for extensions
+    over every grid, one with pi_b <= pi_a for subinterpretations; size b is
+    enumerated only against the sizes a left uncertified.  A certified pair
+    holds no violation, so the witness is the one a full search finds.
 
     Sound for refutation; a holding verdict only covers the declared search
     space.  Witnesses are greedily minimized: element removal first, then
     value lowering toward the grid minimum.
     """
+    if prop not in ("extensions", "subinterpretations", "homomorphisms"):
+        raise PreconditionError(f"unknown property {prop!r}")
+    _atom_choices(semiring, value_set)
     vocab = vocab or Vocabulary.of_formula(formula)
     space = f"sizes<= {max_size}, grid {[semiring.format_value(v) for v in value_set]}"
     plan = compile_formula(formula)
-    if prop in ("extensions", "subinterpretations"):
+    if prop != "homomorphisms":
+        pi = _pi_n_valuer(semiring, vocab, (formula,), (plan,))
+        certified = []
         for b_size in range(2, max_size + 1):
+            open_sizes = [a for a in range(1, b_size)
+                          if not pi or _violates(SPOLY, prop, pi(a)[0], pi(b_size)[0])]
+            certified += [(a, b_size) for a in range(1, b_size) if a not in open_sizes]
+            if not open_sizes:
+                continue
             for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
                 vb = run_plan(plan, pb)
-                for a_size in range(1, b_size):
+                for a_size in open_sizes:
                     for subset in itertools.combinations(pb.universe, a_size):
                         pa = pb.restrict(subset)
                         va = run_plan(plan, pa)
@@ -193,12 +208,10 @@ def check_preservation(
                                 pb2 = pb
                             va = run_plan(plan, pa)
                             vb2 = run_plan(plan, pb2)
-                            return PreservationVerdict(
-                                prop, "refuted", (pa, pb2, None), space, (va, vb2)
-                            )
-        return PreservationVerdict(prop, "holds_on_search_space", None, space)
-    if prop != "homomorphisms":
-        raise PreconditionError(f"unknown property {prop!r}")
+                            return PreservationVerdict(prop, "refuted", (pa, pb2, None), space,
+                                                       (va, vb2), tuple(certified))
+        return PreservationVerdict(prop, "holds_on_search_space", None, space,
+                                   certified=tuple(certified))
     valued = {}  # size -> [(interp, value)], filled when the size is first needed
 
     def of_size(size):
@@ -478,16 +491,33 @@ class VerificationResult:
         return self.ok
 
 
-def _equal_on_pi_n(f_plan, g_plan, semiring: Semiring, vocab: Vocabulary, n: int) -> bool:
-    """Whether f and g agree on every model-defining size-n interpretation
-    into the absorptive semiring, decided on pi_n: any such interpretation
-    specializes pi_n by a homomorphism, which factors through the collapsed
-    polynomials when multiplication is idempotent."""
-    pi = pi_n(vocab, n)
-    a, b = run_plan(f_plan, pi), run_plan(g_plan, pi)
-    if semiring.multiplicatively_idempotent:
-        a, b = collapse_exponents(a), collapse_exponents(b)
-    return a == b
+def _pi_n_valuer(semiring: Semiring, vocab: Vocabulary, formulas: Sequence[Formula],
+                 plans: Sequence) -> Optional[Callable[[int], tuple]]:
+    """at(n): the compiled formulas' values on pi_n, collapsed when
+    multiplication is idempotent, each n valued once; None when pi_n
+    certifies nothing.  A model-defining size-n interpretation into an
+    absorptive semiring values a formula at a specialization of its pi_n
+    value (through the collapse when multiplication is idempotent), so an
+    equality or order between these values holds on every such
+    interpretation.  A relation outside vocab (false in every interpretation,
+    not in pi_n) or a constant (it breaks the symmetry by which pi_a stands
+    for every a-subset of {1..b}) turns the certificate off."""
+    if (not semiring.absorptive
+            or any(slot is not None for p in plans for slot in p.blank)  # constants
+            or not set(Vocabulary.of_formula(*formulas).relations) <= set(vocab.relations)):
+        return None
+    cache = {}
+
+    def at(n):
+        if n not in cache:
+            pi = pi_n(vocab, n)
+            values = [run_plan(p, pi) for p in plans]
+            if semiring.multiplicatively_idempotent:
+                values = [collapse_exponents(v) for v in values]
+            cache[n] = tuple(values)
+        return cache[n]
+
+    return at
 
 
 def verify_equivalent(
@@ -504,21 +534,19 @@ def verify_equivalent(
 ) -> VerificationResult:
     """Compare f and g on the exhaustive sizes and on random samples of sizes
     1..max_sample_size.  Over an absorptive semiring a size is first tried on
-    pi_n: where the polynomials agree it is certified for every grid, and no
-    interpretation of that size is enumerated or drawn.  A relation outside
-    vocab is false in every interpretation but not in pi_n, so it turns the
-    certificate off.  A refutation is a concrete interpretation on which the
+    pi_n (see `_pi_n_valuer`): where the polynomials agree it is certified
+    for every grid, and no interpretation of that size is enumerated or
+    drawn.  A refutation is a concrete interpretation on which the
     two values differ."""
     f_plan, g_plan = compile_formula(f), compile_formula(g)
-    exact = semiring.absorptive and (
-        set(Vocabulary.of_formula(f, g).relations) <= set(vocab.relations))
+    pi = _pi_n_valuer(semiring, vocab, (f, g), (f_plan, g_plan))
     equal_at = {}
     enumerated, sampled = [], set()
     checked = 0
 
     def certified(n):
         if n not in equal_at:
-            equal_at[n] = exact and _equal_on_pi_n(f_plan, g_plan, semiring, vocab, n)
+            equal_at[n] = pi is not None and pi(n)[0] == pi(n)[1]
         return equal_at[n]
 
     def differ(interp):

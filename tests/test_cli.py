@@ -61,6 +61,23 @@ def test_check_refutes_with_exit_1():
     assert "refuted" in out and "pa =" in out and "pb =" in out
 
 
+def test_check_names_the_pairs_certified_by_pi_n():
+    def check(formula):
+        return run_cli("check", "--property", "extensions", "--semiring", "viterbi",
+                       "--max-size", "3", "--formula", formula)
+
+    space = "(sizes<= 3, grid ['1/4', '1/2', '1'])"
+    assert check("(A! x. Q(x)) | E! x. (R(x) | Q(x))") == (
+        0, f"holds on search space {space}\ncertified by pi_n at pairs (1, 2) (1, 3) (2, 3)\n", "")
+    code, out, _ = check("A! x. E! y. (R(x) | Q(y))")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        f"refuted {space}",
+        "certified by pi_n at pairs (1, 2) (1, 3)",
+        "pa = <viterbi interp [1 2] ~Q(1)=1 ~Q(2)=1 R(1)=1/4 R(2)=1/4>",
+    ]
+
+
 def test_check_holds_with_exit_0():
     code, out, _ = run_cli("check", "--property", "extensions", "--semiring", "natinf",
                            "--formula", "E x. A y. R(x)", "--max-size", "2",

@@ -14,7 +14,7 @@ from corpus import (
     random_foneq_sentence,
     random_sigma1_sentence,
 )
-from semlog.errors import GuardExceeded, PreconditionError
+from semlog.errors import CarrierMismatch, GuardExceeded, PreconditionError
 from semlog.evaluation import compile_formula, evaluate, evaluate_set, run_plan
 from semlog.formulas import (
     And,
@@ -39,7 +39,7 @@ from semlog.polynomials import collapse_exponents
 from semlog.preservation import (
     S3_VALUES,
     VITERBI_GRID,
-    _equal_on_pi_n,
+    _pi_n_valuer,
     check_preservation,
     eliminate_one_valuations,
     has_almost_existential_optimal,
@@ -81,6 +81,17 @@ def test_natinf_extension_holds_on_space():
     psi = parse("E x. A y. R(x)")
     verdict = check_preservation(psi, NATINF, "extensions", 3, (1, 2))
     assert not verdict.refuted
+
+
+@pytest.mark.parametrize("prop", ["extensions", "subinterpretations", "homomorphisms"])
+@pytest.mark.parametrize("max_size", [1, 2])
+def test_the_grid_is_checked_where_nothing_is_enumerated(prop, max_size):
+    # E x. R(x) is certified for extensions at (1, 2); size 1 has no pairs
+    f = parse("E x. R(x)")
+    with pytest.raises(CarrierMismatch, match="^5 is not a viterbi value$"):
+        check_preservation(f, VITERBI, prop, max_size, (5,))
+    with pytest.raises(PreconditionError, match="^value_set must not contain 0$"):
+        check_preservation(f, VITERBI, prop, max_size, (Fraction(0), Fraction(1)))
 
 
 def test_sigma1_never_refuted():
@@ -645,8 +656,9 @@ def test_pi_n_certificate_agrees_with_enumeration(semiring, grid, seed, kind):
     build, identity = PAIR_KINDS[kind]
     f, g = build(*(random_foneq_sentence(rng, UNARY_R, max_qr=2) for _ in range(3)))
     fp, gp = compile_formula(f), compile_formula(g)
+    values_on_pi = _pi_n_valuer(semiring, UNARY_R, (f, g), (fp, gp))
     for n in (1, 2, 3):
-        certified = _equal_on_pi_n(fp, gp, semiring, UNARY_R, n)
+        certified = values_on_pi(n)[0] == values_on_pi(n)[1]
         claims = [certified]
         if semiring.multiplicatively_idempotent:
             pi = pi_n(UNARY_R, n)
