@@ -13,11 +13,13 @@ here recurses, over game trees or over strategies, so neither the width nor
 the depth of a formula costs stack.  Side tables are keyed on the `GameNode`
 or `Strategy` itself (both hash by identity).
 
-Optimal strategies come from one bottom-up pass that gives every node its
-value and its ties, the number of strategies under it that take a maximal
-child at every choice node (0: the node bears no strategy).  Extraction and
-`stream_optimal` follow the maximal children; with forall nodes barred, the
-same pass decides whether some optimal strategy is existential.
+One bottom-up pass gives every node its value and its ties, the number of
+strategies under it that take a maximal child at every choice node (0: the
+node bears no strategy).  Optimal extraction and `stream_optimal` follow the
+maximal children; with forall nodes barred, the pass decides whether some
+optimal strategy is existential.  With every leaf reading one in `BOOLEAN`,
+a node's ties count all its strategies, and `count_strategies` and
+`enumerate_strategies` read that table.
 
 A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
@@ -55,7 +57,7 @@ from .formulas import (
     size,
 )
 from .interpretations import Interpretation
-from .semirings import Semiring
+from .semirings import BOOLEAN, Semiring
 
 STRATEGY_GUARD = 10**6
 TREE_NODE_GUARD = 5 * 10**5
@@ -195,52 +197,43 @@ def _rebuild(s: Strategy, step) -> Strategy:
     return _fold(s, step, lambda node: node.children)
 
 
-def _strategy_counts(tree: GameTree) -> Dict[GameNode, int]:
-    """The number of strategies under every node.  A leaf is the empty
-    product."""
-    counts: Dict[GameNode, int] = {}
-    for node in tree.order:
-        if node.kind == "or" or node.kind == "exists":
-            counts[node] = sum([counts[c] for c in node.children])
-        else:
-            got = 1
-            for c in node.children:
-                got *= counts[c]
-            counts[node] = got
-    return counts
+def _count_table(tree: GameTree) -> Dict[GameNode, Tuple[object, int]]:
+    """The (value, ties) table with every leaf reading one in `BOOLEAN`: a
+    node with a strategy is worth one, so its ties count all its strategies."""
+    return _optimal_table(BOOLEAN, lambda formula, env: True, tree)
 
 
 def count_strategies(tree: GameTree) -> int:
-    return _strategy_counts(tree)[tree.root]
+    return _count_table(tree)[tree.root][1]
 
 
 def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterator[Strategy]:
-    counts = _strategy_counts(tree)
-    total = counts[tree.root]
+    table = _count_table(tree)
+    total = table[tree.root][1]
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    yield from _strategies(tree.root, lambda node: range(len(node.children)),
-                           counts.__getitem__, guard)
+    yield from _strategies(tree.root, table, guard)
 
 
-def _strategies(root: GameNode, picks, count, guard: int) -> Iterator[Strategy]:
+def _strategies(root: GameNode, table, guard: int) -> Iterator[Strategy]:
     """The strategies under root that take, at every or/exists node, a child
-    whose index picks(node) lists, in enumeration order; count(node) is their
-    number under node.  A stack follows the chains of picks down to leaves
-    and and/forall nodes.  The strategies under a child of an and/forall node
-    are listed once per shared node (its pool, folded from the pools below
-    it) and shared above it, unless they exceed guard (`GuardExceeded`; the
-    pools below stay within it) or the and/forall has none."""
+    that `_maximal(table, node)` lists, in enumeration order; the ties of a
+    node in the (value, ties) table are their number under it.  A stack
+    follows the chains of maximal children down to leaves and and/forall
+    nodes.  The strategies under a child of an and/forall node are listed
+    once per shared node (its pool, folded from the pools below it) and
+    shared above it, unless they exceed guard (`GuardExceeded`; the pools
+    below stay within it) or the and/forall has none."""
     pools: Dict[GameNode, List[Strategy]] = {}
 
-    def made(node, below):  # from the strategies of node's picked children
+    def made(node, below):  # from the strategies of node's maximal children
         if node.kind == "leaf":
             return [Strategy(node.formula, node.env, None, ())]
         if node.kind == "or" or node.kind == "exists":
             return [Strategy(node.formula, node.env, node.tags[i], (sub,))
-                    for i, subs in zip(picks(node), below) for sub in subs]
-        if not count(node):
+                    for i, subs in zip(_maximal(table, node), below) for sub in subs]
+        if not table[node][1]:
             return ()
         return (Strategy(node.formula, node.env, node.tags, ps)
                 for ps in itertools.product(*below))
@@ -249,8 +242,8 @@ def _strategies(root: GameNode, picks, count, guard: int) -> Iterator[Strategy]:
         if node in pools:
             return ()
         if node.kind == "or" or node.kind == "exists":
-            return [node.children[i] for i in picks(node)]
-        return node.children if count(node) else ()
+            return [node.children[i] for i in _maximal(table, node)]
+        return node.children if table[node][1] else ()
 
     def step(node, *below):
         got = pools.get(node)
@@ -260,9 +253,9 @@ def _strategies(root: GameNode, picks, count, guard: int) -> Iterator[Strategy]:
 
     def pool(node: GameNode) -> List[Strategy]:
         if node not in pools:
-            if count(node) > guard:
+            if table[node][1] > guard:
                 raise GuardExceeded(
-                    f"{count(node)} strategies under one node exceed the guard {guard}")
+                    f"{table[node][1]} strategies under one node exceed the guard {guard}")
             _fold(node, step, kids)
         return pools[node]
 
@@ -270,8 +263,8 @@ def _strategies(root: GameNode, picks, count, guard: int) -> Iterator[Strategy]:
     while stack:
         node, chain = stack.pop()
         if node.kind == "or" or node.kind == "exists":
-            stack += [(node.children[i], (chain, node, i)) for i in reversed(picks(node))]
-        elif count(node):
+            stack += [(node.children[i], (chain, node, i)) for i in reversed(_maximal(table, node))]
+        elif table[node][1]:
             for s in made(node, [pool(c) for c in node.children]):
                 link = chain
                 while link is not None:
@@ -431,15 +424,14 @@ def _require_maxplus(sr: Semiring):
         raise PreconditionError(f"{sr.id} is not linearly ordered with idempotent addition")
 
 
-def _optimal_table(interp: Interpretation, tree: GameTree, existential: bool = False
+def _optimal_table(sr: Semiring, read, tree: GameTree, existential: bool = False
                    ) -> Dict[GameNode, Tuple[object, int]]:
-    """(value, ties) of every node, one loop over the tree's nodes.  A choice
-    node takes the maximum over its strategy-bearing children, or zero
-    without one: every strategy-less subtree, such as an empty exists range,
-    evaluates to zero.  With `existential` set, forall nodes bear no strategy
-    and what lies only below them is not read."""
-    sr = interp.semiring
-    read = _leaf_reader(interp)
+    """(value, ties) of every node in sr, one loop over the tree's nodes; a
+    leaf is read(formula, env).  A choice node takes the maximum over its
+    strategy-bearing children, or zero without one: every strategy-less
+    subtree, such as an empty exists range, evaluates to zero.  With
+    `existential` set, forall nodes bear no strategy and what lies only below
+    them is not read."""
     order = tree.order
     if existential:
         live = {tree.root}
@@ -499,8 +491,7 @@ class OptimalResult:
         The strategies under each child of an and/forall node are listed, so
         more than `STRATEGY_GUARD` of them raise `GuardExceeded`."""
         tree, table = self.dp
-        return _strategies(tree.root, lambda node: _maximal(table, node),
-                           lambda node: table[node][1], STRATEGY_GUARD)
+        return _strategies(tree.root, table, STRATEGY_GUARD)
 
 
 def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
@@ -509,7 +500,7 @@ def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
     idempotent semiring."""
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
-    table = _optimal_table(interp, tree)
+    table = _optimal_table(interp.semiring, _leaf_reader(interp), tree)
     value, ties = table[tree.root]
     return OptimalResult(value, _first_optimal(tree, table), ties, (tree, table))
 
@@ -570,15 +561,17 @@ def _map_env(env: Env, f) -> Env:
     return tuple(sorted((v, f(e)) for v, e in env))
 
 
-def _map_strategy(s: Strategy, f) -> Strategy:
-    """s with every element e replaced by f(e); forall children stay sorted."""
+def _map_strategy(s: Strategy, f, keep=lambda e: True) -> Strategy:
+    """s with every element e replaced by f(e); a forall keeps, sorted, the
+    children whose new element passes keep."""
 
     def step(node: Strategy, *children) -> Strategy:
         tag = node.tag
         if node.kind == "exists":
             tag = f(tag)
         elif node.kind == "forall":
-            pairs = sorted(zip([f(b) for b in tag], children), key=lambda p: p[0])
+            pairs = sorted([(e, c) for e, c in zip([f(b) for b in tag], children) if keep(e)],
+                           key=lambda p: p[0])
             tag = tuple(b for b, _ in pairs)
             children = tuple(c for _, c in pairs)
         return Strategy(node.formula, _map_env(node.env, f), tag, children)
@@ -752,10 +745,11 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
     {1..n} with support contained in the original's.
 
     The strategy is wrapped under a fresh outer forall, compacted level by
-    level, one branch is picked, the r overflow elements are swapped onto
-    unused ones, and the forall children instantiating overflow elements are
-    deleted.  Raises when fewer than r fresh elements remain (the theoretical
-    sufficient bound is n >= c_{r+1}(|psi|+1) + r, see `c_constants`)."""
+    level, and one branch is picked; one relabelling walk then swaps the r
+    overflow elements onto unused ones and deletes the forall children that
+    instantiate overflow elements.  Raises when fewer than r fresh elements
+    remain (the theoretical sufficient bound is n >= c_{r+1}(|psi|+1) + r,
+    see `c_constants`)."""
     psi = s.formula
     r = qr(psi)
     if r == 0:
@@ -780,21 +774,8 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
             f"only {len(frees)} fresh elements available; need {len(need)} "
             f"(sufficient universe bound: n >= {c_constants(size(wrapper_formula), r + 1) + r})"
         )
-    chosen = compacted.children[0]
-    out = chosen
-    for a, b in zip(need, frees):
-        out = _map_strategy(out, lambda e, a=a, b=b: b if e == a else (a if e == b else e))
-
-    def kept(node: Strategy):  # a forall loses the children of overflow elements
-        if node.kind != "forall":
-            return node.children
-        return [c for b, c in zip(node.tag, node.children) if b <= n]
-
-    def prune(node: Strategy, *children) -> Strategy:
-        tag = tuple(b for b in node.tag if b <= n) if node.kind == "forall" else node.tag
-        return Strategy(node.formula, node.env, tag, children)
-
-    out = _fold(out, prune, kept)
+    swap = {**dict(zip(need, frees)), **dict(zip(frees, need))}
+    out = _map_strategy(compacted.children[0], lambda e: swap.get(e, e), keep=lambda e: e <= n)
     validate_strategy(out, n)
     if any(e > n for e in literal_elements(out)):
         raise PreconditionError("translation left an overflow literal element")

@@ -76,7 +76,8 @@ from .interpretations import (
     check_interp_hom,
     random_interpretation,
 )
-from .evaluation import _value_of_set, compile_formula, evaluate, evaluate_set, run_plan
+from .evaluation import (_leaf_reader, _value_of_set, compile_formula, evaluate,
+                         evaluate_set, run_plan)
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
 from .polynomials import SPOLY, collapse_exponents
 from .provenance import pi_n
@@ -165,7 +166,6 @@ def check_preservation(
     value_set: Sequence = VITERBI_GRID,
     vocab: Optional[Vocabulary] = None,
     guard: int = 10**6,
-    minimize: bool = True,
 ) -> PreservationVerdict:
     """Bounded check of a preservation property over the grid (checked
     against the carrier even where nothing is enumerated).  A size pair
@@ -200,12 +200,9 @@ def check_preservation(
                         pa = pb.restrict(subset)
                         va = run_plan(plan, pa)
                         if _violates(semiring, prop, va, vb):
-                            if minimize:
-                                pa, pb2 = _minimize_extension_witness(
-                                    plan, semiring, prop, pa, pb, value_set
-                                )
-                            else:
-                                pb2 = pb
+                            pa, pb2 = _minimize_extension_witness(
+                                plan, semiring, prop, pa, pb, value_set
+                            )
                             va = run_plan(plan, pa)
                             vb2 = run_plan(plan, pb2)
                             return PreservationVerdict(prop, "refuted", (pa, pb2, None), space,
@@ -320,7 +317,7 @@ def has_existential_optimal(
     maximal child at every choice node."""
     tree = build_game_tree(formula, interp.universe)
     target = evaluate(interp, formula)
-    table = _optimal_table(interp, tree, existential=True)
+    table = _optimal_table(interp.semiring, _leaf_reader(interp), tree, existential=True)
     value, ties = table[tree.root]
     if not ties or value != target:
         return False, None

@@ -139,11 +139,13 @@ def existential_view(has_existential_optimal, f, interp):
 
 
 def enumeration_view(module, f, interp):
-    """Strategies over one more element than interp has, each valued on interp:
-    a leaf that reads the extra element raises."""
+    """The strategy count, and the strategies over one more element than
+    interp has, each valued on interp: a leaf that reads the extra element
+    raises."""
     tree = module.build_game_tree(f, interp.universe + (len(interp.universe) + 1,))
-    return [(key(s), _outcome(module.eval_strategy, interp, s))
-            for s in module.enumerate_strategies(tree, STRATEGY_GUARD)]
+    return module.count_strategies(tree), [
+        (key(s), _outcome(module.eval_strategy, interp, s))
+        for s in module.enumerate_strategies(tree, STRATEGY_GUARD)]
 
 
 def sum_view(module, f, interp):
