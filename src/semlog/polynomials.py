@@ -9,8 +9,10 @@ Monomials are canonical: each variable occurs once, with a positive exponent
 (repeated variables are merged by summing their exponents).
 
 Both products run through one ranked kernel, ``_product``: variables ranked
-once per call by ``var_sort_key``, monomials multiplied as sorted integer
-tuples, each distinct product decoded once.  A print formats each variable once.
+once per call by ``var_sort_key``, each monomial packed into one integer with
+a fixed-width exponent field per rank, so that a pair product is one integer
+addition, and each distinct product decoded once.  A print formats each
+variable once.
 
 An absorptive polynomial is an antichain of monomials under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
@@ -147,57 +149,70 @@ def _product(left, right, quotient: bool) -> list:
     dual are dropped.
 
     The union of both sides' variables is ranked once by ``var_sort_key``.
-    Each monomial becomes a tuple of factors ``rank << _SHIFT | exponent``
-    with a support bitmask and, in the quotient, the mask of its variables'
-    duals.  A pair product is the concatenation of the two tuples, or a merge
-    on the shared ranks that checks ``EXPONENT_CAP``, sorted natively.  Ranks
+    Each monomial becomes one integer, the exponent of the variable of rank
+    ``r`` in bits ``[r * _SHIFT, (r + 1) * _SHIFT)``, with a support bitmask
+    and, in the quotient, the mask of its variables' duals.  A pair product
+    is the sum of the two integers: a field holds at most twice
+    ``EXPONENT_CAP``, so no carry crosses fields, and only a sum whose
+    supports overlap and that reaches the cap in some field is walked field
+    by field for the cap check.  Each distinct product is decoded once, from
+    its highest field down, into factors ``rank << _SHIFT | exponent``; ranks
     keep ``var_sort_key`` order, which is injective on variables, so the
-    tuples sort exactly as ``_mono_sort_key`` sorts the monomials; each
-    distinct product is decoded to a ``Monomial`` once.
+    factor tuples sort exactly as ``_mono_sort_key`` sorts the monomials.
     """
     names = sorted({v for m, _ in (*left, *right) for v, _ in m.exps}, key=var_sort_key)
     rank = {v: r for r, v in enumerate(names)}
     dual_bit = [1 << rank[_dual(v)] if quotient and _dual(v) in rank else 0 for v in names]
+    # Bits 32 and 33 of every field: a field at or above the cap sets one of them.
+    over = ((1 << len(names) * _SHIFT) - 1) // _EXP * 3 * EXPONENT_CAP
 
     def encode(terms):
         out = []
         for m, c in terms:
-            ranked = tuple((rank[v] << _SHIFT) | e for v, e in m.exps)
-            mask = duals = 0
-            for x in ranked:
-                r = x >> _SHIFT
+            key = mask = duals = 0
+            for v, e in m.exps:
+                r = rank[v]
+                key |= e << r * _SHIFT
                 mask |= 1 << r
                 duals |= dual_bit[r]
             if not duals & mask:  # else every product with m holds a dual pair
-                out.append((ranked, mask, duals, c))
+                out.append((key, mask, duals, c))
         return out
 
-    acc: Dict[tuple, int] = {}
+    acc: Dict[int, int] = {}
     rights = encode(right)
     for k1, mask1, duals1, c1 in encode(left):
         for k2, mask2, _, c2 in rights:
             if duals1 & mask2:
                 continue
-            if mask1 & mask2:
-                merged = {x >> _SHIFT: x for x in k1}
-                for x in k2:
-                    r = x >> _SHIFT
-                    if r in merged:
-                        x = merged[r] + (x & _EXP)
-                        if x & _EXP > EXPONENT_CAP:
-                            raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
-                    merged[r] = x
-                key = tuple(sorted(merged.values()))
-            else:
-                key = tuple(sorted(k1 + k2))
+            key = k1 + k2
+            if mask1 & mask2 and key & over:
+                rest = key
+                while rest:
+                    if rest & _EXP > EXPONENT_CAP:
+                        raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
+                    rest >>= _SHIFT
             acc[key] = acc.get(key, 0) + c1 * c2
-    decode = {x: (names[x >> _SHIFT], x & _EXP) for x in set().union(*acc)}
-    out = []
-    for key, c in sorted(acc.items()):
+    interned: Dict[int, int] = {}
+    rows = []
+    while acc:
+        key, c = acc.popitem()
+        factors = []
+        while key:
+            r = (key.bit_length() - 1) // _SHIFT
+            e = key >> r * _SHIFT
+            key ^= e << r * _SHIFT
+            x = r << _SHIFT | e
+            factors.append(interned.setdefault(x, x))
+        factors.reverse()
+        rows.append((tuple(factors), c))
+    rows.sort()
+    decode = {x: (names[x >> _SHIFT], x & _EXP) for x in interned}
+    for i, (factors, c) in enumerate(rows):
         m = object.__new__(Monomial)  # no second merge, cap check or sort
-        m.exps = tuple(map(decode.__getitem__, key))
-        out.append((m, c))
-    return out
+        m.exps = tuple(map(decode.__getitem__, factors))
+        rows[i] = (m, c)
+    return rows
 
 
 def absorbs(m1: Monomial, m2: Monomial) -> bool:
@@ -246,10 +261,14 @@ class AbsorptivePoly:
         return AbsorptivePoly(self.monomials + other.monomials)
 
     def mul(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        prods = _product(
+        terms = _product(
             [(m, 1) for m in self.monomials], [(m, 1) for m in other.monomials], quotient=True
         )
-        return AbsorptivePoly(m for m, _ in prods)
+        prods = [m for m, _ in terms]
+        kept = set(_prune(prods))
+        p = object.__new__(AbsorptivePoly)  # prods are distinct and in canonical order
+        p.monomials = tuple(m for m in prods if m in kept)
+        return p
 
     def leq(self, other: "AbsorptivePoly") -> bool:
         return self.add(other) == other

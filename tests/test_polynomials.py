@@ -21,6 +21,7 @@ from semlog.polynomials import (
     AbsorptivePoly,
     Monomial,
     NatPoly,
+    _mono_sort_key,
     _prune,
     absorbs,
     lit_var,
@@ -310,6 +311,9 @@ def _outcome(fn, *args):
 _ref_exp = st.integers(min_value=1, max_value=3) | st.integers(
     min_value=EXPONENT_CAP // 2 - 1, max_value=EXPONENT_CAP // 2 + 1
 )
+# Also at the cap or one below it: a field with bit 32 set, or with its low 32
+# bits full, beside a neighbouring rank, and sums one over the cap.
+_ref_exp = _ref_exp | st.sampled_from((EXPONENT_CAP - 1, EXPONENT_CAP))
 _ref_mono = st.lists(st.tuples(st.sampled_from(_VARS), _ref_exp), max_size=4).map(
     lambda pairs: Monomial(dict(pairs).items())
 )
@@ -334,3 +338,66 @@ def test_products_and_prints_match_reference(m1, m2, a, b, p, q):
             assert got == want, args
             if got[0] == "value" and got[1] is not None:
                 assert repr(got[1]) == ref_repr(want[1])
+
+
+def _assert_matches_reference(cases):
+    for mul, ref_mul, ref_repr, x, y in cases:
+        assert repr(x) == ref_repr(x)
+        for args in ((x, y), (y, x), (x, x)):
+            got, want = _outcome(mul, *args), _outcome(ref_mul, *args)
+            assert got == want, args
+            if got[0] == "value" and got[1] is not None:
+                assert repr(got[1]) == ref_repr(want[1])
+
+
+def test_products_over_seventy_variables_match_reference():
+    """70 ranks of 34 bits each: packed monomials of over 2,000 bits, with
+    dual pairs, exponents near the cap and factors at both ends of the key."""
+    names = [f"v{i:02d}" for i in range(30)]
+    names += [lit_var("R", (i,), pos) for i in range(20) for pos in (True, False)]
+    rng = random.Random(70)
+    near_cap = (EXPONENT_CAP // 2, EXPONENT_CAP - 1, EXPONENT_CAP)
+
+    def exp():
+        return rng.choice(near_cap) if rng.random() < 0.03 else rng.randrange(1, 4)
+
+    def mono(pool):
+        return Monomial((v, exp()) for v in rng.sample(pool, rng.randrange(1, 7)))
+
+    for _ in range(30):
+        # Each side covers one half of the variables, so the N[X] products
+        # rank all 70 (the absorptive ones lose a few ranks to pruning).
+        sides = []
+        for half in (names[0::2], names[1::2]):
+            ms = [Monomial((v, 1) for v in half[i : i + 7]) for i in range(0, 35, 7)]
+            ms += [mono(names) for _ in range(rng.randrange(1, 6))]
+            sides.append(ms)
+        a, b = (AbsorptivePoly(ms) for ms in sides)
+        p, q = (NatPoly((m, rng.randrange(1, 4)) for m in ms) for ms in sides)
+        assert len(p.support() | q.support()) == 70
+        _assert_matches_reference(
+            (
+                (Monomial.mul, reference.monomial_mul, reference.monomial_repr,
+                 mono(names), mono(names)),
+                (AbsorptivePoly.mul, reference.absorptive_mul, reference.absorptive_repr, a, b),
+                (NatPoly.mul, reference.natpoly_mul, reference.natpoly_repr, p, q),
+            )
+        )
+
+
+def _strictly_canonical(monomials):
+    keys = list(map(_mono_sort_key, monomials))
+    return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+@given(_ref_spoly, _ref_spoly, _ref_natpoly, _ref_natpoly)
+@settings(max_examples=300, deadline=None)
+def test_products_are_in_canonical_order(a, b, p, q):
+    for args in ((a, b), (b, a), (a, a)):
+        got = _outcome(AbsorptivePoly.mul, *args)
+        if got[0] == "value":
+            assert _strictly_canonical(got[1].monomials)
+    for args in ((p, q), (q, p), (p, p)):
+        got = _outcome(NatPoly.mul, *args)
+        if got[0] == "value":
+            assert _strictly_canonical([m for m, _ in got[1].terms])
