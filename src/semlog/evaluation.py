@@ -6,14 +6,16 @@ instantiating the free variables visible in the quantified subformula.
 Equality atoms take their Boolean truth value.
 
 Compile once, run many times: `compile_formula` turns a formula into a plan,
-`run_plan` values it on any interpretation, and `evaluate` does both.  In a
-plan a variable is a binder level: the root's free variables take levels
-0..k-1 in sorted order and a binder at quantifier depth d takes level k+d, so
-a run keeps its assignment in a list of slots indexed by level (constants
-take slots past the levels).  Within a run an inner node is memoized on the
-values of its free levels (the bare value when there is one) unless they
-cover every binder in scope: then the visits to the node carry pairwise
-distinct assignments and no entry could be hit.  Leaves are never memoized.
+`run_plan` values it on any interpretation, and `evaluate` does both.
+`compile_formula` keeps the last plan it made, so a formula valued again
+right after is not compiled again.  In a plan a variable is a binder level:
+the root's free variables take levels 0..k-1 in sorted order and a binder at
+quantifier depth d takes level k+d, so a run keeps its assignment in a list
+of slots indexed by level (constants take slots past the levels).  Within a
+run an inner node is memoized on the values of its free levels (the bare
+value when there is one) unless they cover every binder in scope: then the
+visits to the node carry pairwise distinct assignments and no entry could be
+hit.  Leaves are never memoized.
 Leaves check universe membership only for constants and, in atoms, the
 root's elements; bound elements come from the universe.
 
@@ -48,6 +50,7 @@ from .formulas import (
     Or,
     Top,
     _fold,
+    _LastBuilt,
 )
 from .interpretations import (
     Interpretation,
@@ -133,7 +136,14 @@ class Plan(NamedTuple):
 
 
 def compile_formula(f: Formula) -> Plan:
-    """Compile a formula into a plan for `run_plan`."""
+    """Compile a formula into a plan for `run_plan`.  The last plan is kept
+    (one entry, keyed on the formula object): a plan is a tuple that no run
+    mutates, so every caller that compiles the same formula again, `evaluate`
+    among them, gets it back without compiling."""
+    return _last_plan(f)
+
+
+def _compile(f: Formula) -> Plan:
     k = len(f.free)
     width = k
     constants = []  # constant j (1-based) lives in slot -j
@@ -199,6 +209,9 @@ def compile_formula(f: Formula) -> Plan:
     root = _fold(f, step, kids)
     blank = (None,) * width + tuple(reversed(constants))
     return Plan(root, f.free, blank, frozenset(checked), memos)
+
+
+_last_plan = _LastBuilt(_compile)
 
 
 def run_plan(plan: Plan, interp: Interpretation, env: Optional[dict] = None):

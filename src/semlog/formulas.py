@@ -210,6 +210,28 @@ def _preorder(f, kids=children) -> Iterator:
         stack.extend(reversed(kids(g)))
 
 
+class _LastBuilt:
+    """build(f, *args) with a one-entry memo: a call with the same formula
+    object and equal args returns the value built last.  The entry holds f,
+    so its id cannot be reused while the entry lives; a miss drops the old
+    entry before building, so no two values are kept at once, and a build
+    that raises stores nothing.  Sound only for values that nothing mutates."""
+
+    __slots__ = ("build", "f", "args", "value")
+
+    def __init__(self, build):
+        self.build = build
+        self.f = self.args = self.value = None
+
+    def __call__(self, f, *args):
+        if f is self.f and args == self.args:
+            return self.value
+        self.f = self.args = self.value = None
+        value = self.build(f, *args)
+        self.f, self.args, self.value = f, args, value
+        return value
+
+
 def _chain(f: Formula, kind) -> list:
     """The operands of the kind-chain (And or Or) rooted at f, left to right;
     [f] when f is not a kind node."""

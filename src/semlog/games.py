@@ -11,7 +11,11 @@ top-down walk (strategy enumeration and extraction) keeps its own stack.
 `GameTree.node_count` and the build guard count the unshared tree.  No walk
 here recurses, over game trees or over strategies, so neither the width nor
 the depth of a formula costs stack.  Side tables are keyed on the `GameNode`
-or `Strategy` itself (both hash by identity).
+or `Strategy` itself (both hash by identity).  Nothing changes a tree or
+its nodes once it is built, so `build_game_tree` keeps the last tree it
+built, one entry keyed on the formula object, the universe and the guard:
+`optimal` and then `has_existential_optimal` on one sentence and
+interpretation build one tree between them.
 
 One bottom-up pass gives every node its value and its ties, the number of
 strategies under it that take a maximal child at every choice node (0: the
@@ -52,6 +56,7 @@ from .formulas import (
     Or,
     Top,
     _fold,
+    _LastBuilt,
     _preorder,
     qr,
     size,
@@ -107,12 +112,18 @@ def build_game_tree(
     Quantifier nodes get one child per legal instantiation: the full universe
     for plain quantifiers, the universe minus the visible free-variable
     instantiations for distinct quantifiers.  Equal labels share one node;
-    `node_count` and the guard count the nodes of the unshared tree.
+    `node_count` and the guard count the nodes of the unshared tree.  The
+    last tree is kept (see the module notes): the same formula object over an
+    equal universe with the same guard gets the same `GameTree` back.
     """
     if isinstance(universe, int):
         universe = tuple(range(1, universe + 1))
     else:
         universe = tuple(universe)
+    return _last_tree(formula, universe, guard)
+
+
+def _build_game_tree(formula: Formula, universe: Tuple[int, ...], guard: int) -> GameTree:
     if formula.free:
         raise PreconditionError(f"game trees need a sentence; free: {list(formula.free)}")
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
@@ -160,6 +171,9 @@ def build_game_tree(
     return GameTree(root, universe, count, order)
 
 
+_last_tree = _LastBuilt(_build_game_tree)
+
+
 @dataclass(eq=False)
 class Strategy:
     """A strategy-tree node; `tag` records the choice that produced each child:
@@ -184,10 +198,14 @@ class Strategy:
 
 
 def strategy_nodes(s: Strategy) -> List[Strategy]:
-    """The nodes of s, breadth-first."""
-    out = [s]
-    for node in out:
-        out.extend(node.children)
+    """The nodes of s, depth-first from a stack: each node before its
+    children, the last child first.  `classify` meets forall nodes in this
+    order and stops at the first that relies on its children."""
+    out, stack = [], [s]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
     return out
 
 

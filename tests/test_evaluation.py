@@ -15,7 +15,7 @@ from corpus import (
     random_sigma1_sentence,
 )
 from semlog.errors import PreconditionError
-from semlog.evaluation import entails_at, evaluate, evaluate_set
+from semlog.evaluation import compile_formula, entails_at, evaluate, evaluate_set, run_plan
 from semlog.formulas import Atom
 from semlog.interpretations import (
     Interpretation,
@@ -219,3 +219,15 @@ def test_memoization_handles_shared_subformulas():
 
     f = Or(sub, sub)
     assert evaluate(pi, f) == Fraction(1, 2)
+
+
+def test_the_last_plan_is_kept():
+    pi = parse_interpretation(VIT_AB)
+    f, g = parse("E x. R(x)"), parse("A x. R(x)")
+    plan = compile_formula(f)
+    assert compile_formula(f) is plan
+    assert compile_formula(g) is compile_formula(g)
+    again = compile_formula(f)
+    assert again is not plan and run_plan(again, pi) == run_plan(plan, pi) == Fraction(1, 2)
+    # an equal formula that is another object gets a plan of its own
+    assert compile_formula(parse("E x. R(x)")) is not again

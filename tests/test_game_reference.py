@@ -263,6 +263,11 @@ def strategy_views(module, s, f, k, swap, perm):
 # 1, 2, 4, 5 -> 3 and must sort them.
 @example((parse("A z. E x. A y. (true | E(y, z))"), 5, [4, 0, 0, 0, 0, 0], (2, 3),
           (2, 1, 3, 4, 5), (0, "tag", 0)))
+# Over {1, 2} the forall z has an empty range, and the mutant gives the one
+# under y = 2 the tag 0, no tuple: classify meets it first, as the reference
+# does, and raises TypeError before the one under y = 1 vacuously relies on
+# forall.
+@example((parse("A! y. (true & E! x. A! z. x != y)"), 2, [0], (1, 1), [1, 2], (3, "tag", 0)))
 def test_strategy_walks_agree_with_reference(case):
     f, k, picks, swap, perm, mutation = case
     built = _outcome(games.strategy_from_choices, games.build_game_tree(f, k).root, chooser(picks))

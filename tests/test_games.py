@@ -1,6 +1,8 @@
 """Game trees, strategies, sum-of-strategies, optimality, translation."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -521,3 +523,53 @@ def test_game_walks_return_on_a_disjunction_wider_than_the_recursion_limit():
 def test_enumeration_over_a_wide_disjunction():
     f = Exists("x", make_or([Atom("R", ("x",))] * 1200))
     assert sum(1 for _ in enumerate_strategies(build_game_tree(f, 1))) == 1200
+
+
+def _labels(tree):
+    return tree.node_count, [(n.formula, n.env, n.kind, n.tags) for n in tree.order]
+
+
+def test_the_last_game_tree_is_kept():
+    """The same formula object over an equal universe with the same guard
+    gets the same tree back; any other call builds the tree an unkept build
+    makes, and the tree kept before is dropped."""
+    f = parse("A! x. E! y. (R(x) | Q(y))")
+    tree = build_game_tree(f, 3)
+    assert build_game_tree(f, (1, 2, 3)) is tree
+    assert build_game_tree(f, [1, 2, 3], guard=games.TREE_NODE_GUARD) is tree
+    for g, universe, guard in [(f, (1, 2, 3, 4), games.TREE_NODE_GUARD),
+                               (f, (1, 2, 3), 10**4),
+                               (parse("A! x. E! y. (R(x) | Q(y))"), (1, 2, 3), games.TREE_NODE_GUARD)]:
+        fresh = build_game_tree(g, universe, guard)
+        assert fresh is not tree
+        assert _labels(fresh) == _labels(games._build_game_tree(g, universe, guard))
+        assert build_game_tree(g, universe, guard) is fresh
+    assert build_game_tree(f, 3) is not tree
+
+
+def test_at_most_one_game_tree_is_kept():
+    f, g = parse("E x. R(x)"), parse("A x. R(x)")
+    kept = weakref.ref(build_game_tree(f, 2))
+    gc.collect()
+    assert kept() is not None
+    build_game_tree(g, 2)
+    gc.collect()
+    assert kept() is None
+    # a build that raises keeps nothing, not even the tree kept before it
+    kept = weakref.ref(build_game_tree(g, 2))
+    with pytest.raises(PreconditionError):
+        build_game_tree(parse("R(x)"), 2)
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_kept_tree_keeps_its_guard():
+    f = parse("A! x. A! y. R(x) | Q(y)")
+    nodes = 1 + 4 + 12 * 3
+    tree = build_game_tree(f, 4, guard=nodes)
+    assert tree.node_count == nodes
+    with pytest.raises(GuardExceeded):
+        build_game_tree(f, 4, guard=nodes - 1)
+    again = build_game_tree(f, 4, guard=nodes)
+    assert again is not tree and _labels(again) == _labels(tree)
+    assert build_game_tree(f, 4, guard=nodes) is again
