@@ -12,7 +12,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .errors import SemlogError
+from .errors import PreconditionError, SemlogError
 from .evaluation import evaluate
 from .formulas import _preorder, is_fo, fo_to_foneq
 from .games import build_game_tree, classify, enumerate_strategies, optimal
@@ -139,7 +139,7 @@ def cmd_check(args) -> int:
 
 def cmd_trivial(args) -> int:
     formula = parse(args.formula)
-    if is_fo(formula) and not args.fo_as_is:
+    if is_fo(formula):
         formula = fo_to_foneq(formula)
     if args.n is not None:
         verdict = is_trivial_at(formula, args.n)
@@ -180,10 +180,13 @@ def cmd_entail(args) -> int:
 
 
 def _parse_sizes(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise PreconditionError(f"sizes must be 'lo..hi' or 'a,b,...': {text!r}") from None
 
 
 def cmd_repro(args) -> int:
@@ -320,7 +323,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--probe", action="store_true",
                    help="accepted and ignored: the verdict is exact without probing")
-    p.add_argument("--fo-as-is", action="store_true")
     p.set_defaults(func=cmd_trivial)
 
     p = sub.add_parser("rewrite", help="universal-quantifier elimination")

@@ -1,8 +1,8 @@
 """Finite semiring interpretations over interned integer universes.
 
-Only positive-atom values plus a polarity are stored; the complementary
-literal's value is implied (zero on the opposite side), so model-definingness
-is structural for interpretations built from atom tables.  Interpretations
+Each atom is stored as its (positive, negative) literal pair.  A builder given
+one literal's value (atom tables, padding, files, enumeration) makes the pair
+with `_literal_pair`, so what it builds is model-defining.  Interpretations
 used by the provenance machinery may carry explicit values on both sides
 (they are consistent in the quotient sense rather than model-defining).
 """
@@ -137,13 +137,8 @@ class Interpretation:
     ) -> "Interpretation":
         """Positive atoms get the given (nonzero) value; everything else
         defaults to false (0 positive, 1 negative)."""
-        table = {}
-        for key, value in atom_values.items():
-            semiring.check(value)
-            if value == semiring.zero:
-                table[key] = (semiring.zero, semiring.one)
-            else:
-                table[key] = (value, semiring.zero)
+        table = {key: _literal_pair(semiring, semiring.check(value))
+                 for key, value in atom_values.items()}
         return cls(semiring, universe, vocab, table, names=names)
 
     def pair(self, rel: str, args: Tuple[int, ...]) -> Tuple[object, object]:
@@ -199,16 +194,10 @@ class Interpretation:
         """Extend by `count` fresh elements; every atom touching a new element
         gets `fill` (negation zero), or the dual pair when fill is zero."""
         self.semiring.check(fill)
-        fresh = []
-        nxt = max(self.universe, default=0) + 1
-        for _ in range(count):
-            fresh.append(nxt)
-            nxt += 1
+        start = max(self.universe, default=0) + 1
+        fresh = range(start, start + count)
         universe = self.universe + tuple(fresh)
-        if fill == self.semiring.zero:
-            pair = (self.semiring.zero, self.semiring.one)
-        else:
-            pair = (fill, self.semiring.zero)
+        pair = _literal_pair(self.semiring, fill)
         table = dict(self.table)
         for rel, arity in self.vocab.relations:
             for args in itertools.product(universe, repeat=arity):
@@ -227,11 +216,7 @@ class Interpretation:
 
     def with_values(self, replace) -> "Interpretation":
         """Apply a function to every stored literal value (both sides)."""
-        table = {
-            key: (replace(pos), replace(neg)) for key, (pos, neg) in self.table.items()
-        }
-        default = (replace(self.default[0]), replace(self.default[1]))
-        return Interpretation(self.semiring, self.universe, self.vocab, table, default, self.names)
+        return _mapped(self, self.semiring, replace)
 
     def __repr__(self):
         sr = self.semiring
@@ -247,6 +232,20 @@ class Interpretation:
                 bits.append(f"{label}={sr.format_value(pos)}/~{sr.format_value(neg)}")
         universe = " ".join(self.element_name(e) for e in self.universe)
         return f"<{sr.id} interp [{universe}] {' '.join(bits)}>"
+
+
+def _literal_pair(semiring: Semiring, value, positive: bool = True) -> Tuple[object, object]:
+    """The (positive, negative) pair of an atom whose literal of that sign has
+    `value`: the dual literal is zero, or one when `value` is zero."""
+    pair = (semiring.zero, semiring.one) if value == semiring.zero else (value, semiring.zero)
+    return pair if positive else pair[::-1]
+
+
+def _mapped(interp: Interpretation, semiring: Semiring, f) -> Interpretation:
+    """`interp` over `semiring`, with `f` applied to every stored value and the default."""
+    table = {key: (f(pos), f(neg)) for key, (pos, neg) in interp.table.items()}
+    default = (f(interp.default[0]), f(interp.default[1]))
+    return Interpretation(semiring, interp.universe, interp.vocab, table, default, interp.names)
 
 
 def is_subinterpretation(pa: Interpretation, pb: Interpretation) -> bool:
@@ -306,13 +305,7 @@ def compose_hom(
         raise PreconditionError(
             f"hom source {h.source.id} does not match interpretation {interp.semiring.id}"
         )
-    table = {
-        key: (h(pos), h(neg)) for key, (pos, neg) in interp.table.items()
-    }
-    default = (h(interp.default[0]), h(interp.default[1]))
-    out = Interpretation(
-        h.target, interp.universe, interp.vocab, table, default, interp.names
-    )
+    out = _mapped(interp, h.target, h)
     if require_model_defining:
         problems = out.validate()
         if problems:
@@ -331,7 +324,7 @@ def _atom_choices(semiring: Semiring, value_set) -> list:
         raise PreconditionError("value_set must not contain 0")
     for v in (zero, semiring.one, *value_set):
         semiring.check(v)
-    return [(v, zero) for v in value_set] + [(zero, v) for v in value_set]
+    return [_literal_pair(semiring, v, positive) for positive in (True, False) for v in value_set]
 
 
 def count_interpretations(vocab: Vocabulary, size: int, value_set) -> int:
@@ -433,16 +426,8 @@ def parse_interpretation(text: str, semiring: Optional[Semiring] = None) -> Inte
             ids = tuple(elements[a] for a in args)
         except KeyError as exc:
             raise PreconditionError(f"line {lineno}: unknown element {exc}") from exc
-        value = sr.parse_value(value_text)
-        if negated:
-            pair = (sr.zero, value) if value != sr.zero else (sr.one, sr.zero)
-        else:
-            pair = (value, sr.zero) if value != sr.zero else (sr.zero, sr.one)
-        table[(rel, ids)] = pair
-    default = (sr.zero, sr.one)
-    if default_text is not None:
-        dv = sr.parse_value(default_text)
-        default = (sr.zero, sr.one) if dv == sr.zero else (dv, sr.zero)
+        table[(rel, ids)] = _literal_pair(sr, sr.parse_value(value_text), not negated)
+    default = None if default_text is None else _literal_pair(sr, sr.parse_value(default_text))
     return Interpretation(sr, tuple(elements.values()), vocab, table, default, names)
 
 

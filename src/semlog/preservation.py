@@ -70,6 +70,8 @@ from .interpretations import (
     Interpretation,
     Vocabulary,
     _atom_choices,
+    _literal_pair,
+    _mapped,
     compose_hom,
     enumerate_interpretations,
     is_subinterpretation,
@@ -122,9 +124,7 @@ def _lower_pairs(sr: Semiring, value_set):
     """Replacement candidate pairs for witness minimization: false first, then
     values ascending in the natural order."""
     ordered = sorted(value_set, key=lambda v: sum(sr.leq(v, w) for w in value_set), reverse=True)
-    pairs = [(sr.zero, sr.one)]
-    pairs.extend((v, sr.zero) for v in ordered)
-    return pairs
+    return [_literal_pair(sr, v) for v in (sr.zero, *ordered)]
 
 
 def _minimize_extension_witness(plan, sr, prop, pa, pb, value_set):
@@ -450,14 +450,8 @@ def shrink_counterexample(
     n = k - r - 1
     # permute the universe so the unused elements become n+1 .. n+r+1
     chosen = missing[-(r + 1):]
-    perm = {}
-    targets = list(range(n + 1, k + 1))
-    for c, t in zip(chosen, targets):
-        perm[c] = t
-    remaining_sources = [x for x in range(1, k + 1) if x not in chosen]
-    remaining_targets = [x for x in range(1, k + 1) if x not in targets]
-    for ssrc, tgt in zip(remaining_sources, remaining_targets):
-        perm[ssrc] = tgt
+    order = [x for x in range(1, k + 1) if x not in chosen] + chosen
+    perm = {e: i for i, e in enumerate(order, 1)}
     strat2 = _map_strategy(strategy, lambda e: perm[e])
     interp2 = interp.relabel(perm)
     tstar, _dropped = translate_strategy(strat2, n, r)
@@ -530,11 +524,13 @@ def verify_equivalent(
     guard: int = 10**6,
 ) -> VerificationResult:
     """Compare f and g on the exhaustive sizes and on random samples of sizes
-    1..max_sample_size.  Over an absorptive semiring a size is first tried on
-    pi_n (see `_pi_n_valuer`): where the polynomials agree it is certified
-    for every grid, and no interpretation of that size is enumerated or
-    drawn.  A refutation is a concrete interpretation on which the
-    two values differ."""
+    1..max_sample_size, over the grid value_set (checked against the carrier
+    even where nothing is enumerated).  Over an absorptive semiring a size is
+    first tried on pi_n (see `_pi_n_valuer`): where the polynomials agree it
+    is certified for every grid, and no interpretation of that size is
+    enumerated or drawn.  A refutation is a concrete interpretation on which
+    the two values differ."""
+    _atom_choices(semiring, value_set)
     f_plan, g_plan = compile_formula(f), compile_formula(g)
     pi = _pi_n_valuer(semiring, vocab, (f, g), (f_plan, g_plan))
     equal_at = {}
@@ -819,19 +815,8 @@ def lift_counterexample_to_s3(
     starred, h_star = adjoin_bottom(lattice)
     sr_star = h_star.source
     new_bottom = starred.bottom
-
-    def star_of(interp: Interpretation) -> Interpretation:
-        table = {}
-        for key in interp.atom_keys():
-            pos, neg = interp.pair(*key)
-            table[key] = (
-                new_bottom if pos == sr.zero else pos,
-                new_bottom if neg == sr.zero else neg,
-            )
-        return Interpretation(sr_star, interp.universe, interp.vocab, table)
-
-    pa_star = star_of(pa)
-    pb_star = star_of(pb)
+    pa_star, pb_star = (_mapped(p, sr_star, lambda v: new_bottom if v == sr.zero else v)
+                        for p in (pa, pb))
     s = evaluate_set(pa_star, sentences)
     t = evaluate_set(pb_star, sentences)
     if sr_star.leq(s, t):

@@ -20,11 +20,19 @@ INF = float("inf")  # marker only; never mixed into arithmetic
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise CarrierMismatch(f"not an exact rational: {v!r}")
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CarrierMismatch(f"not an integer: {text!r}") from None
 
 
 class Semiring:
@@ -172,8 +180,7 @@ class ChainSemiring(Semiring):
         return list(range(self.k))
 
     def parse_value(self, text):
-        v = int(text)
-        return self.check(v)
+        return self.check(_int(text))
 
     def random_value(self, rng, nonzero=False):
         return rng.randrange(1 if nonzero else 0, self.k)
@@ -356,7 +363,7 @@ class NatSemiring(Semiring):
         return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
     def parse_value(self, text):
-        return self.check(int(text))
+        return self.check(_int(text))
 
     def random_value(self, rng, nonzero=False):
         return rng.randrange(1 if nonzero else 0, 10)
@@ -397,7 +404,7 @@ class NatInfSemiring(Semiring):
     def parse_value(self, text):
         if text in ("inf", "oo"):
             return INF
-        return self.check(int(text))
+        return self.check(_int(text))
 
     def format_value(self, v):
         return "inf" if v == INF else str(v)
@@ -531,7 +538,10 @@ def semiring_from_id(text: str) -> Semiring:
     if text in fixed:
         return fixed[text]
     if text.startswith("chain:"):
-        return ChainSemiring(int(text.split(":", 1)[1]))
+        try:
+            return ChainSemiring(int(text.split(":", 1)[1]))
+        except ValueError:
+            raise PreconditionError(f"chain levels must be an integer: {text!r}") from None
     if text.startswith("lattice:"):
         from .lattices import lattice_semiring_from_file
 

@@ -153,6 +153,11 @@ def test_trivial_verdicts():
     assert out5 == "verdict: non_trivial\nprobes: ((1, False), (2, False), (3, False))\nthreshold: 3\n"
 
 
+def test_trivial_values_the_fo_distinct_image_of_an_fo_formula():
+    code, out, _ = run_cli("trivial", "--formula", "A x. R(x)")
+    assert code == 1 and out.startswith("verdict: non_trivial\n")
+
+
 def test_rewrite_strict_and_lattice():
     code, out, _ = run_cli("rewrite", "--mode", "strict",
                            "--formula", "(A! x. R(x)) | E! x. R(x)")
@@ -305,6 +310,27 @@ def test_deeply_nested_input_exits_2_without_traceback(monkeypatch, interp_file)
     assert code == 2
     assert out == ""
     assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--property", "extensions", "--semiring", "viterbi", "--formula", "E x. R(x)",
+     "--grid", "0,abc"],
+    ["check", "--property", "extensions", "--semiring", "viterbi", "--formula", "E x. R(x)",
+     "--grid", "1/0"],
+    ["check", "--property", "extensions", "--semiring", "nat", "--formula", "E x. R(x)",
+     "--grid", "1,x"],
+    ["check", "--property", "extensions", "--semiring", "chain:x", "--formula", "E x. R(x)"],
+    ["entail", "--phi", "{phi}", "--psi", "{phi}", "--sizes", "a..b"],
+    ["eval", "--semiring", "viterbi", "--interp", "{bad}", "--formula", "E x. R(x)"],
+], ids=["grid-word", "grid-over-zero", "nat-grid-word", "chain-levels", "sizes", "file-value"])
+def test_a_malformed_number_is_a_usage_error(argv, tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("E x. R(x)\n")
+    bad = tmp_path / "bad.interp"
+    bad.write_text("semiring: viterbi\nuniverse: a b\nR(a) = zz\n")
+    code, out, err = run_cli(*(a.format(phi=phi, bad=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_internal_error_exits_3_with_traceback(monkeypatch, interp_file):

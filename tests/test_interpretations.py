@@ -152,6 +152,8 @@ def test_enumerate_interpretation_counts():
     out = list(enumerate_interpretations(S3, UNARY_R, 1, (S3.EPS, S3.one)))
     assert len(out) == 4
     assert all(pi.is_model_defining() for pi in out)
+    # every positive choice, then every negative one
+    assert [pi.pair("R", (1,)) for pi in out] == [(1, 0), (2, 0), (0, 1), (0, 2)]
     from semlog.semirings import BOOLEAN
 
     out_bool = list(enumerate_interpretations(BOOLEAN, UNARY_R, 1, (True,)))

@@ -94,6 +94,15 @@ def test_the_grid_is_checked_where_nothing_is_enumerated(prop, max_size):
         check_preservation(f, VITERBI, prop, max_size, (Fraction(0), Fraction(1)))
 
 
+def test_verify_equivalent_checks_the_grid_when_every_size_is_certified():
+    f, g = parse("E x. R(x)"), parse("E x. (R(x) | R(x))")
+    assert verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID).certified == (1, 2, 3, 4, 5)
+    with pytest.raises(PreconditionError, match="^value_set must not contain 0$"):
+        verify_equivalent(f, g, VITERBI, UNARY_R, (Fraction(0), Fraction(1, 2)))
+    with pytest.raises(CarrierMismatch, match="^3 is not a viterbi value$"):
+        verify_equivalent(f, g, VITERBI, UNARY_R, (3,))
+
+
 def test_sigma1_never_refuted():
     rng = random.Random(47)
     for _ in range(10):
