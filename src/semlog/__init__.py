@@ -81,7 +81,7 @@ from .interpretations import (
     parse_interpretation,
     random_interpretation,
 )
-from .evaluation import entails_at, evaluate, evaluate_set
+from .evaluation import evaluate, evaluate_set
 from .games import (
     Strategy,
     build_game_tree,
@@ -104,6 +104,7 @@ from .preservation import (
     RewriteReport,
     check_preservation,
     eliminate_one_valuations,
+    entails_at,
     has_almost_existential_optimal,
     has_existential_optimal,
     is_eventually_trivial,

@@ -180,13 +180,14 @@ def cmd_entail(args) -> int:
 
 
 def _parse_sizes(text):
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(t) for t in text.split(","))
+        sizes = tuple(range(int(lo), int(hi) + 1) if dots else map(int, text.split(",")))
     except ValueError:
         raise PreconditionError(f"sizes must be 'lo..hi' or 'a,b,...': {text!r}") from None
+    if not sizes or min(sizes) < 1:
+        raise PreconditionError(f"sizes must name at least one size, each at least 1: {text!r}")
+    return sizes
 
 
 def cmd_repro(args) -> int:

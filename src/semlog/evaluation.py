@@ -34,7 +34,6 @@ on the symmetric all-false interpretation a structural walk
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -52,12 +51,7 @@ from .formulas import (
     _fold,
     _LastBuilt,
 )
-from .interpretations import (
-    Interpretation,
-    Vocabulary,
-    enumerate_interpretations,
-)
-from .semirings import Semiring
+from .interpretations import Interpretation
 
 
 def quantifier_range(f, universe: Sequence[int], excluded=()) -> list:
@@ -294,46 +288,7 @@ def evaluate(interp: Interpretation, f: Formula, env: Optional[dict] = None):
     return run_plan(compile_formula(f), interp, dict(env or {}))
 
 
-def _value_of_set(plans: Sequence[Plan], interp: Interpretation):
-    """Product of the values of compiled sentences; the empty set gives one."""
-    return interp.semiring.prod(run_plan(p, interp) for p in plans)
-
-
 def evaluate_set(interp: Interpretation, sentences: Iterable[Formula]):
     """Product of member valuations; the empty set evaluates to one."""
-    return _value_of_set([compile_formula(f) for f in sentences], interp)
-
-
-@dataclass
-class EntailmentVerdict:
-    holds_on_sample: bool
-    witness: Optional[Interpretation] = None
-    checked: int = 0
-
-    def __bool__(self):
-        return self.holds_on_sample
-
-
-def entails_at(
-    phi: Sequence[Formula],
-    psi: Sequence[Formula],
-    semiring: Semiring,
-    sizes: Sequence[int],
-    value_set: Sequence,
-    vocab: Optional[Vocabulary] = None,
-    guard: int = 10**6,
-) -> EntailmentVerdict:
-    """Check value(phi) <= value(psi) over every enumerated model-defining
-    interpretation of the given sizes.  Sound for refutation only; a holding
-    verdict is evidence bounded by the search space."""
-    if vocab is None:
-        vocab = Vocabulary.of_formula(*(list(phi) + list(psi)))
-    phi_plans = [compile_formula(f) for f in phi]
-    psi_plans = [compile_formula(f) for f in psi]
-    checked = 0
-    for size in sizes:
-        for interp in enumerate_interpretations(semiring, vocab, size, value_set, guard):
-            checked += 1
-            if not semiring.leq(_value_of_set(phi_plans, interp), _value_of_set(psi_plans, interp)):
-                return EntailmentVerdict(False, interp, checked)
-    return EntailmentVerdict(True, None, checked)
+    plans = [compile_formula(f) for f in sentences]
+    return interp.semiring.prod(run_plan(p, interp) for p in plans)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
+    CarrierMismatch,
     GuardExceeded,
     NotModelDefining,
     PreconditionError,
@@ -320,6 +321,8 @@ def _atom_choices(semiring: Semiring, value_set) -> list:
     carrier (with the default pair), so interpretations built from them need
     no check."""
     zero = semiring.zero
+    if not value_set:
+        raise PreconditionError("value_set must not be empty")
     if any(v == zero for v in value_set):
         raise PreconditionError("value_set must not contain 0")
     for v in (zero, semiring.one, *value_set):
@@ -328,6 +331,7 @@ def _atom_choices(semiring: Semiring, value_set) -> list:
 
 
 def count_interpretations(vocab: Vocabulary, size: int, value_set) -> int:
+    """How many interpretations `enumerate_interpretations` yields at this size."""
     n_atoms = len(vocab.atoms(range(1, size + 1)))
     return (2 * len(value_set)) ** n_atoms
 
@@ -345,7 +349,7 @@ def enumerate_interpretations(
     atoms = vocab.atoms(universe)
     if len(atoms) > MAX_ENUM_ATOMS:
         raise GuardExceeded(f"{len(atoms)} atoms exceed the enumeration guard")
-    total = (2 * len(value_set)) ** len(atoms)
+    total = count_interpretations(vocab, size, value_set)
     if total > guard:
         raise GuardExceeded(f"{total} interpretations exceed the guard {guard}")
     choices = _atom_choices(semiring, value_set)
@@ -389,7 +393,7 @@ def parse_interpretation(text: str, semiring: Optional[Semiring] = None) -> Inte
     sr = semiring
     universe_names: Optional[List[str]] = None
     atom_lines = []
-    default_text = None
+    default_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -401,7 +405,7 @@ def parse_interpretation(text: str, semiring: Optional[Semiring] = None) -> Inte
         elif line.startswith("universe:"):
             universe_names = line.split(":", 1)[1].split()
         elif line.startswith("default:"):
-            default_text = line.split(":", 1)[1].strip()
+            default_line = (lineno, line.split(":", 1)[1].strip())
         else:
             m = re.match(r"^(~?)([A-Za-z_][A-Za-z0-9_]*)\(([^)]*)\)\s*=\s*(.+)$", line)
             if not m:
@@ -426,9 +430,16 @@ def parse_interpretation(text: str, semiring: Optional[Semiring] = None) -> Inte
             ids = tuple(elements[a] for a in args)
         except KeyError as exc:
             raise PreconditionError(f"line {lineno}: unknown element {exc}") from exc
-        table[(rel, ids)] = _literal_pair(sr, sr.parse_value(value_text), not negated)
-    default = None if default_text is None else _literal_pair(sr, sr.parse_value(default_text))
+        table[(rel, ids)] = _literal_pair(sr, _parsed_value(sr, lineno, value_text), not negated)
+    default = None if default_line is None else _literal_pair(sr, _parsed_value(sr, *default_line))
     return Interpretation(sr, tuple(elements.values()), vocab, table, default, names)
+
+
+def _parsed_value(semiring: Semiring, lineno: int, text: str):
+    try:
+        return semiring.parse_value(text)
+    except CarrierMismatch as exc:
+        raise CarrierMismatch(f"line {lineno}: {exc}") from None
 
 
 def load_interpretation(path: str, semiring: Optional[Semiring] = None) -> Interpretation:

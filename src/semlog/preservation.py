@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GuardExceeded, PreconditionError
 from .formulas import (
@@ -78,8 +78,7 @@ from .interpretations import (
     check_interp_hom,
     random_interpretation,
 )
-from .evaluation import (_leaf_reader, _value_of_set, compile_formula, evaluate,
-                         evaluate_set, run_plan)
+from .evaluation import _leaf_reader, compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
 from .polynomials import SPOLY, collapse_exponents
 from .provenance import pi_n
@@ -158,6 +157,17 @@ def _minimize_extension_witness(plan, sr, prop, pa, pb, value_set):
     return current.restrict(keep), current
 
 
+def _valued(plans: Sequence, semiring: Semiring, vocab: Vocabulary, sizes: Iterable[int],
+            grid: Sequence, guard: int):
+    """(interp, [value of each plan]) for each interpretation of each size over
+    the grid, in size order, then labelled order.  `sizes` is read lazily; the
+    grid is checked on the first step, even when no size is left to enumerate."""
+    _atom_choices(semiring, grid)
+    for size in sizes:
+        for interp in enumerate_interpretations(semiring, vocab, size, grid, guard):
+            yield interp, [run_plan(p, interp) for p in plans]
+
+
 def check_preservation(
     formula: Formula,
     semiring: Semiring,
@@ -175,53 +185,48 @@ def check_preservation(
     holds no violation, so the witness is the one a full search finds.
 
     Sound for refutation; a holding verdict only covers the declared search
-    space.  Witnesses are greedily minimized: element removal first, then
-    value lowering toward the grid minimum.
+    space, which may not be empty.  Witnesses are greedily minimized: element
+    removal first, then value lowering toward the grid minimum.
     """
     if prop not in ("extensions", "subinterpretations", "homomorphisms"):
         raise PreconditionError(f"unknown property {prop!r}")
-    _atom_choices(semiring, value_set)
+    if max_size < 1:
+        raise PreconditionError(f"max_size must be at least 1, got {max_size}")
     vocab = vocab or Vocabulary.of_formula(formula)
     space = f"sizes<= {max_size}, grid {[semiring.format_value(v) for v in value_set]}"
     plan = compile_formula(formula)
     if prop != "homomorphisms":
         pi = _pi_n_valuer(semiring, vocab, (formula,), (plan,))
-        certified = []
-        for b_size in range(2, max_size + 1):
-            open_sizes = [a for a in range(1, b_size)
-                          if not pi or _violates(SPOLY, prop, pi(a)[0], pi(b_size)[0])]
-            certified += [(a, b_size) for a in range(1, b_size) if a not in open_sizes]
-            if not open_sizes:
-                continue
-            for pb in enumerate_interpretations(semiring, vocab, b_size, value_set, guard):
-                vb = run_plan(plan, pb)
-                for a_size in open_sizes:
-                    for subset in itertools.combinations(pb.universe, a_size):
-                        pa = pb.restrict(subset)
-                        va = run_plan(plan, pa)
-                        if _violates(semiring, prop, va, vb):
-                            pa, pb2 = _minimize_extension_witness(
-                                plan, semiring, prop, pa, pb, value_set
-                            )
-                            va = run_plan(plan, pa)
-                            vb2 = run_plan(plan, pb2)
-                            return PreservationVerdict(prop, "refuted", (pa, pb2, None), space,
-                                                       (va, vb2), tuple(certified))
+        certified, open_at = [], {}
+
+        def open_sizes():
+            for b_size in range(2, max_size + 1):
+                open_at[b_size] = [a for a in range(1, b_size)
+                                   if not pi or _violates(SPOLY, prop, pi(a)[0], pi(b_size)[0])]
+                certified.extend((a, b_size) for a in range(1, b_size) if a not in open_at[b_size])
+                if open_at[b_size]:
+                    yield b_size
+
+        for pb, (vb,) in _valued((plan,), semiring, vocab, open_sizes(), value_set, guard):
+            for a_size in open_at[len(pb.universe)]:
+                for subset in itertools.combinations(pb.universe, a_size):
+                    pa = pb.restrict(subset)
+                    if _violates(semiring, prop, run_plan(plan, pa), vb):
+                        pa, pb = _minimize_extension_witness(plan, semiring, prop, pa, pb,
+                                                             value_set)
+                        values = (run_plan(plan, pa), run_plan(plan, pb))
+                        return PreservationVerdict(prop, "refuted", (pa, pb, None), space,
+                                                   values, tuple(certified))
         return PreservationVerdict(prop, "holds_on_search_space", None, space,
                                    certified=tuple(certified))
-    valued = {}  # size -> [(interp, value)], filled when the size is first needed
-
-    def of_size(size):
-        if size not in valued:
-            interps = enumerate_interpretations(semiring, vocab, size, value_set, guard)
-            valued[size] = [(p, run_plan(plan, p)) for p in interps]
-        return valued[size]
-
+    valued = {}  # size -> [(interp, value)], filled as b first reaches it, all while a is 1
     for a_size in range(1, max_size + 1):
-        pas = of_size(a_size)
         for b_size in range(1, max_size + 1):
-            for pb, vb in of_size(b_size):
-                for pa, va in pas:
+            if b_size not in valued:
+                search = _valued((plan,), semiring, vocab, (b_size,), value_set, guard)
+                valued[b_size] = [(p, v) for p, (v,) in search]
+            for pb, vb in valued[b_size]:
+                for pa, va in valued[a_size]:
                     if semiring.leq(va, vb):
                         continue
                     if b_size ** a_size > guard:
@@ -530,49 +535,45 @@ def verify_equivalent(
     is certified for every grid, and no interpretation of that size is
     enumerated or drawn.  A refutation is a concrete interpretation on which
     the two values differ."""
-    _atom_choices(semiring, value_set)
     f_plan, g_plan = compile_formula(f), compile_formula(g)
     pi = _pi_n_valuer(semiring, vocab, (f, g), (f_plan, g_plan))
     equal_at = {}
     enumerated, sampled = [], set()
-    checked = 0
 
     def certified(n):
         if n not in equal_at:
             equal_at[n] = pi is not None and pi(n)[0] == pi(n)[1]
         return equal_at[n]
 
-    def differ(interp):
-        nonlocal checked
+    def uncertified():
+        for n in exhaustive_sizes:
+            if not certified(n):
+                enumerated.append(n)
+                yield n
+
+    def drawn():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            n = rng.randrange(1, max_sample_size + 1)
+            if not certified(n):
+                sampled.add(n)
+                interp = random_interpretation(semiring, vocab, n, value_set, rng)
+                yield interp, [run_plan(f_plan, interp), run_plan(g_plan, interp)]
+
+    exhaustive = _valued((f_plan, g_plan), semiring, vocab, uncertified(), value_set, guard)
+    witness, checked = None, 0
+    for interp, (fv, gv) in itertools.chain(exhaustive, drawn()):
         checked += 1
-        return run_plan(f_plan, interp) != run_plan(g_plan, interp)
-
-    def result(witness):
-        sizes = tuple(sorted(n for n, ok in equal_at.items() if ok))
-        desc = (
-            f"over {semiring.id}: certified by pi_n at sizes {sizes}; enumerated sizes "
-            f"{tuple(enumerated)}; sampled sizes {tuple(sorted(sampled))}; "
-            f"interpretations checked: {checked}"
-        )
-        return VerificationResult(witness is None, witness, checked, desc, sizes)
-
-    for n in exhaustive_sizes:
-        if certified(n):
-            continue
-        enumerated.append(n)
-        for interp in enumerate_interpretations(semiring, vocab, n, value_set, guard):
-            if differ(interp):
-                return result(interp)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.randrange(1, max_sample_size + 1)
-        if certified(n):
-            continue
-        sampled.add(n)
-        interp = random_interpretation(semiring, vocab, n, value_set, rng)
-        if differ(interp):
-            return result(interp)
-    return result(None)
+        if fv != gv:
+            witness = interp
+            break
+    sizes = tuple(sorted(n for n, ok in equal_at.items() if ok))
+    desc = (
+        f"over {semiring.id}: certified by pi_n at sizes {sizes}; enumerated sizes "
+        f"{tuple(enumerated)}; sampled sizes {tuple(sorted(sampled))}; "
+        f"interpretations checked: {checked}"
+    )
+    return VerificationResult(witness is None, witness, checked, desc, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +740,40 @@ def rewrite_sigma1_lattice(sentence: Formula, seed: int = 0) -> RewriteReport:
 
 
 # ---------------------------------------------------------------------------
-# S3 entailment and equivalence; counterexample lifting
+# Entailment: bounded over a grid, and the S3 criterion; counterexample lifting
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class EntailmentVerdict:
+    holds_on_sample: bool
+    witness: Optional[Interpretation] = None
+    checked: int = 0
+
+    def __bool__(self):
+        return self.holds_on_sample
+
+
+def entails_at(
+    phi: Sequence[Formula],
+    psi: Sequence[Formula],
+    semiring: Semiring,
+    sizes: Sequence[int],
+    value_set: Sequence,
+    vocab: Optional[Vocabulary] = None,
+    guard: int = 10**6,
+) -> EntailmentVerdict:
+    """Check value(phi) <= value(psi) over every enumerated model-defining
+    interpretation of the given sizes.  Sound for refutation only; a holding
+    verdict is evidence bounded by the search space."""
+    vocab = vocab or Vocabulary.of_formula(*phi, *psi)
+    plans = [compile_formula(f) for f in (*phi, *psi)]
+    checked = 0
+    for interp, values in _valued(plans, semiring, vocab, sizes, value_set, guard):
+        checked += 1
+        if not semiring.leq(semiring.prod(values[:len(phi)]), semiring.prod(values[len(phi):])):
+            return EntailmentVerdict(False, interp, checked)
+    return EntailmentVerdict(True, None, checked)
 
 
 @dataclass
@@ -763,17 +796,14 @@ def s3_entailment(
     """The lattice-entailment criterion: every S3 interpretation giving the
     premises value 1 must give the conclusions value 1.  A refutation
     transfers to every lattice semiring other than the Boolean."""
-    vocab = vocab or Vocabulary.of_formula(*(list(phi) + list(psi)))
+    vocab = vocab or Vocabulary.of_formula(*phi, *psi)
     phi_plans = [compile_formula(f) for f in phi]
     psi_plans = [compile_formula(f) for f in psi]
     checked = 0
-    one = S3.one
-    for n in sizes:
-        for interp in enumerate_interpretations(S3, vocab, n, S3_VALUES, guard):
-            checked += 1
-            if (_value_of_set(phi_plans, interp) == one
-                    and _value_of_set(psi_plans, interp) != one):
-                return S3Verdict(False, interp, checked)
+    for interp, values in _valued(phi_plans, S3, vocab, sizes, S3_VALUES, guard):
+        checked += 1
+        if S3.prod(values) == S3.one and S3.prod(run_plan(p, interp) for p in psi_plans) != S3.one:
+            return S3Verdict(False, interp, checked)
     return S3Verdict(True, None, checked)
 
 
@@ -784,7 +814,7 @@ def s3_equivalence(
     vocab: Optional[Vocabulary] = None,
     guard: int = 10**6,
 ) -> S3Verdict:
-    vocab = vocab or Vocabulary.of_formula(*(list(phi) + list(psi)))
+    vocab = vocab or Vocabulary.of_formula(*phi, *psi)
     forward = s3_entailment(phi, psi, sizes, vocab, guard)
     if not forward:
         return forward

@@ -333,6 +333,31 @@ def test_a_malformed_number_is_a_usage_error(argv, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--property", "extensions", "--semiring", "viterbi", "--formula", "E x. R(x)",
+      "--grid", "0"], "value_set must not be empty"),
+    (["check", "--property", "homs", "--semiring", "viterbi", "--formula", "E x. R(x)",
+      "--max-size", "0"], "max_size must be at least 1, got 0"),
+    (["entail", "--phi", "{phi}", "--psi", "{phi}", "--sizes", "3..1"],
+     "sizes must name at least one size, each at least 1: '3..1'"),
+    (["entail", "--phi", "{phi}", "--psi", "{phi}", "--sizes", "0,1"],
+     "sizes must name at least one size, each at least 1: '0,1'"),
+    (["eval", "--semiring", "viterbi", "--interp", "{bad}", "--formula", "E x. R(x)"],
+     "line 3: not an exact rational: 'zz'"),
+    (["eval", "--semiring", "viterbi", "--interp", "{bad_default}", "--formula", "E x. R(x)"],
+     "line 4: not an exact rational: 'q'"),
+], ids=["empty-grid", "max-size-0", "reversed-sizes", "size-0", "file-value", "file-default"])
+def test_an_empty_search_space_or_a_bad_file_value_is_a_usage_error(argv, message, tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("E x. R(x)\n")
+    bad = tmp_path / "bad.interp"
+    bad.write_text("semiring: viterbi\nuniverse: a b\nR(a) = zz\n")
+    bad_default = tmp_path / "bad_default.interp"
+    bad_default.write_text("semiring: viterbi\nuniverse: a b\nR(a) = 1/2\ndefault: q\n")
+    argv = [a.format(phi=phi, bad=bad, bad_default=bad_default) for a in argv]
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+
 def test_internal_error_exits_3_with_traceback(monkeypatch, interp_file):
     import semlog.cli as cli
 

@@ -15,7 +15,7 @@ from corpus import (
     random_sigma1_sentence,
 )
 from semlog.errors import PreconditionError
-from semlog.evaluation import compile_formula, entails_at, evaluate, evaluate_set, run_plan
+from semlog.evaluation import compile_formula, evaluate, evaluate_set, run_plan
 from semlog.formulas import Atom
 from semlog.interpretations import (
     Interpretation,
@@ -26,7 +26,7 @@ from semlog.interpretations import (
     random_interpretation,
 )
 from semlog.parser import parse
-from semlog.preservation import S3_VALUES, VITERBI_GRID
+from semlog.preservation import S3_VALUES, VITERBI_GRID, entails_at
 from semlog.provenance import assignment_from_interpretation, pi_n
 from semlog.semirings import (
     DOUBT,

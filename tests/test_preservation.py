@@ -94,6 +94,15 @@ def test_the_grid_is_checked_where_nothing_is_enumerated(prop, max_size):
         check_preservation(f, VITERBI, prop, max_size, (Fraction(0), Fraction(1)))
 
 
+@pytest.mark.parametrize("prop", ["extensions", "subinterpretations", "homomorphisms"])
+def test_an_empty_search_space_is_rejected(prop):
+    f = parse("E x. R(x)")
+    with pytest.raises(PreconditionError, match="^value_set must not be empty$"):
+        check_preservation(f, VITERBI, prop, 2, ())
+    with pytest.raises(PreconditionError, match="^max_size must be at least 1, got 0$"):
+        check_preservation(f, VITERBI, prop, 0)
+
+
 def test_verify_equivalent_checks_the_grid_when_every_size_is_certified():
     f, g = parse("E x. R(x)"), parse("E x. (R(x) | R(x))")
     assert verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID).certified == (1, 2, 3, 4, 5)
