@@ -35,7 +35,10 @@ HOLDS, REFUTED, USAGE, INTERNAL = 0, 1, 2, 3
 
 def _parse_grid(semiring, text):
     values = [semiring.parse_value(tok.strip()) for tok in text.split(",")]
-    return [v for v in values if v != semiring.zero]
+    grid = [v for v in values if v != semiring.zero]
+    if not grid:
+        raise PreconditionError(f"--grid must name at least one nonzero value: {text!r}")
+    return grid
 
 
 def _load_sentences(path):

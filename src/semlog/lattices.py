@@ -11,6 +11,7 @@ validated (existence, uniqueness, distributivity).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -228,7 +229,8 @@ SEPARATION_GUARD = 12
 
 
 def _subsets(items):
-    for r in range(len(items) + 1):
+    """The non-empty subsets of items."""
+    for r in range(1, len(items) + 1):
         yield from itertools.combinations(items, r)
 
 
@@ -277,33 +279,17 @@ def find_weakly_separating_hom(
             "lattice has divisors of 0; adjoin a bottom element first"
         )
     elems = lattice.elements
-    join_sets = {e: [X for X in _subsets(elems) if _join_of(lattice, X) == e] for e in (s,)}
-    meet_sets = {e: [X for X in _subsets(elems) if _meet_of(lattice, X) == e] for e in (t,)}
+    # No empty X: its join (bottom) is never s, nor its meet (top) t, as s not<= t.
+    join_sets = [X for X in _subsets(elems) if functools.reduce(lattice.join, X) == s]
+    meet_sets = [X for X in _subsets(elems) if functools.reduce(lattice.meet, X) == t]
     sr = semiring if semiring is not None else LatticeSemiring(lattice)
     for table in _hom_candidates(lattice):
         if not table[s] > table[t]:
             continue
-        if any(all(table[x] != table[s] for x in X) for X in join_sets[s]):
+        if any(all(table[x] != table[s] for x in X) for X in join_sets):
             continue
-        if any(all(table[x] != table[t] for x in X) for X in meet_sets[t]):
+        if any(all(table[x] != table[t] for x in X) for X in meet_sets):
             continue
         return SemiringHom(sr, S3, (lambda tb: (lambda v: tb[v]))(table), f"sep_{s}_{t}")
     return None
 
-
-def _join_of(lattice: FiniteLattice, xs) -> Optional[str]:
-    if not xs:
-        return None  # empty join is bottom, never equal to a nonzero s of interest
-    out = xs[0]
-    for x in xs[1:]:
-        out = lattice.join(out, x)
-    return out
-
-
-def _meet_of(lattice: FiniteLattice, xs) -> Optional[str]:
-    if not xs:
-        return None
-    out = xs[0]
-    for x in xs[1:]:
-        out = lattice.meet(out, x)
-    return out

@@ -8,13 +8,21 @@ contain both polarities of one atom is the zero monomial and is never stored.
 Monomials are canonical: each variable occurs once, with a positive exponent
 (repeated variables are merged by summing their exponents).
 
+Both kinds of polynomial share one representation, ``terms``: pairs
+``(monomial, coefficient)`` with distinct monomials and positive
+coefficients, in canonical monomial order, with one equality, hash, degree,
+support and printer over it.  N[X] (``NatPoly``) takes any natural
+coefficient.  In the absorptive quotient (``AbsorptivePoly``) 1 + 1 = 1, so
+every coefficient is 1 and ``monomials`` reads the terms without them.
+Specialization is one loop over the terms.
+
 Both products run through one ranked kernel, ``_product``: variables ranked
 once per call by ``var_sort_key``, each monomial packed into one integer with
 a fixed-width exponent field per rank, so that a pair product is one integer
 addition, and each distinct product decoded once.  A print formats each
 variable once.
 
-An absorptive polynomial is an antichain of monomials under the absorption
+An absorptive polynomial's monomials are an antichain under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
 union-then-prune, multiplication is pairwise product-then-prune.  Pruning
 keeps the minimal monomials without testing every pair: a monomial that
@@ -228,71 +236,92 @@ def _mono_sort_key(m: Monomial):
     return tuple((var_sort_key(v), e) for v, e in m.exps)
 
 
-class AbsorptivePoly:
-    """Antichain of monomials; 0 is the empty antichain, 1 is {unit}."""
+class _Poly:
+    """A polynomial as its terms: ``(monomial, coefficient)`` pairs with
+    distinct monomials and positive coefficients, in canonical order.  The
+    subclasses build and combine terms; a subclass value is never equal to
+    another subclass's, even on the same terms."""
 
-    __slots__ = ("monomials",)
-
-    def __init__(self, monomials: Iterable[Monomial], prune: bool = True):
-        ms = list(monomials)
-        if prune:
-            ms = _prune(ms)
-        self.monomials = tuple(sorted(ms, key=_mono_sort_key))
+    __slots__ = ("terms",)
 
     @classmethod
-    def zero(cls) -> "AbsorptivePoly":
-        return cls((), prune=False)
+    def _of(cls, terms) -> "_Poly":
+        """The polynomial of ``terms``, already canonical."""
+        p = object.__new__(cls)
+        p.terms = tuple(terms)
+        return p
 
     @classmethod
-    def one(cls) -> "AbsorptivePoly":
-        return cls((Monomial.unit(),), prune=False)
+    def zero(cls):
+        return cls._of(())
 
     @classmethod
-    def var(cls, v: VarKey) -> "AbsorptivePoly":
-        return cls((Monomial.var(v),), prune=False)
+    def one(cls):
+        return cls._of(((Monomial.unit(), 1),))
+
+    @classmethod
+    def var(cls, v: VarKey):
+        return cls._of(((Monomial.var(v), 1),))
 
     def __eq__(self, other):
-        return isinstance(other, AbsorptivePoly) and self.monomials == other.monomials
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.monomials)
+        return hash(self.terms)
+
+    def degree(self) -> int:
+        return max((m.degree() for m, _ in self.terms), default=0)
+
+    def support(self):
+        return set().union(*(m.variables() for m, _ in self.terms))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        printer = _Printer()
+        parts = []
+        for m, c in self.terms:
+            if m.is_unit():
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(printer.monomial(m))
+            else:
+                parts.append(f"{c}*{printer.monomial(m)}")
+        return " + ".join(parts)
+
+
+class AbsorptivePoly(_Poly):
+    """Antichain of monomials, each with coefficient 1; 0 is the empty
+    antichain, 1 is {unit}."""
+
+    __slots__ = ()
+
+    def __init__(self, monomials: Iterable[Monomial]):
+        self.terms = tuple((m, 1) for m in sorted(_prune(monomials), key=_mono_sort_key))
+
+    @property
+    def monomials(self) -> Tuple[Monomial, ...]:
+        return tuple(m for m, _ in self.terms)
 
     def add(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        return AbsorptivePoly(self.monomials + other.monomials)
+        return AbsorptivePoly(m for m, _ in self.terms + other.terms)
 
     def mul(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        terms = _product(
-            [(m, 1) for m in self.monomials], [(m, 1) for m in other.monomials], quotient=True
-        )
-        prods = [m for m, _ in terms]
+        prods = [m for m, _ in _product(self.terms, other.terms, quotient=True)]
         kept = set(_prune(prods))
-        p = object.__new__(AbsorptivePoly)  # prods are distinct and in canonical order
-        p.monomials = tuple(m for m in prods if m in kept)
-        return p
+        # prods are distinct and in canonical order; _product summed the
+        # coefficients of equal products, so each is reset to 1.
+        return AbsorptivePoly._of((m, 1) for m in prods if m in kept)
 
     def leq(self, other: "AbsorptivePoly") -> bool:
         return self.add(other) == other
-
-    def degree(self) -> int:
-        return max((m.degree() for m in self.monomials), default=0)
-
-    def support(self):
-        out = set()
-        for m in self.monomials:
-            out |= m.variables()
-        return out
-
-    def __repr__(self):
-        if not self.monomials:
-            return "0"
-        return " + ".join(map(_Printer().monomial, self.monomials))
 
 
 def collapse_exponents(p: AbsorptivePoly) -> AbsorptivePoly:
     """p with every exponent set to 1, re-pruned: its image in the free
     distributive lattice, through which every valuation into a semiring with
     idempotent multiplication factors."""
-    return AbsorptivePoly(Monomial((v, 1) for v, _ in m.exps) for m in p.monomials)
+    return AbsorptivePoly(Monomial((v, 1) for v, _ in m.exps) for m, _ in p.terms)
 
 
 def _prune(monomials) -> list:
@@ -341,10 +370,10 @@ def _has_absorber(m: Monomial, m_mask: int, watch: Dict[VarKey, list]) -> bool:
     return False
 
 
-class NatPoly:
+class NatPoly(_Poly):
     """Polynomial with natural coefficients; no quotient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[Tuple[Monomial, int]]):
         acc: Dict[Monomial, int] = {}
@@ -356,34 +385,14 @@ class NatPoly:
         self.terms = tuple(sorted(acc.items(), key=lambda it: _mono_sort_key(it[0])))
 
     @classmethod
-    def zero(cls) -> "NatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "NatPoly":
-        return cls(((Monomial.unit(), 1),))
-
-    @classmethod
-    def var(cls, v: VarKey) -> "NatPoly":
-        return cls(((Monomial.var(v), 1),))
-
-    @classmethod
     def const(cls, c: int) -> "NatPoly":
         return cls(((Monomial.unit(), c),))
-
-    def __eq__(self, other):
-        return isinstance(other, NatPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def add(self, other: "NatPoly") -> "NatPoly":
         return NatPoly(self.terms + other.terms)
 
     def mul(self, other: "NatPoly") -> "NatPoly":
-        p = object.__new__(NatPoly)
-        p.terms = tuple(_product(self.terms, other.terms, quotient=False))
-        return p
+        return NatPoly._of(_product(self.terms, other.terms, quotient=False))
 
     def leq(self, other: "NatPoly") -> bool:
         """Natural order: coefficient-wise <= (a witness summand exists iff
@@ -391,36 +400,14 @@ class NatPoly:
         coeffs = dict(other.terms)
         return all(c <= coeffs.get(m, 0) for m, c in self.terms)
 
-    def degree(self) -> int:
-        return max((m.degree() for m, _ in self.terms), default=0)
 
-    def support(self):
-        out = set()
-        for m, _ in self.terms:
-            out |= m.variables()
-        return out
+class _PolySemiring(Semiring):
+    """A polynomial class as a semiring; subclasses add the id, the flags,
+    parsing and random values."""
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        printer = _Printer()
-        parts = []
-        for m, c in self.terms:
-            if m.is_unit():
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(printer.monomial(m))
-            else:
-                parts.append(f"{c}*{printer.monomial(m)}")
-        return " + ".join(parts)
-
-
-class AbsorptivePolySemiring(Semiring):
-    id = "spoly"
-    additively_idempotent = True
-    absorptive = True
-    zero = AbsorptivePoly.zero()
-    one = AbsorptivePoly.one()
+    def __init__(self, poly_class):
+        self.zero = poly_class.zero()
+        self.one = poly_class.one()
 
     def add(self, a, b):
         return a.add(b)
@@ -432,7 +419,19 @@ class AbsorptivePolySemiring(Semiring):
         return s.leq(t)
 
     def contains(self, v):
-        return isinstance(v, AbsorptivePoly)
+        return isinstance(v, type(self.zero))
+
+
+def _random_monomial(rng, min_vars: int) -> Monomial:
+    return Monomial(
+        (rng.choice("uvwxyz"), rng.randrange(1, 4)) for _ in range(rng.randrange(min_vars, 3))
+    )
+
+
+class _AbsorptivePolySemiring(_PolySemiring):
+    id = "spoly"
+    additively_idempotent = True
+    absorptive = True
 
     def parse_value(self, text):
         if text == "0":
@@ -442,35 +441,12 @@ class AbsorptivePolySemiring(Semiring):
         return AbsorptivePoly.var(text)
 
     def random_value(self, rng, nonzero=False):
-        names = "uvwxyz"
-        ms = []
-        for _ in range(rng.randrange(1 if nonzero else 0, 4)):
-            ms.append(
-                Monomial(
-                    (rng.choice(names), rng.randrange(1, 4))
-                    for _ in range(rng.randrange(1, 3))
-                )
-            )
-        return AbsorptivePoly(ms)
+        count = rng.randrange(1 if nonzero else 0, 4)
+        return AbsorptivePoly(_random_monomial(rng, 1) for _ in range(count))
 
 
-class NatPolySemiring(Semiring):
+class _NatPolySemiring(_PolySemiring):
     id = "natpoly"
-    linearly_ordered = False
-    zero = NatPoly.zero()
-    one = NatPoly.one()
-
-    def add(self, a, b):
-        return a.add(b)
-
-    def mul(self, a, b):
-        return a.mul(b)
-
-    def leq(self, s, t):
-        return s.leq(t)
-
-    def contains(self, v):
-        return isinstance(v, NatPoly)
 
     def parse_value(self, text):
         if text.isdigit():
@@ -478,18 +454,12 @@ class NatPolySemiring(Semiring):
         return NatPoly.var(text)
 
     def random_value(self, rng, nonzero=False):
-        names = "uvwxyz"
-        terms = []
-        for _ in range(rng.randrange(1 if nonzero else 0, 4)):
-            m = Monomial(
-                (rng.choice(names), rng.randrange(1, 4)) for _ in range(rng.randrange(0, 3))
-            )
-            terms.append((m, rng.randrange(1, 5)))
-        return NatPoly(terms)
+        count = rng.randrange(1 if nonzero else 0, 4)
+        return NatPoly((_random_monomial(rng, 0), rng.randrange(1, 5)) for _ in range(count))
 
 
-SPOLY = AbsorptivePolySemiring()
-NATPOLY = NatPolySemiring()
+SPOLY = _AbsorptivePolySemiring(AbsorptivePoly)
+NATPOLY = _NatPolySemiring(NatPoly)
 
 
 def check_consistent(assignment: Dict[VarKey, Any], target: Semiring) -> None:
@@ -516,13 +486,11 @@ def specialize(poly, assignment: Dict[VarKey, Any], target: Semiring):
             factors.append(target.power(assignment[v], e))
         return target.prod(factors)
 
-    if isinstance(poly, AbsorptivePoly):
-        return target.sum(mono_value(m) for m in poly.monomials)
-    if isinstance(poly, NatPoly):
-        out = target.zero
-        for m, c in poly.terms:
-            mv = mono_value(m)
-            for _ in range(c):
-                out = target.add(out, mv)
-        return out
-    raise CarrierMismatch(f"not a polynomial: {poly!r}")
+    if not isinstance(poly, _Poly):
+        raise CarrierMismatch(f"not a polynomial: {poly!r}")
+    out = target.zero
+    for m, c in poly.terms:
+        mv = mono_value(m)
+        for _ in range(c):
+            out = target.add(out, mv)
+    return out

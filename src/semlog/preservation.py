@@ -765,7 +765,9 @@ def entails_at(
 ) -> EntailmentVerdict:
     """Check value(phi) <= value(psi) over every enumerated model-defining
     interpretation of the given sizes.  Sound for refutation only; a holding
-    verdict is evidence bounded by the search space."""
+    verdict is evidence bounded by the search space, which may not be empty."""
+    if not sizes:
+        raise PreconditionError("sizes must name at least one size")
     vocab = vocab or Vocabulary.of_formula(*phi, *psi)
     plans = [compile_formula(f) for f in (*phi, *psi)]
     checked = 0
@@ -795,7 +797,10 @@ def s3_entailment(
 ) -> S3Verdict:
     """The lattice-entailment criterion: every S3 interpretation giving the
     premises value 1 must give the conclusions value 1.  A refutation
-    transfers to every lattice semiring other than the Boolean."""
+    transfers to every lattice semiring other than the Boolean.  The sizes
+    may not be empty."""
+    if not sizes:
+        raise PreconditionError("sizes must name at least one size")
     vocab = vocab or Vocabulary.of_formula(*phi, *psi)
     phi_plans = [compile_formula(f) for f in phi]
     psi_plans = [compile_formula(f) for f in psi]

@@ -13,14 +13,7 @@ from typing import Dict
 
 from .errors import PreconditionError
 from .interpretations import Interpretation, Vocabulary
-from .polynomials import (
-    NATPOLY,
-    SPOLY,
-    AbsorptivePoly,
-    NatPoly,
-    lit_var,
-    specialize,
-)
+from .polynomials import NATPOLY, SPOLY, lit_var, specialize
 from .semirings import Semiring, SemiringHom
 
 
@@ -29,14 +22,10 @@ def pi_n(vocab: Vocabulary, n: int, flavor: str = "absorptive") -> Interpretatio
     if n < 1:
         raise PreconditionError("n must be >= 1")
     universe = tuple(range(1, n + 1))
-    if flavor == "absorptive":
-        sr: Semiring = SPOLY
-        var = AbsorptivePoly.var
-    elif flavor == "nat":
-        sr = NATPOLY
-        var = NatPoly.var
-    else:
+    sr = {"absorptive": SPOLY, "nat": NATPOLY}.get(flavor)
+    if sr is None:
         raise PreconditionError(f"unknown flavor {flavor!r}")
+    var = type(sr.zero).var
     table = {}
     for rel, args in vocab.atoms(universe):
         table[(rel, args)] = (

@@ -205,9 +205,21 @@ class S3Semiring(ChainSemiring):
 
 
 class _UnitIntervalSemiring(Semiring):
-    """Shared plumbing for the [0,1] carriers (exact rationals)."""
+    """The [0,1] carriers (exact rationals) with max as addition, 0 and 1 as
+    neutral elements and the numeric order as natural order; subclasses give
+    the multiplication."""
 
+    additively_idempotent = True
+    absorptive = True
     linearly_ordered = True
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return max(a, b)
+
+    def leq(self, s, t):
+        return s <= t
 
     def contains(self, v):
         return isinstance(v, (Fraction, int)) and not isinstance(v, bool) and 0 <= v <= 1
@@ -228,55 +240,25 @@ class _UnitIntervalSemiring(Semiring):
 
 class FuzzySemiring(_UnitIntervalSemiring):
     id = "fuzzy"
-    additively_idempotent = True
-    absorptive = True
     multiplicatively_idempotent = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return max(a, b)
 
     def mul(self, a, b):
         return min(a, b)
 
-    def leq(self, s, t):
-        return s <= t
-
 
 class ViterbiSemiring(_UnitIntervalSemiring):
     id = "viterbi"
-    additively_idempotent = True
-    absorptive = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return max(a, b)
 
     def mul(self, a, b):
         return _frac(a * b)
 
-    def leq(self, s, t):
-        return s <= t
-
 
 class LukasiewiczSemiring(_UnitIntervalSemiring):
     id = "lukasiewicz"
-    additively_idempotent = True
-    absorptive = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return max(a, b)
 
     def mul(self, a, b):
         s = a + b - 1
         return self.zero if s <= 0 else _frac(s)
-
-    def leq(self, s, t):
-        return s <= t
 
 
 class DoubtSemiring(_UnitIntervalSemiring):
@@ -284,8 +266,6 @@ class DoubtSemiring(_UnitIntervalSemiring):
     reverse of the numeric order."""
 
     id = "doubt"
-    additively_idempotent = True
-    absorptive = True
     zero = Fraction(1)
     one = Fraction(0)
 

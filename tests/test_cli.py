@@ -335,7 +335,9 @@ def test_a_malformed_number_is_a_usage_error(argv, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["check", "--property", "extensions", "--semiring", "viterbi", "--formula", "E x. R(x)",
-      "--grid", "0"], "value_set must not be empty"),
+      "--grid", "0"], "--grid must name at least one nonzero value: '0'"),
+    (["check", "--property", "extensions", "--semiring", "doubt", "--formula", "E x. R(x)",
+      "--grid", "1,1"], "--grid must name at least one nonzero value: '1,1'"),
     (["check", "--property", "homs", "--semiring", "viterbi", "--formula", "E x. R(x)",
       "--max-size", "0"], "max_size must be at least 1, got 0"),
     (["entail", "--phi", "{phi}", "--psi", "{phi}", "--sizes", "3..1"],
@@ -346,7 +348,8 @@ def test_a_malformed_number_is_a_usage_error(argv, tmp_path):
      "line 3: not an exact rational: 'zz'"),
     (["eval", "--semiring", "viterbi", "--interp", "{bad_default}", "--formula", "E x. R(x)"],
      "line 4: not an exact rational: 'q'"),
-], ids=["empty-grid", "max-size-0", "reversed-sizes", "size-0", "file-value", "file-default"])
+], ids=["empty-grid", "doubt-empty-grid", "max-size-0", "reversed-sizes", "size-0",
+        "file-value", "file-default"])
 def test_an_empty_search_space_or_a_bad_file_value_is_a_usage_error(argv, message, tmp_path):
     phi = tmp_path / "phi.txt"
     phi.write_text("E x. R(x)\n")

@@ -26,10 +26,11 @@ from semlog.polynomials import (
     absorbs,
     lit_var,
     specialize,
+    var_sort_key,
 )
 from semlog.preservation import S3_VALUES, VITERBI_GRID
 from semlog.provenance import assignment_from_interpretation, pi_n
-from semlog.semirings import S3, VITERBI, NATINF
+from semlog.semirings import INF, NATINF, S3, VITERBI
 
 
 def P(*monomials):
@@ -276,7 +277,7 @@ _prune_input = st.lists(_prune_mono, min_size=1, max_size=12).flatmap(
 def test_prune_matches_definition(ms):
     expected = _prune_by_definition(ms)
     assert sorted(map(repr, _prune(ms))) == sorted(map(repr, expected))
-    assert AbsorptivePoly(ms) == AbsorptivePoly(expected, prune=False)
+    assert AbsorptivePoly(ms) == AbsorptivePoly(expected)
 
 
 def test_spoly_pi_6_scale():
@@ -401,3 +402,94 @@ def test_products_are_in_canonical_order(a, b, p, q):
         got = _outcome(NatPoly.mul, *args)
         if got[0] == "value":
             assert _strictly_canonical([m for m, _ in got[1].terms])
+
+
+# Values each variable of a specialization may take: zero too, so that a dual
+# pair is sometimes consistent, and None for a variable left unassigned.
+_TARGETS = (
+    (S3, (0, 1, 2, None)),
+    (VITERBI, (Fraction(0), *VITERBI_GRID, None)),
+    (NATINF, (0, 1, 2, 3, INF, None)),
+)
+
+
+def _view(x):
+    """What a caller can observe of a value, live or frozen."""
+    if isinstance(x, (AbsorptivePoly, reference.RefAbsorptivePoly)):
+        return "absorptive", x.monomials, repr(x), x.degree(), x.support()
+    if isinstance(x, (NatPoly, reference.RefNatPoly)):
+        return "nat", x.terms, repr(x), x.degree(), x.support()
+    return x
+
+
+def _same_outcome(fn, ref_fn, *pairs):
+    """fn on the live sides of the (live, frozen) argument pairs gives what
+    ref_fn gives on the frozen sides: the same value, or the same error."""
+    live_args, ref_args = zip(*pairs) if pairs else ((), ())
+    got, want = _outcome(fn, *live_args), _outcome(ref_fn, *ref_args)
+    if got[0] == want[0] == "value":
+        assert _view(got[1]) == _view(want[1]), pairs
+    else:
+        assert got == want, pairs
+
+
+def _assert_matches_frozen(cls, ref_cls, x, y, data):
+    """x and y are (live, frozen) pairs of one polynomial kind."""
+    _same_outcome(cls.zero, ref_cls.zero)
+    _same_outcome(cls.one, ref_cls.one)
+    for v in ("u", _VARS[3], _VARS[4]):
+        _same_outcome(cls.var, ref_cls.var, (v, v))
+    for a, b in ((x, y), (y, x), (x, x)):
+        _same_outcome(cls.add, ref_cls.add, a, b)
+        _same_outcome(cls.mul, ref_cls.mul, a, b)
+        assert a[0].leq(b[0]) == a[1].leq(b[1])
+        assert (a[0] == b[0]) == (a[1] == b[1])
+        assert (a[0] == b[0]) <= (hash(a[0]) == hash(b[0]))
+    support = sorted(x[0].support() | y[0].support(), key=var_sort_key)
+    for target, values in _TARGETS:
+        drawn = data.draw(st.lists(st.sampled_from(values), min_size=len(support),
+                                   max_size=len(support)))
+        assignment = {v: val for v, val in zip(support, drawn) if val is not None}
+        for poly in (x, y):
+            _same_outcome(lambda p: specialize(p, assignment, target),
+                          lambda p: reference.ref_specialize(p, assignment, target), poly)
+
+
+def _assert_kinds_match_frozen(spolys, natpolys, data):
+    """Both kinds' (live, frozen) pairs, two of each."""
+    for live, ref in spolys + natpolys:
+        assert _view(live) == _view(ref)
+    _assert_matches_frozen(AbsorptivePoly, reference.RefAbsorptivePoly, *spolys, data)
+    _assert_matches_frozen(NatPoly, reference.RefNatPoly, *natpolys, data)
+    for (a, ref_a), (p, ref_p) in zip(spolys, natpolys):
+        assert (a == p) == (ref_a == ref_p) and (p == a) == (ref_p == ref_a)
+
+
+_coefficient = st.integers(min_value=0, max_value=4)
+
+
+@given(st.lists(_mono, max_size=4), st.lists(_mono, max_size=4),
+       st.lists(st.tuples(_mono, _coefficient), max_size=4),
+       st.lists(st.tuples(_mono, _coefficient), max_size=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_polynomials_match_frozen_classes(ms1, ms2, ts1, ts2, data):
+    spolys = [(AbsorptivePoly(ms), reference.RefAbsorptivePoly(ms)) for ms in (ms1, ms2)]
+    natpolys = [(NatPoly(ts), reference.RefNatPoly(ts)) for ts in (ts1, ts2)]
+    _assert_kinds_match_frozen(spolys, natpolys, data)
+    for c in (0, 1, 3, -1):
+        _same_outcome(NatPoly.const, reference.RefNatPoly.const, (c, c))
+    _same_outcome(NatPoly, reference.RefNatPoly, ([(Monomial.unit(), -1)],) * 2)
+    x = Monomial.var("x")
+    _same_outcome(lambda p: specialize(p, {"x": 1}, S3),
+                  lambda p: reference.ref_specialize(p, {"x": 1}, S3), (x, x))
+
+
+@given(st.integers(min_value=0), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_random_values_match_frozen_classes(seed, nonzero, data):
+    rng = random.Random(seed)
+    a, b = (SPOLY.random_value(rng, nonzero) for _ in range(2))
+    p, q = (NATPOLY.random_value(rng, nonzero) for _ in range(2))
+    spolys = [(x, reference.RefAbsorptivePoly(x.monomials)) for x in (a, b)]
+    natpolys = [(x, reference.RefNatPoly(x.terms)) for x in (p, q)]
+    _assert_kinds_match_frozen(spolys, natpolys, data)

@@ -42,6 +42,7 @@ from semlog.preservation import (
     _pi_n_valuer,
     check_preservation,
     eliminate_one_valuations,
+    entails_at,
     has_almost_existential_optimal,
     has_existential_optimal,
     is_eventually_trivial,
@@ -101,6 +102,20 @@ def test_an_empty_search_space_is_rejected(prop):
         check_preservation(f, VITERBI, prop, 2, ())
     with pytest.raises(PreconditionError, match="^max_size must be at least 1, got 0$"):
         check_preservation(f, VITERBI, prop, 0)
+
+
+def test_an_empty_size_list_is_rejected():
+    phi, psi = [parse("E x. R(x)")], [parse("A x. R(x)")]
+    for check in (lambda: s3_entailment(phi, psi, sizes=()),
+                  lambda: s3_equivalence(phi, psi, sizes=()),
+                  lambda: entails_at(phi, psi, VITERBI, (), (Fraction(1),))):
+        with pytest.raises(PreconditionError, match="^sizes must name at least one size$"):
+            check()
+    # verify_equivalent may enumerate no size: it still samples
+    f, g = parse("E x. R(x)"), parse("E x. (R(x) & R(x))")
+    result = verify_equivalent(f, g, VITERBI, UNARY_R, VITERBI_GRID, exhaustive_sizes=(),
+                               samples=5)
+    assert result.checked == 5 and "enumerated sizes ()" in result.description
 
 
 def test_verify_equivalent_checks_the_grid_when_every_size_is_certified():
