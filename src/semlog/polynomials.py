@@ -19,22 +19,30 @@ Specialization is one loop over the terms.
 Both products run through one ranked kernel, ``_product``: variables ranked
 once per call by ``var_sort_key``, each monomial packed into one integer with
 a fixed-width exponent field per rank, so that a pair product is one integer
-addition, and each distinct product decoded once.  A print formats each
-variable once.
+addition, and each distinct product decoded once, a large product's keys as
+two halves with each distinct half decoded once.  A sum of two polynomials
+merges their canonical term lists.  A print formats each variable once.
 
 An absorptive polynomial's monomials are an antichain under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
-union-then-prune, multiplication is pairwise product-then-prune.  Pruning
-keeps the minimal monomials without testing every pair: a monomial that
-absorbs a different canonical one has strictly lower degree, so monomials
-are visited in degree order and each is tested only against those already
-kept, found through a one-watch index that files each kept monomial under
-its rarest variable (see ``_prune``).
+union-then-prune, multiplication is pairwise product-then-prune, and ``leq``
+asks whether each monomial of one side is absorbed by one of the other.  The
+one prune, ``_minimal``, runs on packed keys, before anything is decoded:
+with the top bit of every field set in m, k absorbs m exactly when
+subtracting k leaves every top bit set, since no field is above
+``EXPONENT_CAP`` and so no borrow crosses fields.  A monomial that absorbs a
+different one has strictly lower degree, so keys are visited by degree and
+each is tested only against the kept keys of lower degree, found through a
+watch index that files each kept key under its rarest variable; a product
+whose terms all have one degree, as the ``pi_n`` products do, tests nothing.
+The constructor prunes its own input this way and keeps the input's
+``Monomial`` objects.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .errors import CarrierMismatch, PreconditionError
 from .semirings import Semiring
@@ -42,6 +50,7 @@ from .semirings import Semiring
 EXPONENT_CAP = 2**32
 _SHIFT = EXPONENT_CAP.bit_length() + 1  # room for the sum of two capped exponents
 _EXP = (1 << _SHIFT) - 1
+_GUARD = 1 << _SHIFT - 1  # the top bit of a field, above every capped exponent
 
 VarKey = Any  # str | (rel, args, positive)
 
@@ -150,77 +159,309 @@ class _Printer(dict):
         return "*".join(map(self.__getitem__, m.exps)) or "1"
 
 
-def _product(left, right, quotient: bool) -> list:
+def _every_field(ranks: int, value: int) -> int:
+    """``value`` in each of the first ``ranks`` fields of a packed key."""
+    return ((1 << ranks * _SHIFT) - 1) // _EXP * value
+
+
+def _packed(m: Monomial, rank: Dict[VarKey, int]) -> Tuple[int, int, int]:
+    """``m`` as one integer, the exponent of the variable of rank ``r`` in bits
+    ``[r * _SHIFT, (r + 1) * _SHIFT)``, with its support bitmask and degree.
+    A variable not in ``rank`` yet is given the next rank."""
+    key = mask = degree = 0
+    for v, e in m.exps:
+        r = rank.setdefault(v, len(rank))
+        key |= e << r * _SHIFT
+        mask |= 1 << r
+        degree += e
+    return key, mask, degree
+
+
+def _canonical_key(monomials: Iterable[Monomial]):
+    """Sort key putting ``monomials`` in canonical order.  Their variables
+    are ranked once by ``var_sort_key``, and a factor ``rank << _SHIFT |
+    exponent`` sorts as ``(var_sort_key(v), exponent)`` does, because that
+    order is injective on variables."""
+    names = sorted({v for m in monomials for v, _ in m.exps}, key=var_sort_key)
+    rank = {v: r for r, v in enumerate(names)}
+    return lambda m: tuple([rank[v] << _SHIFT | e for v, e in m.exps])
+
+
+def _cmp(m1: Monomial, m2: Monomial) -> int:
+    """Negative, zero or positive as ``m1`` comes before, equals or comes
+    after ``m2`` in canonical order; ``var_sort_key`` is read only at the
+    first factor where the two differ."""
+    for (v1, e1), (v2, e2) in zip(m1.exps, m2.exps):
+        if v1 != v2:
+            return -1 if var_sort_key(v1) < var_sort_key(v2) else 1
+        if e1 != e2:
+            return e1 - e2
+    return len(m1.exps) - len(m2.exps)
+
+
+def _merged(left, right) -> list:
+    """Two term lists in canonical order merged into one, the coefficients of
+    equal monomials summed."""
+    out = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a, b = left[i], right[j]
+        order = _cmp(a[0], b[0])
+        if order <= 0:
+            out.append(a if order else (a[0], a[1] + b[1]))
+            i += 1
+        if order >= 0:
+            if order:
+                out.append(b)
+            j += 1
+    out += left[i:]
+    out += right[j:]
+    return out
+
+
+def _check_cap(key: int) -> None:
+    """Raise when a field of the packed ``key`` is above ``EXPONENT_CAP``."""
+    while key:
+        if key & _EXP > EXPONENT_CAP:
+            raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
+        key >>= _SHIFT
+
+
+def _product(left, right, quotient: bool, prune: bool = False) -> list:
     """Every pairwise product of two term lists ``(monomial, coefficient)``,
     coefficients summed per monomial: ``[(monomial, coefficient)]`` in
     canonical order.  With ``quotient``, products holding a literal and its
-    dual are dropped.
+    dual are dropped; with ``prune``, so are products absorbed by another,
+    and every coefficient is 1.
 
-    The union of both sides' variables is ranked once by ``var_sort_key``.
-    Each monomial becomes one integer, the exponent of the variable of rank
-    ``r`` in bits ``[r * _SHIFT, (r + 1) * _SHIFT)``, with a support bitmask
-    and, in the quotient, the mask of its variables' duals.  A pair product
-    is the sum of the two integers: a field holds at most twice
-    ``EXPONENT_CAP``, so no carry crosses fields, and only a sum whose
-    supports overlap and that reaches the cap in some field is walked field
-    by field for the cap check.  Each distinct product is decoded once, from
-    its highest field down, into factors ``rank << _SHIFT | exponent``; ranks
-    keep ``var_sort_key`` order, which is injective on variables, so the
-    factor tuples sort exactly as ``_mono_sort_key`` sorts the monomials.
+    The union of both sides' variables is ranked once by ``var_sort_key`` and
+    each monomial packed as ``_packed`` packs it, with the mask of its
+    variables' duals in the quotient.  A pair product is the sum of the two
+    integers: a field holds at most twice ``EXPONENT_CAP``, so no carry
+    crosses fields, and only a sum whose supports overlap and that reaches
+    the cap in some field is walked field by field for the cap check.  The
+    prune (``_minimal``) runs on the distinct sums, and each kept sum is
+    decoded once (``_decoded``).
     """
     names = sorted({v for m, _ in (*left, *right) for v, _ in m.exps}, key=var_sort_key)
     rank = {v: r for r, v in enumerate(names)}
-    dual_bit = [1 << rank[_dual(v)] if quotient and _dual(v) in rank else 0 for v in names]
-    # Bits 32 and 33 of every field: a field at or above the cap sets one of them.
-    over = ((1 << len(names) * _SHIFT) - 1) // _EXP * 3 * EXPONENT_CAP
+    ranks = len(names)
+    # A literal and its dual are neighbours in ``var_sort_key`` order, the
+    # positive one first, so the duals of a support are its positive
+    # literals' bits shifted up by one and its negative literals' shifted down.
+    up = down = 0
+    if quotient:
+        for r, v in enumerate(names):
+            if _dual(v) in rank:
+                if v[2]:
+                    up |= 1 << r
+                else:
+                    down |= 1 << r
+    # Bits 32 and 33 of every field (``_every_field``, inline: small products
+    # are many): a field at or above the cap sets one of them.
+    over = ((1 << ranks * _SHIFT) - 1) // _EXP * 3 * EXPONENT_CAP
 
     def encode(terms):
         out = []
         for m, c in terms:
-            key = mask = duals = 0
+            key = mask = 0
             for v, e in m.exps:
                 r = rank[v]
                 key |= e << r * _SHIFT
                 mask |= 1 << r
-                duals |= dual_bit[r]
+            duals = (mask & up) << 1 | (mask & down) >> 1 if quotient else 0
             if not duals & mask:  # else every product with m holds a dual pair
-                out.append((key, mask, duals, c))
+                out.append((key, mask, duals, m.degree() << ranks | mask if prune else c))
         return out
 
     acc: Dict[int, int] = {}
     rights = encode(right)
-    for k1, mask1, duals1, c1 in encode(left):
-        for k2, mask2, _, c2 in rights:
-            if duals1 & mask2:
-                continue
-            key = k1 + k2
-            if mask1 & mask2 and key & over:
-                rest = key
-                while rest:
-                    if rest & _EXP > EXPONENT_CAP:
-                        raise PreconditionError(f"exponent exceeds cap {EXPONENT_CAP}")
-                    rest >>= _SHIFT
-            acc[key] = acc.get(key, 0) + c1 * c2
+    if prune:
+        for k1, mask1, duals1, tag1 in encode(left):
+            for k2, mask2, _, tag2 in rights:
+                if not duals1 & mask2:
+                    key = k1 + k2
+                    both = mask1 & mask2
+                    if both and key & over:
+                        _check_cap(key)
+                    acc[key] = tag1 + tag2 - both  # degrees add, supports unite
+        acc = _minimal(acc, ranks)
+    else:
+        for k1, mask1, duals1, c1 in encode(left):
+            for k2, mask2, _, c2 in rights:
+                if not duals1 & mask2:
+                    key = k1 + k2
+                    if mask1 & mask2 and key & over:
+                        _check_cap(key)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+    return _decoded(acc, names)
+
+
+def _factors(part: int, base: int, interned: Dict[int, int]) -> tuple:
+    """The factors ``rank << _SHIFT | exponent`` of a packed part, its ranks
+    offset by ``base``, read from the highest field down; each distinct
+    factor is kept once in ``interned``."""
+    factors = []
+    while part:
+        r = (part.bit_length() - 1) // _SHIFT
+        e = part >> r * _SHIFT
+        part ^= e << r * _SHIFT
+        x = r + base << _SHIFT | e
+        factors.append(interned.setdefault(x, x))
+    factors.reverse()
+    return tuple(factors)
+
+
+# From this many keys on, a key is read as two halves: enough keys share a
+# half for the one decode of each distinct half to pay for the split.
+_SPLIT_FROM = 64
+
+
+def _decoded(acc: Dict[int, int], names: List[VarKey]) -> list:
+    """``[(monomial, coefficient)]`` in canonical order from ``acc``, packed
+    key -> coefficient over the ranked variables ``names``.  Each key is
+    popped, so freed, once it is read.
+
+    Many keys are read as two halves, their low ranks and their high ranks,
+    and each distinct half is decoded once (``_factors``); a few keys are
+    read whole.  The factor tuples sort as ``_canonical_key`` sorts
+    monomials, and each distinct factor becomes its ``(variable, exponent)``
+    pair once.
+    """
     interned: Dict[int, int] = {}
     rows = []
-    while acc:
-        key, c = acc.popitem()
-        factors = []
-        while key:
-            r = (key.bit_length() - 1) // _SHIFT
-            e = key >> r * _SHIFT
-            key ^= e << r * _SHIFT
-            x = r << _SHIFT | e
-            factors.append(interned.setdefault(x, x))
-        factors.reverse()
-        rows.append((tuple(factors), c))
+    if len(acc) < _SPLIT_FROM:
+        while acc:  # as _factors does, inline: this is the path of small products
+            key, c = acc.popitem()
+            factors = []
+            while key:
+                r = (key.bit_length() - 1) // _SHIFT
+                e = key >> r * _SHIFT
+                key ^= e << r * _SHIFT
+                x = r << _SHIFT | e
+                factors.append(interned.setdefault(x, x))
+            factors.reverse()
+            rows.append((tuple(factors), c))
+    else:
+        cut = len(names) // 2
+        shift = cut * _SHIFT
+        low = (1 << shift) - 1
+        lows = {part: _factors(part, 0, interned) for part in {key & low for key in acc}}
+        highs = {part: _factors(part, cut, interned) for part in {key >> shift for key in acc}}
+        while acc:
+            key, c = acc.popitem()
+            rows.append((lows[key & low] + highs[key >> shift], c))
     rows.sort()
-    decode = {x: (names[x >> _SHIFT], x & _EXP) for x in interned}
+    pairs = {x: (names[x >> _SHIFT], x & _EXP) for x in interned}
     for i, (factors, c) in enumerate(rows):
         m = object.__new__(Monomial)  # no second merge, cap check or sort
-        m.exps = tuple(map(decode.__getitem__, factors))
+        m.exps = tuple(map(pairs.__getitem__, factors))
         rows[i] = (m, c)
     return rows
+
+
+def _bits(mask: int) -> List[int]:
+    """The set bits of ``mask``, each as an integer."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b)
+        mask ^= b
+    return out
+
+
+def _watch(filed: List[int], tested: Iterable[int] = ()) -> Tuple[dict, dict]:
+    """Watch lists for absorber lookups among packed keys: ``filed`` holds the
+    support mask of each key that may be filed, ``tested`` further masks of
+    keys that are only looked up.  Returns ``scans``, the lists to scan for
+    an absorber of a key of each support, and ``homes``, the list to file a
+    key of each filed support in.
+
+    A key is filed under one variable of its support, the rarest in
+    ``filed``, so an absorber of a key ``m``, whose support lies inside
+    ``m``'s, is met exactly once, in the list of one of ``m``'s own
+    variables.  Up to eight keys share one list, which is cheaper to scan than
+    an index is to build.
+    """
+    if len(filed) <= 8:
+        shared: list = []
+        return dict.fromkeys([*filed, *tested], (shared,)), dict.fromkeys(filed, shared)
+    counts = Counter(filed)
+    bits = {mask: _bits(mask) for mask in (*counts, *tested)}
+    freq: Dict[int, int] = {}
+    for mask, n in counts.items():
+        for b in bits[mask]:
+            freq[b] = freq.get(b, 0) + n
+    lists: Dict[int, list] = {b: [] for b in freq}
+    scans = {mask: [lists[b] for b in bs if b in lists] for mask, bs in bits.items()}
+    homes = {mask: lists[min(bits[mask], key=freq.__getitem__)] for mask in counts}
+    return scans, homes
+
+
+def _inside(mask: int, scan: List[list]) -> List[int]:
+    """The keys of the entries ``(support mask, packed key)`` of the lists
+    ``scan`` whose support lies inside ``mask``."""
+    return [k for entries in scan for k_mask, k in entries if k_mask & mask == k_mask]
+
+
+def _absorbed(top: int, keys: List[int], guard: int) -> bool:
+    """Whether one of ``keys`` absorbs a key m: has no field above m's.
+    ``guard`` is the top bit of every field and ``top`` is ``m | guard``.
+    Every field is at most ``EXPONENT_CAP``, below the guard bit, so
+    ``top - k`` borrows from no field, and a field keeps its guard bit
+    exactly when k's field is not above m's."""
+    for k in keys:
+        if (top - k) & guard == guard:
+            return True
+    return False
+
+
+def _minimal(acc: Dict[int, int], ranks: int) -> Dict[int, int]:
+    """The keys of ``acc`` that no other key absorbs, each mapped to 1, the
+    coefficient ``_decoded`` reads; empties ``acc``.  ``acc`` maps each
+    distinct packed key over ``ranks`` ranks to ``degree << ranks | support
+    mask``.
+
+    A key that absorbs a different one has a smaller degree, so keys of one
+    degree, as the products of ``pi_n`` have, are all kept untested.  Else
+    keys are visited by degree and each is tested only against the kept keys
+    of lower degree, since any absorber of it is itself absorbed by a kept,
+    minimal one.  A degree's kept keys are filed once the next degree starts,
+    so within a degree the filed keys whose support lies inside a given
+    support are looked up once per support.
+    """
+    top = max(acc.values(), default=0) >> ranks
+    if 0 in acc or min(acc.values(), default=0) >> ranks == top:
+        kept = dict.fromkeys([0] if 0 in acc else acc, 1)  # the unit absorbs every other
+        acc.clear()
+        return kept
+    support = (1 << ranks) - 1
+    guard = _every_field(ranks, _GUARD)
+    scans, homes = _watch([tag & support for tag in acc.values()])
+    keys = sorted(acc, key=acc.__getitem__, reverse=True)
+    kept = {}
+    level: List[Tuple[int, int]] = []  # the kept keys of the current degree
+    inside: Dict[int, List[int]] = {}  # support mask -> filed keys inside it
+    degree = -1
+    while keys:
+        key = keys.pop()  # each rejected key is freed once it is tested
+        tag = acc.pop(key)
+        if tag >> ranks != degree:
+            degree = tag >> ranks
+            if level:
+                for entry in level:
+                    homes[entry[0]].append(entry)
+                level = []
+                inside.clear()
+        mask = tag & support
+        found = inside.get(mask)
+        if found is None:
+            found = inside[mask] = _inside(mask, scans[mask])
+        if not _absorbed(key | guard, found, guard):
+            kept[key] = 1
+            if degree < top:  # the keys of the top degree are never filed
+                level.append((mask, key))
+    return kept
 
 
 def absorbs(m1: Monomial, m2: Monomial) -> bool:
@@ -230,10 +471,6 @@ def absorbs(m1: Monomial, m2: Monomial) -> bool:
         if it.get(v, 0) < e:
             return False
     return True
-
-
-def _mono_sort_key(m: Monomial):
-    return tuple((var_sort_key(v), e) for v, e in m.exps)
 
 
 class _Poly:
@@ -297,24 +534,42 @@ class AbsorptivePoly(_Poly):
     __slots__ = ()
 
     def __init__(self, monomials: Iterable[Monomial]):
-        self.terms = tuple((m, 1) for m in sorted(_prune(monomials), key=_mono_sort_key))
+        kept = _prune(monomials)
+        self.terms = tuple((m, 1) for m in sorted(kept, key=_canonical_key(kept)))
 
     @property
     def monomials(self) -> Tuple[Monomial, ...]:
         return tuple(m for m, _ in self.terms)
 
     def add(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        return AbsorptivePoly(m for m, _ in self.terms + other.terms)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        merged = _merged(self.terms, other.terms)  # the prune keeps this order
+        return AbsorptivePoly._of((m, 1) for m in _prune(m for m, _ in merged))
 
     def mul(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        prods = [m for m, _ in _product(self.terms, other.terms, quotient=True)]
-        kept = set(_prune(prods))
-        # prods are distinct and in canonical order; _product summed the
-        # coefficients of equal products, so each is reset to 1.
-        return AbsorptivePoly._of((m, 1) for m in prods if m in kept)
+        return AbsorptivePoly._of(_product(self.terms, other.terms, quotient=True, prune=True))
 
     def leq(self, other: "AbsorptivePoly") -> bool:
-        return self.add(other) == other
+        """Natural order, ``self + other == other``: on antichains, every
+        monomial of self is absorbed by one of other."""
+        if not self.terms:
+            return True
+        if not other.terms:
+            return False
+        if other.terms[0][0].is_unit():  # the unit sorts first and absorbs all
+            return True
+        rank: Dict[VarKey, int] = {}
+        filed = [_packed(m, rank) for m, _ in other.terms]
+        tested = [_packed(m, rank) for m, _ in self.terms]
+        scans, homes = _watch([mask for _, mask, _ in filed], [mask for _, mask, _ in tested])
+        for key, mask, _ in filed:
+            homes[mask].append((mask, key))
+        guard = _every_field(len(rank), _GUARD)
+        return all(_absorbed(key | guard, _inside(mask, scans[mask]), guard)
+                   for key, mask, _ in tested)
 
 
 def collapse_exponents(p: AbsorptivePoly) -> AbsorptivePoly:
@@ -324,50 +579,22 @@ def collapse_exponents(p: AbsorptivePoly) -> AbsorptivePoly:
     return AbsorptivePoly(Monomial((v, 1) for v, _ in m.exps) for m, _ in p.terms)
 
 
-def _prune(monomials) -> list:
-    """The minimal monomials of ``monomials`` under absorption, in no set order.
-
-    Monomials must be canonical (each variable once, positive exponents), as
-    ``Monomial`` builds them.  Then a monomial that absorbs a different one
-    has strictly lower degree, so after deduplication and a sort by degree
-    each monomial is tested only against those already kept: any absorber
-    of it is itself absorbed by a kept, minimal one.  Each kept monomial is
-    filed under one of its variables, the rarest in this input, so a
-    candidate absorber of ``m`` is met exactly once, in the list of one of
-    ``m``'s own variables.  It is tested on support bitmasks first and on
-    exponents only when its support lies inside ``m``'s.
-    """
-    distinct = set(monomials)
-    unit = Monomial.unit()
-    if unit in distinct:
-        return [unit]
-    freq: Dict[VarKey, int] = {}
-    for m in distinct:
-        for v, _ in m.exps:
-            freq[v] = freq.get(v, 0) + 1
-    bit = {v: 1 << i for i, v in enumerate(freq)}
-    watch: Dict[VarKey, list] = {v: [] for v in freq}
-    kept = []
-    for m in sorted(distinct, key=Monomial.degree):
-        m_mask = sum(bit[v] for v, _ in m.exps)
-        if not _has_absorber(m, m_mask, watch):
-            kept.append(m)
-            rarest = min((v for v, _ in m.exps), key=freq.__getitem__)
-            watch[rarest].append((m_mask, m.exps))
-    return kept
-
-
-def _has_absorber(m: Monomial, m_mask: int, watch: Dict[VarKey, list]) -> bool:
-    """Whether a monomial filed in ``watch`` absorbs ``m``."""
-    m_exps = None
-    for v, _ in m.exps:
-        for k_mask, k_exps in watch[v]:
-            if k_mask & m_mask == k_mask:
-                if m_exps is None:
-                    m_exps = dict(m.exps)
-                if all(m_exps[u] >= e for u, e in k_exps):
-                    return True
-    return False
+def _prune(monomials: Iterable[Monomial]) -> List[Monomial]:
+    """The minimal monomials of ``monomials`` under absorption, the first of
+    equal ones, in input order.  The prune runs on packed keys
+    (``_minimal``), in any rank order, and keeps the input's own monomials,
+    so nothing is decoded."""
+    rank: Dict[VarKey, int] = {}
+    packed = [(_packed(m, rank), m) for m in monomials]
+    ranks = len(rank)
+    first: Dict[int, Monomial] = {}
+    acc: Dict[int, int] = {}
+    for (key, mask, degree), m in packed:
+        if key not in first:
+            first[key] = m
+            acc[key] = degree << ranks | mask
+    kept = _minimal(acc, ranks)
+    return [m for key, m in first.items() if key in kept]
 
 
 class NatPoly(_Poly):
@@ -382,14 +609,19 @@ class NatPoly(_Poly):
                 raise PreconditionError("negative coefficient")
             if c:
                 acc[m] = acc.get(m, 0) + c
-        self.terms = tuple(sorted(acc.items(), key=lambda it: _mono_sort_key(it[0])))
+        order = _canonical_key(acc)
+        self.terms = tuple(sorted(acc.items(), key=lambda t: order(t[0])))
 
     @classmethod
     def const(cls, c: int) -> "NatPoly":
         return cls(((Monomial.unit(), c),))
 
     def add(self, other: "NatPoly") -> "NatPoly":
-        return NatPoly(self.terms + other.terms)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        return NatPoly._of(_merged(self.terms, other.terms))
 
     def mul(self, other: "NatPoly") -> "NatPoly":
         return NatPoly._of(_product(self.terms, other.terms, quotient=False))

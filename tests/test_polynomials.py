@@ -21,9 +21,9 @@ from semlog.polynomials import (
     AbsorptivePoly,
     Monomial,
     NatPoly,
-    _mono_sort_key,
     _prune,
     absorbs,
+    collapse_exponents,
     lit_var,
     specialize,
     var_sort_key,
@@ -387,7 +387,7 @@ def test_products_over_seventy_variables_match_reference():
 
 
 def _strictly_canonical(monomials):
-    keys = list(map(_mono_sort_key, monomials))
+    keys = list(map(reference._mono_sort_key, monomials))
     return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
@@ -493,3 +493,86 @@ def test_random_values_match_frozen_classes(seed, nonzero, data):
     spolys = [(x, reference.RefAbsorptivePoly(x.monomials)) for x in (a, b)]
     natpolys = [(x, reference.RefNatPoly(x.terms)) for x in (p, q)]
     _assert_kinds_match_frozen(spolys, natpolys, data)
+
+
+# Exponents at the edge of the guard-bit absorption test on packed keys: a
+# field at EXPONENT_CAP has bit 32 set, one at EXPONENT_CAP - 1 its low 32
+# bits full, and either beside a small one differs from it in every bit.
+_edge_exp = st.sampled_from((1, 2, 3, EXPONENT_CAP - 1, EXPONENT_CAP))
+_edge_mono = st.lists(st.tuples(st.sampled_from(_VARS), _edge_exp), max_size=4).map(
+    lambda pairs: Monomial(dict(pairs).items())
+)
+
+
+def _absorbed_variant(m, var, bump):
+    """m with the exponent of ``var`` raised by 1 + bump, up to the cap: a
+    monomial that m absorbs."""
+    exps = dict(m.exps)
+    exps[var] = min(exps.get(var, 0) + 1 + bump, EXPONENT_CAP)
+    return Monomial(exps.items())
+
+
+@st.composite
+def _absorbing_lists(draw):
+    """Monomials, some of them absorbed by others, in any order."""
+    base = draw(st.lists(_edge_mono, max_size=5))
+    out = list(base)
+    for m in base:
+        if draw(st.booleans()):
+            out.append(_absorbed_variant(m, draw(st.sampled_from(_VARS)), draw(_edge_exp)))
+    return draw(st.permutations(out))
+
+
+def _assert_absorptive_kernel_matches_frozen(ms1, ms2):
+    """The constructor, add, mul, leq and collapse_exponents on two lists of
+    monomials give what the frozen prune and product give."""
+    sides = [(AbsorptivePoly(ms), reference.RefAbsorptivePoly(ms)) for ms in (ms1, ms2)]
+    for live, ref in sides:
+        assert _view(live) == _view(ref)
+        _same_outcome(collapse_exponents, reference.ref_collapse_exponents, (live, ref))
+    for x, y in ((sides[0], sides[1]), (sides[1], sides[0]), (sides[0], sides[0])):
+        _same_outcome(AbsorptivePoly.add, reference.RefAbsorptivePoly.add, x, y)
+        _same_outcome(AbsorptivePoly.mul, reference.RefAbsorptivePoly.mul, x, y)
+        _same_outcome(AbsorptivePoly.mul, reference.absorptive_mul, (x[0], x[0]), (y[0], y[0]))
+        above = [y, (x[0].add(y[0]), x[1].add(y[1]))]
+        product = _outcome(AbsorptivePoly.mul, x[0], y[0])
+        if product[0] == "value":
+            below = (product[1], x[1].mul(y[1]))
+            above.append(x)
+            assert below[0].leq(x[0]) == below[1].leq(x[1])
+            assert x[0].leq(below[0]) == x[1].leq(below[1])
+        for z in above:
+            assert x[0].leq(z[0]) == x[1].leq(z[1]), (x, z)
+
+
+@given(_absorbing_lists(), _absorbing_lists())
+@settings(max_examples=400, deadline=None)
+def test_absorptive_kernel_matches_frozen_prune(ms1, ms2):
+    _assert_absorptive_kernel_matches_frozen(ms1, ms2)
+
+
+def test_absorptive_kernel_over_seventy_variables_matches_frozen_prune():
+    """70 ranks, so packed keys of over 2,000 bits, with absorbed variants,
+    dual pairs and exponents at the cap and one below it."""
+    names = [f"v{i:02d}" for i in range(30)]
+    names += [lit_var("R", (i,), pos) for i in range(20) for pos in (True, False)]
+    rng = random.Random(71)
+    edge = (EXPONENT_CAP - 1, EXPONENT_CAP)
+
+    def exp():
+        return rng.choice(edge) if rng.random() < 0.05 else rng.randrange(1, 4)
+
+    def monomials(pool):
+        ms = [Monomial((v, exp()) for v in rng.sample(pool, rng.randrange(1, 8)))
+              for _ in range(rng.randrange(1, 7))]
+        ms += [_absorbed_variant(m, rng.choice(names), rng.randrange(3))
+               for m in ms if rng.random() < 0.5]
+        rng.shuffle(ms)
+        return ms
+
+    for _ in range(40):
+        # Each side covers one half of the variables, so both together rank all 70.
+        sides = [[Monomial((v, 1) for v in half[i : i + 7]) for i in range(0, 35, 7)]
+                 + monomials(names) for half in (names[0::2], names[1::2])]
+        assert len({v for ms in sides for m in ms for v in m.variables()}) == 70
+        _assert_absorptive_kernel_matches_frozen(*sides)
