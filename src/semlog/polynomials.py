@@ -257,9 +257,8 @@ def _product(left, right, quotient: bool, prune: bool = False) -> list:
                     up |= 1 << r
                 else:
                     down |= 1 << r
-    # Bits 32 and 33 of every field (``_every_field``, inline: small products
-    # are many): a field at or above the cap sets one of them.
-    over = ((1 << ranks * _SHIFT) - 1) // _EXP * 3 * EXPONENT_CAP
+    # Bits 32 and 33 of every field: a field at or above the cap sets one of them.
+    over = _every_field(ranks, 3 * EXPONENT_CAP)
 
     def encode(terms):
         out = []
@@ -297,57 +296,54 @@ def _product(left, right, quotient: bool, prune: bool = False) -> list:
     return _decoded(acc, names)
 
 
-def _factors(part: int, base: int, interned: Dict[int, int]) -> tuple:
-    """The factors ``rank << _SHIFT | exponent`` of a packed part, its ranks
-    offset by ``base``, read from the highest field down; each distinct
-    factor is kept once in ``interned``."""
-    factors = []
-    while part:
-        r = (part.bit_length() - 1) // _SHIFT
-        e = part >> r * _SHIFT
-        part ^= e << r * _SHIFT
-        x = r + base << _SHIFT | e
-        factors.append(interned.setdefault(x, x))
-    factors.reverse()
-    return tuple(factors)
+def _factors(parts: Dict[int, Any], interned: Dict[int, int]) -> list:
+    """``[(factors, value)]`` for each item ``packed part -> value`` popped
+    from ``parts``: the factors ``rank << _SHIFT | exponent`` of the part,
+    read from the highest field down, each distinct factor kept once in
+    ``interned``."""
+    out = []
+    while parts:
+        part, value = parts.popitem()
+        factors = []
+        while part:
+            r = (part.bit_length() - 1) // _SHIFT
+            e = part >> r * _SHIFT
+            part ^= e << r * _SHIFT
+            x = r << _SHIFT | e
+            factors.append(interned.setdefault(x, x))
+        factors.reverse()
+        out.append((tuple(factors), value))
+    return out
 
 
-# From this many keys on, a key is read as two halves: enough keys share a
-# half for the one decode of each distinct half to pay for the split.
+# From this many keys on, a key is read as two halves: below it, the halves
+# of the keys that products meet are seldom shared, and the split costs more
+# than the shared decodes save.
 _SPLIT_FROM = 64
 
 
 def _decoded(acc: Dict[int, int], names: List[VarKey]) -> list:
     """``[(monomial, coefficient)]`` in canonical order from ``acc``, packed
-    key -> coefficient over the ranked variables ``names``.  Each key is
-    popped, so freed, once it is read.
+    key -> coefficient over the ranked variables ``names``.
 
-    Many keys are read as two halves, their low ranks and their high ranks,
-    and each distinct half is decoded once (``_factors``); a few keys are
-    read whole.  The factor tuples sort as ``_canonical_key`` sorts
-    monomials, and each distinct factor becomes its ``(variable, exponent)``
-    pair once.
+    Fewer than ``_SPLIT_FROM`` keys are read whole.  More are read as two
+    halves, their low ranks and their high ranks, and each distinct half is
+    decoded once.  Each key is popped, so freed, once it is read.  The
+    factor tuples sort as ``_canonical_key`` sorts monomials, and each
+    distinct factor becomes its ``(variable, exponent)`` pair once.
     """
     interned: Dict[int, int] = {}
-    rows = []
     if len(acc) < _SPLIT_FROM:
-        while acc:  # as _factors does, inline: this is the path of small products
-            key, c = acc.popitem()
-            factors = []
-            while key:
-                r = (key.bit_length() - 1) // _SHIFT
-                e = key >> r * _SHIFT
-                key ^= e << r * _SHIFT
-                x = r << _SHIFT | e
-                factors.append(interned.setdefault(x, x))
-            factors.reverse()
-            rows.append((tuple(factors), c))
+        rows = _factors(acc, interned)
     else:
-        cut = len(names) // 2
-        shift = cut * _SHIFT
+        shift = len(names) // 2 * _SHIFT
         low = (1 << shift) - 1
-        lows = {part: _factors(part, 0, interned) for part in {key & low for key in acc}}
-        highs = {part: _factors(part, cut, interned) for part in {key >> shift for key in acc}}
+        lows = {key & low for key in acc}
+        highs = {key >> shift for key in acc}
+        # Each half is decoded at its own ranks and kept under the part the loop below reads.
+        lows = {part: f for f, part in _factors({p: p for p in lows}, interned)}
+        highs = {part: f for f, part in _factors({p << shift: p for p in highs}, interned)}
+        rows = []
         while acc:
             key, c = acc.popitem()
             rows.append((lows[key & low] + highs[key >> shift], c))
@@ -380,8 +376,9 @@ def _watch(filed: List[int], tested: Iterable[int] = ()) -> Tuple[dict, dict]:
     A key is filed under one variable of its support, the rarest in
     ``filed``, so an absorber of a key ``m``, whose support lies inside
     ``m``'s, is met exactly once, in the list of one of ``m``'s own
-    variables.  Up to eight keys share one list, which is cheaper to scan than
-    an index is to build.
+    variables.  Up to eight filed keys share one list instead: at the sizes
+    that sums, ``leq`` and small products meet, building the index costs
+    ten times as much as the list, and scanning the list no more.
     """
     if len(filed) <= 8:
         shared: list = []

@@ -118,19 +118,6 @@ def _product(left, right, quotient: bool) -> list:
     return rows
 
 
-def absorbs(m1: Monomial, m2: Monomial) -> bool:
-    """m1 >= m2 in absorption order: m2 = m * m1 for some monomial m."""
-    it = dict(m2.exps)
-    for v, e in m1.exps:
-        if it.get(v, 0) < e:
-            return False
-    return True
-
-
-def _mono_sort_key(m: Monomial):
-    return tuple((var_sort_key(v), e) for v, e in m.exps)
-
-
 def _mono_sort_key(m: Monomial):
     return tuple((var_sort_key(v), e) for v, e in m.exps)
 
