@@ -12,10 +12,10 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .errors import PreconditionError, SemlogError
+from .errors import GuardExceeded, PreconditionError, SemlogError
 from .evaluation import evaluate
 from .formulas import _preorder, is_fo, fo_to_foneq
-from .games import build_game_tree, classify, enumerate_strategies, optimal
+from .games import build_game_tree, classify, count_strategies, enumerate_strategies, optimal
 from .interpretations import Vocabulary, load_interpretation
 from .parser import parse, render
 from .preservation import (
@@ -78,8 +78,15 @@ def cmd_strategies(args) -> int:
         print(f"optimal-count {result.all_optimal_count}")
         _print_strategy(result.strategy)
         return HOLDS
+    tree = build_game_tree(formula, args.n)
+    if not (args.list or args.classify):
+        total = count_strategies(tree)
+        if total > args.guard:
+            raise GuardExceeded(f"{total} strategies exceed the guard {args.guard}")
+        print(f"strategies {total}")
+        return HOLDS
     count = 0
-    for s in enumerate_strategies(build_game_tree(formula, args.n), args.guard):
+    for s in enumerate_strategies(tree, args.guard):
         count += 1
         if args.list:
             print(f"strategy {count}:")

@@ -29,16 +29,18 @@ A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
 The value of a strategy under an interpretation is the product of its leaf
 values, read by the leaf rule of `evaluation` (equality leaves contribute
-their Boolean value).  One valuer computes it bottom-up and keeps the values
-of leaves and of the children of and/forall nodes while it lives.  The
-enumerated strategies share those sub-strategies (one pool per shared node),
-so a loop over them with one valuer, such as `sum_of_strategies_check`,
-values each sub-strategy once; `eval_strategy` is a valuer of its own.
+their Boolean value); `eval_strategy` folds it over one strategy.  The
+enumerated strategies share their sub-strategies (one pool per shared node),
+and given an interpretation `enumerate_strategies` values each pool when it
+makes it and yields every strategy with its value, so a loop over them, such
+as `sum_of_strategies_check`, reads each leaf and multiplies out each pooled
+product once and walks no strategy again.
 Quantifier nodes range over `evaluation.quantifier_range`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -225,36 +227,49 @@ def count_strategies(tree: GameTree) -> int:
     return _count_table(tree)[tree.root][1]
 
 
-def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD) -> Iterator[Strategy]:
+def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD,
+                         interp: Optional[Interpretation] = None) -> Iterator:
+    """The strategies of tree; with interp, (strategy, value on interp) pairs."""
     table = _count_table(tree)
     total = table[tree.root][1]
     if total > guard:
         raise GuardExceeded(f"{total} strategies exceed the guard {guard}")
 
-    yield from _strategies(tree.root, table, guard)
+    yield from _strategies(tree.root, table, guard, interp)
 
 
-def _strategies(root: GameNode, table, guard: int) -> Iterator[Strategy]:
+def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
     """The strategies under root that take, at every or/exists node, a child
     that `_maximal(table, node)` lists, in enumeration order; the ties of a
     node in the (value, ties) table are their number under it.  A stack
     follows the chains of maximal children down to leaves and and/forall
-    nodes.  The strategies under a child of an and/forall node are listed
-    once per shared node (its pool, folded from the pools below it) and
-    shared above it, unless they exceed guard (`GuardExceeded`; the pools
-    below stay within it) or the and/forall has none."""
-    pools: Dict[GameNode, List[Strategy]] = {}
+    nodes.  The strategies under a leaf or a child of an and/forall node are
+    listed once per shared node (its pool, folded from the pools below it)
+    and shared above it, unless they exceed guard (`GuardExceeded`; the pools
+    below stay within it) or the and/forall has none.  With interp, a pool
+    also lists its strategies' values and each strategy is yielded with its
+    value: a leaf is read once, a choice node takes its child's value, an
+    and/forall node multiplies its children's (folded from the first; an
+    empty range is one), and the choice chain around a strategy adds none."""
+    pools: Dict[GameNode, tuple] = {}  # node -> (strategies, values or False)
+    valued = interp is not None
+    if valued:
+        read, mul, one = _leaf_reader(interp), interp.semiring.mul, interp.semiring.one
+        times = lambda vs: functools.reduce(mul, vs) if vs else one
 
-    def made(node, below):  # from the strategies of node's maximal children
+    def made(node, below):  # from the pools of node's maximal children
+        f, env = node.formula, node.env
         if node.kind == "leaf":
-            return [Strategy(node.formula, node.env, None, ())]
+            return [Strategy(f, env, None, ())], valued and [read(f, env)]
         if node.kind == "or" or node.kind == "exists":
-            return [Strategy(node.formula, node.env, node.tags[i], (sub,))
-                    for i, subs in zip(_maximal(table, node), below) for sub in subs]
+            return ([Strategy(f, env, node.tags[i], (sub,))
+                     for i, (subs, _) in zip(_maximal(table, node), below) for sub in subs],
+                    valued and [v for _, vs in below for v in vs])
         if not table[node][1]:
-            return ()
-        return (Strategy(node.formula, node.env, node.tags, ps)
-                for ps in itertools.product(*below))
+            return (), ()
+        return ((Strategy(f, env, node.tags, ps)
+                 for ps in itertools.product(*[p[0] for p in below])),
+                valued and map(times, itertools.product(*[p[1] for p in below])))
 
     def kids(node):
         if node in pools:
@@ -266,10 +281,11 @@ def _strategies(root: GameNode, table, guard: int) -> Iterator[Strategy]:
     def step(node, *below):
         got = pools.get(node)
         if got is None:
-            got = pools[node] = list(made(node, below))
+            got, vals = made(node, below)
+            got = pools[node] = list(got), valued and list(vals)
         return got
 
-    def pool(node: GameNode) -> List[Strategy]:
+    def pool(node: GameNode) -> tuple:
         if node not in pools:
             if table[node][1] > guard:
                 raise GuardExceeded(
@@ -283,12 +299,15 @@ def _strategies(root: GameNode, table, guard: int) -> Iterator[Strategy]:
         if node.kind == "or" or node.kind == "exists":
             stack += [(node.children[i], (chain, node, i)) for i in reversed(_maximal(table, node))]
         elif table[node][1]:
-            for s in made(node, [pool(c) for c in node.children]):
+            got, vals = (pool(node) if node.kind == "leaf"
+                         else made(node, [pool(c) for c in node.children]))
+            vals = valued and iter(vals)
+            for s in got:
                 link = chain
                 while link is not None:
                     link, up, i = link
                     s = Strategy(up.formula, up.env, up.tags[i], (s,))
-                yield s
+                yield (s, next(vals)) if valued else s
 
 
 def strategy_from_choices(node: GameNode, chooser) -> Strategy:
@@ -325,37 +344,22 @@ def _valuer(interp: Interpretation):
     """value(s): the value of strategy s on interp.  A childless forall or
     `true` node is one (an empty product), a childless choice node zero (an
     empty sum), any other leaf is read, and a node with children is the
-    product of their values.  The memo keeps leaves and the children of
-    and/forall nodes, not the choice chains that every enumerated strategy
-    has its own of; a read that raises keeps nothing."""
+    product of their values, folded from the first."""
     sr = interp.semiring
     mul, one, zero = sr.mul, sr.one, sr.zero
     read = _leaf_reader(interp)
-    memo: Dict[Strategy, object] = {}
-
-    def kids(node: Strategy):
-        return () if node in memo else node.children
 
     def step(node: Strategy, *below):
         if below:
-            val = below[0]
-            for v in below[1:]:
-                val = mul(val, v)
-            kind = type(node.formula)
-            if kind is And or kind is Forall:
-                memo.update(zip(node.children, below))
-            return val
-        if node not in memo:
-            kind = _KINDS.get(type(node.formula))
-            memo[node] = (read(node.formula, node.env) if kind is None
-                          else one if kind == "forall" else zero)
-        return memo[node]
+            return functools.reduce(mul, below)
+        kind = _KINDS.get(type(node.formula))
+        return read(node.formula, node.env) if kind is None else one if kind == "forall" else zero
 
-    return lambda s: _fold(s, step, kids)
+    return lambda s: _fold(s, step, lambda node: node.children)
 
 
 def eval_strategy(interp: Interpretation, s: Strategy):
-    """Product of the leaf values, by a valuer of its own."""
+    """Product of the leaf values."""
     return _valuer(interp)(s)
 
 
@@ -424,10 +428,9 @@ def sum_of_strategies_check(
 ) -> SumOfStrategiesReport:
     tree = build_game_tree(formula, interp.universe)
     sr = interp.semiring
-    value_of = _valuer(interp)
     total, count = sr.zero, 0
-    for count, s in enumerate(enumerate_strategies(tree, guard), 1):
-        total = sr.add(total, value_of(s))
+    for count, (_, v) in enumerate(enumerate_strategies(tree, guard, interp), 1):
+        total = sr.add(total, v)
     value = evaluate(interp, formula)
     return SumOfStrategiesReport(value == total, value, total, count)
 

@@ -335,9 +335,8 @@ def has_almost_existential_optimal(
     """Search all strategies for an optimal one that does not rely on forall."""
     tree = build_game_tree(formula, interp.universe)
     target = evaluate(interp, formula)
-    value_of = _valuer(interp)
-    for s in enumerate_strategies(tree, guard):
-        if value_of(s) == target and classify(s).cls != "relies_on_forall":
+    for s, v in enumerate_strategies(tree, guard, interp):
+        if v == target and classify(s).cls != "relies_on_forall":
             return True, s
     return False, None
 
@@ -377,9 +376,8 @@ def eliminate_one_valuations(
     tree = build_game_tree(formula, interp.universe)
     values = {sr.zero}
     max_leaves = 0
-    value_of = _valuer(interp)
-    for s in enumerate_strategies(tree, guard):
-        values.add(value_of(s))
+    for s, v in enumerate_strategies(tree, guard, interp):
+        values.add(v)
         leaves = sum(1 for leaf in Strategy.leaves_of(s) if isinstance(leaf.formula, Atom))
         max_leaves = max(max_leaves, leaves)
     e = max(max_leaves, 1)
@@ -434,7 +432,7 @@ def shrink_counterexample(
     v0 = evaluate(interp, formula)
     if v0 == sr.zero:
         raise PreconditionError("formula evaluates to zero")
-    value_of = _valuer(interp)  # keeps the forall children's values for the check below
+    value_of = _valuer(interp)
     if value_of(strategy) != v0:
         raise PreconditionError("strategy is not optimal for the interpretation")
     has_good_forall = any(

@@ -12,12 +12,17 @@ replaced: building a strategy from choices, validation, relabelling and
 element swaps, the downward translation, compaction and the almost
 existential translation, with the classification helpers they read.
 
-Do not optimize either part: its value is that it is the old semantics, line
+The third part is the two strategy searches of `semlog.preservation` as they
+were before enumeration carried each strategy's value: they value every
+enumerated strategy on its own.
+
+Do not optimize any part: its value is that it is the old semantics, line
 for line."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -46,6 +51,7 @@ from semlog.games import (
     c_constants,
 )
 from semlog.interpretations import Interpretation
+from semlog.semirings import INF
 
 from reference_formulas import free_names
 
@@ -704,4 +710,72 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
     validate_strategy(out, n)
     if any(e > n for e in literal_elements(out)):
         raise PreconditionError("translation left an overflow literal element")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Part three: the strategy searches of `preservation`
+# ---------------------------------------------------------------------------
+
+STRICT_SEMIRING_IDS = {"viterbi", "tropical", "lukasiewicz", "doubt"}
+
+
+def has_almost_existential_optimal(
+    interp: Interpretation, formula: Formula, guard: int = 10**6
+) -> Tuple[bool, Optional[Strategy]]:
+    tree = build_game_tree(formula, interp.universe)
+    target = evaluate(interp, formula)
+    for s in enumerate_strategies(tree, guard):
+        if eval_strategy(interp, s) == target and classify(s).cls != "relies_on_forall":
+            return True, s
+    return False, None
+
+
+def _numeric(v) -> Fraction:
+    if v == INF:
+        return None
+    return Fraction(v)
+
+
+def eliminate_one_valuations(
+    interp: Interpretation, formula: Formula, guard: int = 10**6
+) -> Interpretation:
+    sr = interp.semiring
+    if sr.id not in STRICT_SEMIRING_IDS:
+        raise PreconditionError(f"{sr.id} is not one of the strict semirings")
+    v0 = evaluate(interp, formula)
+    if v0 == sr.zero:
+        raise PreconditionError("formula evaluates to zero")
+    if all(
+        v != sr.one for key in interp.atom_keys() for v in interp.pair(*key)
+    ):
+        return interp
+    tree = build_game_tree(formula, interp.universe)
+    values = {sr.zero}
+    max_leaves = 0
+    for s in enumerate_strategies(tree, guard):
+        values.add(eval_strategy(interp, s))
+        leaves = sum(1 for leaf in leaves_of(s) if isinstance(leaf.formula, Atom))
+        max_leaves = max(max_leaves, leaves)
+    e = max(max_leaves, 1)
+    numeric = sorted(x for x in (_numeric(v) for v in values) if x is not None)
+    gaps = [b - a for a, b in zip(numeric, numeric[1:]) if b > a]
+    delta = min(gaps) if gaps else Fraction(1)
+
+    def scan(cond, form):
+        for k in itertools.count(2):
+            s = form(k)
+            if cond(s):
+                return s
+
+    if sr.id == "viterbi":
+        bound = 1 - delta / Fraction(v0)
+        s_new = scan(lambda s: s ** e > bound, lambda k: 1 - Fraction(1, k))
+    elif sr.id == "lukasiewicz":
+        s_new = scan(lambda s: s > 1 - delta / e, lambda k: 1 - Fraction(1, k))
+    else:  # tropical, doubt: small positive value below delta/e
+        s_new = scan(lambda s: s < delta / e, lambda k: Fraction(1, k))
+    out = interp.with_values(lambda v: s_new if v == sr.one else v)
+    if evaluate(out, formula) == sr.zero:
+        raise PreconditionError("replacement unexpectedly zeroed the formula")
     return out

@@ -5,6 +5,7 @@ import contextlib
 
 import pytest
 
+from semlog import cli
 from semlog.cli import main
 from semlog.parser import parse, render
 
@@ -91,6 +92,20 @@ def test_strategies_listing():
     assert code == 0
     assert "strategies 2" in out
     assert "existential" in out
+
+
+def test_strategies_count_reads_the_table_and_keeps_the_guard(monkeypatch):
+    """Without --list or --classify the count comes from `count_strategies`,
+    with no strategy built; above --guard it is the enumeration's error."""
+    monkeypatch.setattr(cli, "enumerate_strategies", None)
+    formula = "A x. E y. R(y)"
+    assert run_cli("strategies", "--n", "7", "--formula", formula) == (0, "strategies 823543\n", "")
+    assert run_cli("--guard", "26", "strategies", "--n", "3", "--formula", formula) == (
+        2, "", "error: 27 strategies exceed the guard 26\n")
+    assert run_cli("--guard", "27", "strategies", "--n", "3", "--formula", formula)[1] == (
+        "strategies 27\n")
+    assert run_cli("strategies", "--n", "2", "--formula", "E! x. E! y. R(x)") == (
+        0, "strategies 2\n", "")
 
 
 def test_strategies_optimal(interp_file):

@@ -1,8 +1,11 @@
-"""Label-shared game trees and stack-based strategy walks: differential tests
-against the frozen unshared game-tree code and the frozen recursive strategy
-walks (reference_games.py), and the node guard on shared trees."""
+"""Label-shared game trees, stack-based strategy walks and valued strategy
+enumeration: differential tests against the frozen unshared game-tree code,
+the frozen recursive strategy walks and the frozen strategy searches that
+value each strategy on its own (reference_games.py), and the node guard on
+shared trees."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_games as ref
+from corpus import UNARY_RQ, random_foneq_sentence
 from semlog import games, preservation
 from semlog.errors import GuardExceeded
 from semlog.formulas import FALSE, TRUE, And, Atom, Eq, Exists, Forall, Or, free_vars, metrics, qr
-from semlog.interpretations import Interpretation, Vocabulary
+from semlog.interpretations import Interpretation, Vocabulary, random_interpretation
 from semlog.parser import parse
-from semlog.semirings import INF, LUKASIEWICZ, S3, TROPICAL, VITERBI
+from semlog.semirings import INF, LUKASIEWICZ, NAT, S3, TROPICAL, VITERBI
 
 VOCAB = Vocabulary({"R": 1, "E": 2})
 NAMES = ("x", "y", "z")  # few names, so binders shadow each other
@@ -177,6 +181,47 @@ def test_shared_trees_agree_with_reference(case):
             == _outcome(existential_view, ref.has_existential_optimal, f, interp))
     if _outcome(games.optimal, interp, f)[0] == "value":
         check_stream_beyond_guard(f, interp)
+
+
+VALUED_CARRIERS = {
+    "viterbi": (VITERBI, preservation.VITERBI_GRID),
+    "s3": (S3, preservation.S3_VALUES),
+    "tropical": (TROPICAL, (Fraction(0), Fraction(1, 2), Fraction(3))),
+    "nat": (NAT, (1, 2, 3)),
+}
+
+
+def interp_view(interp):
+    return interp.universe, [interp.pair(*k) for k in interp.atom_keys()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), carrier=st.sampled_from(sorted(VALUED_CARRIERS)),
+       n=st.integers(1, 3))
+def test_valued_enumeration_agrees_with_plain_and_reference(seed, carrier, n):
+    """A valued enumeration yields the plain enumeration's strategies, in its
+    order, each with its `eval_strategy` value, and the strategy searches of
+    `preservation` that read it answer as the frozen ones that value each
+    strategy on its own."""
+    rng = random.Random(seed)
+    f = random_foneq_sentence(rng)
+    sr, values = VALUED_CARRIERS[carrier]
+    interp = random_interpretation(sr, UNARY_RQ, n, values, rng)
+    tree = games.build_game_tree(f, n)
+    plain = _outcome(lambda: [key(s) for s in games.enumerate_strategies(tree, STRATEGY_GUARD)])
+    valued = _outcome(list, games.enumerate_strategies(tree, STRATEGY_GUARD, interp))
+    if valued[0] == "value":
+        assert plain == ("value", [key(s) for s, _ in valued[1]])
+        assert all(v == games.eval_strategy(interp, s) for s, v in valued[1])
+    else:
+        assert plain == valued == ("raised", GuardExceeded)
+    assert (_outcome(existential_view, lambda i, g: preservation.has_almost_existential_optimal(
+                i, g, STRATEGY_GUARD), f, interp)
+            == _outcome(existential_view, lambda i, g: ref.has_almost_existential_optimal(
+                i, g, STRATEGY_GUARD), f, interp))
+    eliminated = [_outcome(lambda: interp_view(module.eliminate_one_valuations(
+        interp, f, STRATEGY_GUARD))) for module in (preservation, ref)]
+    assert eliminated[0] == eliminated[1]
 
 
 # Sentences whose strategies often keep their literals inside a small

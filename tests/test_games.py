@@ -13,6 +13,7 @@ from semlog.errors import GuardExceeded, PreconditionError
 from semlog.evaluation import evaluate
 from semlog.formulas import Atom, Eq, Exists, make_or, metrics, qr, size
 from semlog.games import (
+    STRATEGY_GUARD,
     Strategy,
     build_game_tree,
     c_constants,
@@ -108,47 +109,43 @@ def test_sum_of_strategies_with_multiplicity_in_nat():
 
 
 def test_sum_of_strategies_values_each_shared_leaf_once(monkeypatch):
-    """The strategies share the pools of the and/forall nodes' children, so
-    one call reads each distinct leaf once (6 here), not once for each of
-    its 24 occurrences in the 12 strategies, and multiplies out each pooled
-    product once; a read that raises keeps no value."""
+    """The strategies share the pools of leaves and of the and/forall nodes'
+    children, and a valued enumeration values each pool once, when it is
+    made: it reads each distinct leaf once (6 here), not once for each of its
+    24 occurrences in the 12 strategies, and multiplies out each pooled
+    product once; a read that raises still raises."""
     psi = parse("E! x. A! y. (R(x) | R(y))")
     pi = random_interpretation(VITERBI, UNARY_R, 3, VITERBI_GRID, random.Random(5))
-    reads, summed = [], []
-    leaf_reader, enumerate_all = games._leaf_reader, games.enumerate_strategies
+    reads = []
+    leaf_reader = games._leaf_reader
 
     def counting_reader(interp):
         read = leaf_reader(interp)
         return lambda f, env: reads.append(f) or read(f, env)
 
-    def kept(tree, guard):
-        for s in enumerate_all(tree, guard):
-            summed.append(s)
-            yield s
-
     monkeypatch.setattr(games, "_leaf_reader", counting_reader)
-    monkeypatch.setattr(games, "enumerate_strategies", kept)
-    rep = sum_of_strategies_check(pi, psi)
-    leaves = {id(leaf) for s in summed for leaf in Strategy.leaves_of(s)}
-    occurrences = sum(len(Strategy.leaves_of(s)) for s in summed)
-    assert rep.ok and rep.strategy_count == len(summed) == 12
-    assert len(reads) == len(leaves) == 6 and occurrences == 24
+    tree = build_game_tree(psi, 3)
+    valued = list(enumerate_strategies(tree, STRATEGY_GUARD, pi))
+    leaves = {id(leaf) for s, _ in valued for leaf in Strategy.leaves_of(s)}
+    occurrences = sum(len(Strategy.leaves_of(s)) for s, _ in valued)
+    assert len(valued) == 12 and len(reads) == len(leaves) == 6 and occurrences == 24
+    assert VITERBI.sum([v for _, v in valued]) == evaluate(pi, psi)
+    assert sum_of_strategies_check(pi, psi).strategy_count == 12
 
     # 16 strategies, each the product of two of the 8 pooled A y strategies,
     # each of those the product of two leaves: 16 + 8 products, not 16 * 3
     muls = []
     monkeypatch.setattr(VITERBI, "mul", lambda a, b, mul=VITERBI.mul: muls.append(1) or mul(a, b))
-    value_of = games._valuer(pi)
-    strategies = list(enumerate_all(build_game_tree(parse("A x. A y. (R(x) | R(y))"), 2)))
-    total = VITERBI.sum([value_of(s) for s in strategies])
-    assert len(strategies) == 16 and len(muls) == 24
-    assert total == evaluate(pi.restrict((1, 2)), parse("A x. A y. (R(x) | R(y))"))
+    phi, small = parse("A x. A y. (R(x) | R(y))"), pi.restrict((1, 2))
+    valued_phi = list(enumerate_strategies(build_game_tree(phi, 2), STRATEGY_GUARD, small))
+    assert len(valued_phi) == 16 and len(muls) == 24
+    assert VITERBI.sum([v for _, v in valued_phi]) == evaluate(small, phi)
 
-    value_of = games._valuer(pi.restrict((1, 2)))
-    reads_x3 = next(s for s in summed if s.tag == 3)  # R(x) at x = 3 under both y
-    for _ in range(2):
-        with pytest.raises(PreconditionError):
-            value_of(reads_x3)
+    reads_x3 = next(s for s, _ in valued if s.tag == 3)  # R(x) at x = 3 under both y
+    with pytest.raises(PreconditionError):
+        eval_strategy(small, reads_x3)
+    with pytest.raises(PreconditionError):
+        list(enumerate_strategies(tree, STRATEGY_GUARD, small))
 
 
 def test_sum_of_strategies_guard():
