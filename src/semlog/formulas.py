@@ -170,6 +170,19 @@ def children(f: Formula) -> Tuple[Formula, ...]:
     return (f.body,) if kind is Exists or kind is Forall else ()
 
 
+def _with_kids(g, *below) -> Formula:
+    """The one rebuild rule: g's kind over the kids below, a binder keeping
+    its variable and flavor; a leaf is returned as it is."""
+    kind = type(g)
+    if kind is And or kind is Or:
+        return kind(*below)
+    if kind is Exists or kind is Forall:
+        return kind(g.var, *below, g.distinct)
+    if kind is Top or kind is Bottom or kind is Atom or kind is Eq:
+        return g
+    raise PreconditionError(f"not a formula: {g!r}")
+
+
 _UP = object()  # on the fold's stack: the node and kid count below it are done
 
 
@@ -362,17 +375,13 @@ def _renamed(node, *below) -> Formula:
     a binder (g, mapping, its new variable): g rebuilt from what its kids
     became, its terms mapped (a binder without kids keeps its body)."""
     g, mapping = node[0], node[1]
-    if isinstance(g, (And, Or)):
-        return type(g)(*below)
     if isinstance(g, (Exists, Forall)):
         return type(g)(node[2], below[0] if below else g.body, g.distinct)
-    if isinstance(g, (Top, Bottom)):
-        return g
     if isinstance(g, Atom):
         return Atom(g.rel, tuple([mapping.get(a, a) for a in g.args]), g.positive)
     if isinstance(g, Eq):
         return Eq(mapping.get(g.left, g.left), mapping.get(g.right, g.right), g.positive)
-    raise PreconditionError(f"not a formula: {g!r}")
+    return _with_kids(g, *below)
 
 
 def substitute(f: Formula, mapping: dict) -> Formula:
@@ -455,10 +464,9 @@ def substitute_subformula(host: Formula, path: Sequence[int], replacement: Formu
         raise PreconditionError(f"variable capture: {captured} not visible at path")
     out = replacement
     for node, i in zip(reversed(_path_nodes(host, path)[:-1]), reversed(path)):
-        if isinstance(node, (And, Or)):
-            out = type(node)(out, node.right) if i == 0 else type(node)(node.left, out)
-        else:
-            out = type(node)(node.var, out, node.distinct)
+        below = list(children(node))
+        below[i] = out
+        out = _with_kids(node, *below)
     return out
 
 
@@ -484,13 +492,13 @@ def simplify_constants(f: Formula) -> Formula:
             unit = Bottom if kind is Or else Top
             if isinstance(l, unit):
                 return r
-            return l if isinstance(r, unit) else kind(l, r)
-        if kind is Exists or kind is Forall:
+            if isinstance(r, unit):
+                return l
+        elif kind is Exists or kind is Forall:
             # the absorbing body: false under E, true under A
             if isinstance(below[0], Bottom if kind is Exists else Top):
                 return below[0]
-            return kind(g.var, below[0], g.distinct)
-        return g
+        return _with_kids(g, *below)
 
     return _fold(f, step)
 
@@ -506,9 +514,7 @@ def dedupe_or_idempotent(f: Formula) -> Formula:
             for h in below:
                 parts.setdefault(canonical_bound_names(h), h)
             return make_or(list(parts.values()))
-        if kind is And:
-            return And(*below)
-        return kind(g.var, below[0], g.distinct) if below else g
+        return _with_kids(g, *below)
 
     return _fold(f, step, lambda g: _chain(g, Or) if type(g) is Or else children(g))
 
@@ -535,19 +541,15 @@ def fo_to_foneq(f: Formula) -> Formula:
         return [substitute(g.body, {g.var: x}) for x in g.free] + [g.body]
 
     def step(g: Formula, *below) -> Formula:
-        if isinstance(g, (Top, Bottom, Atom)):
-            return g
         if isinstance(g, Eq):
             if not isinstance(g.left, str) or not isinstance(g.right, str):
                 raise PreconditionError("translation expects variable terms")
             same = g.left == g.right
             return (TRUE if same else FALSE) if g.positive else (FALSE if same else TRUE)
-        if isinstance(g, (And, Or)):
-            return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
             rest = type(g)(g.var, below[-1], distinct=True)
             return (make_or if isinstance(g, Exists) else make_and)([*below[:-1], rest])
-        raise PreconditionError(f"not a formula: {g!r}")
+        return _with_kids(g, *below)
 
     return _fold(f, step, kids)
 
@@ -558,15 +560,11 @@ def foneq_to_fo(f: Formula) -> Formula:
     if not is_foneq(f):
         raise FlavorError("input must be an FO-distinct formula")
     def step(g: Formula, *below) -> Formula:
-        if isinstance(g, (Top, Bottom, Atom)):
-            return g
-        if isinstance(g, (And, Or)):
-            return type(g)(*below)
         if isinstance(g, (Exists, Forall)):
             universal = isinstance(g, Forall)
             guards = [Eq(g.var, x, positive=universal) for x in g.free]
             return type(g)(g.var, (make_or if universal else make_and)(guards + [below[0]]))
-        raise PreconditionError(f"not a formula: {g!r}")
+        return _with_kids(g, *below)
 
     return _fold(f, step)
 
@@ -638,9 +636,7 @@ def flatten_sigma1(f: Formula) -> Formula:
 
     def strip(g: Formula, *below) -> Formula:
         """g without its existential quantifiers."""
-        if isinstance(g, Exists):
-            return below[0]
-        return type(g)(*below) if below else g
+        return below[0] if isinstance(g, Exists) else _with_kids(g, *below)
 
     g = _rename_binders(f, name)
     out = _fold(g, strip)

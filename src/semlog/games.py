@@ -176,7 +176,7 @@ def _build_game_tree(formula: Formula, universe: Tuple[int, ...], guard: int) ->
 _last_tree = _LastBuilt(_build_game_tree)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Strategy:
     """A strategy-tree node; `tag` records the choice that produced each child:
     the chosen side for or-nodes, the witness element for exists-nodes, and
@@ -200,21 +200,10 @@ class Strategy:
 
 
 def strategy_nodes(s: Strategy) -> List[Strategy]:
-    """The nodes of s, depth-first from a stack: each node before its
-    children, the last child first.  `classify` meets forall nodes in this
-    order and stops at the first that relies on its children."""
-    out, stack = [], [s]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(node.children)
-    return out
-
-
-def _rebuild(s: Strategy, step) -> Strategy:
-    """s rebuilt bottom-up: each node becomes step(node, *what its children
-    became)."""
-    return _fold(s, step, lambda node: node.children)
+    """The nodes of s in pre-order over reversed children: each node before
+    its children, the last child first.  `classify` meets forall nodes in
+    this order and stops at the first that relies on its children."""
+    return list(_preorder(s, lambda node: node.children[::-1]))
 
 
 def _count_table(tree: GameTree) -> Dict[GameNode, Tuple[object, int]]:
@@ -582,22 +571,28 @@ def _map_env(env: Env, f) -> Env:
     return tuple(sorted((v, f(e)) for v, e in env))
 
 
+def _relabelled(node: Strategy, f, tag, children) -> Strategy:
+    """The one relabelling step: node over the new children, its env mapped
+    by f, with tag at an exists node; a forall node keeps the children that
+    are not None, sorted by f of their elements."""
+    if node.kind == "forall":
+        kept = sorted([(f(b), c) for b, c in zip(node.tag, children) if c is not None],
+                      key=lambda p: p[0])
+        tag = tuple(b for b, _ in kept)
+        children = tuple(c for _, c in kept)
+    return Strategy(node.formula, _map_env(node.env, f), tag, children)
+
+
 def _map_strategy(s: Strategy, f, keep=lambda e: True) -> Strategy:
     """s with every element e replaced by f(e); a forall keeps, sorted, the
     children whose new element passes keep."""
 
     def step(node: Strategy, *children) -> Strategy:
-        tag = node.tag
-        if node.kind == "exists":
-            tag = f(tag)
-        elif node.kind == "forall":
-            pairs = sorted([(e, c) for e, c in zip([f(b) for b in tag], children) if keep(e)],
-                           key=lambda p: p[0])
-            tag = tuple(b for b, _ in pairs)
-            children = tuple(c for _, c in pairs)
-        return Strategy(node.formula, _map_env(node.env, f), tag, children)
+        if node.kind == "forall":
+            children = [c if keep(f(b)) else None for b, c in zip(node.tag, children)]
+        return _relabelled(node, f, f(node.tag) if node.kind == "exists" else node.tag, children)
 
-    return _rebuild(s, step)
+    return _fold(s, step, lambda node: node.children)
 
 
 def swap_instantiation(s: Strategy, b: int, c: int) -> Strategy:
@@ -690,16 +685,8 @@ def translate_strategy(
         node, g = item[0], item[1]
         if g is None:
             return None
-        mapper = lambda e: g.get(e, e)
-        tag = node.tag
-        if node.kind == "exists":
-            tag = item[2]
-        elif node.kind == "forall":
-            kept = sorted([(mapper(b), c) for b, c in zip(tag, children) if c is not None],
-                          key=lambda p: p[0])
-            tag = tuple(b for b, _ in kept)
-            children = tuple(c for _, c in kept)
-        return Strategy(node.formula, _map_env(node.env, mapper), tag, children)
+        tag = item[2] if node.kind == "exists" else node.tag
+        return _relabelled(node, lambda e: g.get(e, e), tag, children)
 
     out = _fold([s, {}], step, kids)
     validate_strategy(out, n + r)
@@ -722,41 +709,27 @@ def c_constants(size_psi: int, m: int) -> int:
 def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
     """Bound the witness and literal footprint under forall nodes of
     universal depth <= m by rewriting sibling branches into copies of one
-    branch whose instantiation avoids its own literals."""
+    branch whose instantiation avoids its own literals: one children-first
+    fold, so each such node is compacted over its compacted children."""
 
-    def compact_node(v: Strategy) -> Strategy:
-        tags = list(v.tag)
-        children = list(v.children)
-        pivot = None
-        for idx, (b, child) in enumerate(zip(tags, children)):
-            if b not in literal_elements(child):
-                pivot = idx
-                break
+    def step(v: Strategy, *children) -> Strategy:
+        if v.kind != "forall" or v.formula.metrics.qr_forall > m:
+            return Strategy(v.formula, v.env, v.tag, children)
+        tags = tuple(v.tag)
+        pivot = next((i for i, (b, child) in enumerate(zip(tags, children))
+                      if b not in literal_elements(child)), None)
         if pivot is None:
             raise PreconditionError(
                 f"strategy relies on forall at {v.formula!r}; compaction needs an "
                 "almost existential strategy"
             )
-        base = children[pivot]
-        i_l = tags[pivot]
+        base, i_l = children[pivot], tags[pivot]
         blocked = witnesses(base) | literal_elements(base)
-        new_children = []
-        for idx, (b, child) in enumerate(zip(tags, children)):
-            if idx != pivot and b not in blocked:
-                new_children.append(swap_instantiation(base, i_l, b))
-            else:
-                new_children.append(child)
-        return Strategy(v.formula, v.env, tuple(tags), tuple(new_children))
+        children = tuple(swap_instantiation(base, i_l, b) if i != pivot and b not in blocked
+                         else child for i, (b, child) in enumerate(zip(tags, children)))
+        return Strategy(v.formula, v.env, tags, children)
 
-    def step(node: Strategy, *children) -> Strategy:
-        rebuilt = Strategy(node.formula, node.env, node.tag, children)
-        if rebuilt.kind == "forall" and rebuilt.formula.metrics.qr_forall == level:
-            return compact_node(rebuilt)
-        return rebuilt
-
-    out = s
-    for level in range(1, m + 1):
-        out = _rebuild(out, step)
+    out = _fold(s, step, lambda node: node.children)
     validate_strategy(out, universe)
     return out
 
@@ -765,12 +738,12 @@ def translate_almost_existential(s: Strategy, n: int) -> Strategy:
     """Translate an almost existential strategy over {1..n+r} into one over
     {1..n} with support contained in the original's.
 
-    The strategy is wrapped under a fresh outer forall, compacted level by
-    level, and one branch is picked; one relabelling walk then swaps the r
-    overflow elements onto unused ones and deletes the forall children that
-    instantiate overflow elements.  Raises when fewer than r fresh elements
-    remain (the theoretical sufficient bound is n >= c_{r+1}(|psi|+1) + r,
-    see `c_constants`)."""
+    The strategy is wrapped under a fresh outer forall, compacted in one
+    children-first pass, and one branch is picked; one relabelling walk then
+    swaps the r overflow elements onto unused ones and deletes the forall
+    children that instantiate overflow elements.  Raises when fewer than r
+    fresh elements remain (the theoretical sufficient bound is
+    n >= c_{r+1}(|psi|+1) + r, see `c_constants`)."""
     psi = s.formula
     r = qr(psi)
     if r == 0:

@@ -275,18 +275,11 @@ def check_interp_hom(
     if any(v not in pb.universe for v in g.values()):
         raise PreconditionError("map must land in the target universe")
     sr = pa.semiring
-    is_hom = True
+    sums: Dict[AtomKey, object] = {}  # image atom -> its preimages' sum, in atom order
     for rel, args in pa.atom_keys():
-        image = tuple(g[a] for a in args)
-        preimage_sum = sr.sum(
-            pa.literal(rel, other_args)
-            for rel2, other_args in pa.atom_keys()
-            if rel2 == rel and tuple(g[a] for a in other_args) == image
-        )
-        if not sr.leq(preimage_sum, pb.literal(rel, image)):
-            is_hom = False
-            break
-    if not is_hom:
+        image = (rel, tuple(g[a] for a in args))
+        sums[image] = sr.add(sums.get(image, sr.zero), pa.literal(rel, args))
+    if not all(sr.leq(total, pb.literal(*image)) for image, total in sums.items()):
         return "none"
     strong = all(
         pa.pair(rel, args) == pb.pair(rel, tuple(g[a] for a in args))

@@ -16,7 +16,8 @@ coefficient.  In the absorptive quotient (``AbsorptivePoly``) 1 + 1 = 1, so
 every coefficient is 1 and ``monomials`` reads the terms without them.
 Specialization is one loop over the terms.
 
-Both products run through one ranked kernel, ``_product``: variables ranked
+Both products, and both constructors (the input times the unit term list
+``_UNIT``), run through one ranked kernel, ``_product``: variables ranked
 once per call by ``var_sort_key``, each monomial packed into one integer with
 a fixed-width exponent field per rank, so that a pair product is one integer
 addition, and each distinct product decoded once, a large product's keys as
@@ -35,8 +36,8 @@ different one has strictly lower degree, so keys are visited by degree and
 each is tested only against the kept keys of lower degree, found through a
 watch index that files each kept key under its rarest variable; a product
 whose terms all have one degree, as the ``pi_n`` products do, tests nothing.
-The constructor prunes its own input this way and keeps the input's
-``Monomial`` objects.
+A sum prunes its merged terms this way and keeps its operands' ``Monomial``
+objects.
 """
 
 from __future__ import annotations
@@ -140,6 +141,10 @@ class Monomial:
         return _Printer().monomial(self)
 
 
+# The unit term list: a product with it is the other side's terms, canonical.
+_UNIT = ((Monomial.unit(), 1),)
+
+
 class _Printer(dict):
     """The text of each factor ``(variable, exponent)`` met in one print, each
     variable formatted once; ``monomial`` prints a monomial from it."""
@@ -175,16 +180,6 @@ def _packed(m: Monomial, rank: Dict[VarKey, int]) -> Tuple[int, int, int]:
         mask |= 1 << r
         degree += e
     return key, mask, degree
-
-
-def _canonical_key(monomials: Iterable[Monomial]):
-    """Sort key putting ``monomials`` in canonical order.  Their variables
-    are ranked once by ``var_sort_key``, and a factor ``rank << _SHIFT |
-    exponent`` sorts as ``(var_sort_key(v), exponent)`` does, because that
-    order is injective on variables."""
-    names = sorted({v for m in monomials for v, _ in m.exps}, key=var_sort_key)
-    rank = {v: r for r, v in enumerate(names)}
-    return lambda m: tuple([rank[v] << _SHIFT | e for v, e in m.exps])
 
 
 def _cmp(m1: Monomial, m2: Monomial) -> int:
@@ -263,14 +258,10 @@ def _product(left, right, quotient: bool, prune: bool = False) -> list:
     def encode(terms):
         out = []
         for m, c in terms:
-            key = mask = 0
-            for v, e in m.exps:
-                r = rank[v]
-                key |= e << r * _SHIFT
-                mask |= 1 << r
+            key, mask, degree = _packed(m, rank)
             duals = (mask & up) << 1 | (mask & down) >> 1 if quotient else 0
             if not duals & mask:  # else every product with m holds a dual pair
-                out.append((key, mask, duals, m.degree() << ranks | mask if prune else c))
+                out.append((key, mask, duals, degree << ranks | mask if prune else c))
         return out
 
     acc: Dict[int, int] = {}
@@ -329,8 +320,10 @@ def _decoded(acc: Dict[int, int], names: List[VarKey]) -> list:
     Fewer than ``_SPLIT_FROM`` keys are read whole.  More are read as two
     halves, their low ranks and their high ranks, and each distinct half is
     decoded once.  Each key is popped, so freed, once it is read.  The
-    factor tuples sort as ``_canonical_key`` sorts monomials, and each
-    distinct factor becomes its ``(variable, exponent)`` pair once.
+    factors ``rank << _SHIFT | exponent`` sort as ``(var_sort_key(v),
+    exponent)`` does, since the ranks follow ``var_sort_key``, so the factor
+    tuples sort in canonical order, and each distinct factor becomes its
+    ``(variable, exponent)`` pair once.
     """
     interned: Dict[int, int] = {}
     if len(acc) < _SPLIT_FROM:
@@ -491,7 +484,7 @@ class _Poly:
 
     @classmethod
     def one(cls):
-        return cls._of(((Monomial.unit(), 1),))
+        return cls._of(_UNIT)
 
     @classmethod
     def var(cls, v: VarKey):
@@ -531,8 +524,8 @@ class AbsorptivePoly(_Poly):
     __slots__ = ()
 
     def __init__(self, monomials: Iterable[Monomial]):
-        kept = _prune(monomials)
-        self.terms = tuple((m, 1) for m in sorted(kept, key=_canonical_key(kept)))
+        # No quotient: a monomial given with both polarities of an atom is kept.
+        self.terms = tuple(_product([(m, 1) for m in monomials], _UNIT, quotient=False, prune=True))
 
     @property
     def monomials(self) -> Tuple[Monomial, ...]:
@@ -543,6 +536,8 @@ class AbsorptivePoly(_Poly):
             return other
         if not other.terms:
             return self
+        # Not a product with the unit: most sums add a term or two, and the
+        # kernel's rank sort and decode cost more than this merge and prune.
         merged = _merged(self.terms, other.terms)  # the prune keeps this order
         return AbsorptivePoly._of((m, 1) for m in _prune(m for m, _ in merged))
 
@@ -600,14 +595,13 @@ class NatPoly(_Poly):
     __slots__ = ()
 
     def __init__(self, terms: Iterable[Tuple[Monomial, int]]):
-        acc: Dict[Monomial, int] = {}
+        kept = []
         for m, c in terms:
             if c < 0:
                 raise PreconditionError("negative coefficient")
             if c:
-                acc[m] = acc.get(m, 0) + c
-        order = _canonical_key(acc)
-        self.terms = tuple(sorted(acc.items(), key=lambda t: order(t[0])))
+                kept.append((m, c))
+        self.terms = tuple(_product(kept, _UNIT, quotient=False))
 
     @classmethod
     def const(cls, c: int) -> "NatPoly":

@@ -531,8 +531,9 @@ def verify_equivalent(
     even where nothing is enumerated).  Over an absorptive semiring a size is
     first tried on pi_n (see `_pi_n_valuer`): where the polynomials agree it
     is certified for every grid, and no interpretation of that size is
-    enumerated or drawn.  A refutation is a concrete interpretation on which
-    the two values differ."""
+    enumerated or drawn; drawing stops once every sample size is certified.
+    A refutation is a concrete interpretation on which the two values
+    differ."""
     f_plan, g_plan = compile_formula(f), compile_formula(g)
     pi = _pi_n_valuer(semiring, vocab, (f, g), (f_plan, g_plan))
     equal_at = {}
@@ -551,12 +552,17 @@ def verify_equivalent(
 
     def drawn():
         rng = random.Random(seed)
+        left = set(range(1, max_sample_size + 1))  # the sizes not yet certified
         for _ in range(samples):
             n = rng.randrange(1, max_sample_size + 1)
             if not certified(n):
                 sampled.add(n)
                 interp = random_interpretation(semiring, vocab, n, value_set, rng)
                 yield interp, [run_plan(f_plan, interp), run_plan(g_plan, interp)]
+            else:
+                left.discard(n)
+                if not left:  # every later draw lands on a certified size
+                    return
 
     exhaustive = _valued((f_plan, g_plan), semiring, vocab, uncertified(), value_set, guard)
     witness, checked = None, 0
@@ -695,8 +701,6 @@ def _triviality_rule(sub: Formula) -> dict:
 def rewrite_sigma1_strict(
     sentence: Formula,
     semiring: Semiring = VITERBI,
-    samples: int = 1000,
-    max_sample_size: int = 5,
     seed: int = 0,
 ) -> RewriteReport:
     """Eliminate universal quantifiers over the Viterbi, tropical,
@@ -708,7 +712,7 @@ def rewrite_sigma1_strict(
     if semiring.id not in STRICT_SEMIRING_IDS:
         raise PreconditionError(f"{semiring.id} is not one of the strict semirings")
     targets = ((semiring, VITERBI_GRID, (1, 2, 3)),)
-    return _rewrite(sentence, targets, _triviality_rule, samples, max_sample_size, seed)
+    return _rewrite(sentence, targets, _triviality_rule, 1000, 5, seed)
 
 
 def _continuity_split(sub: Formula) -> dict:

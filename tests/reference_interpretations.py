@@ -5,7 +5,9 @@ oracle of the differential test in test_interpretations_reference.py:
 `Interpretation.from_atoms`, `Interpretation.pad`, `parse_interpretation`,
 `Interpretation.with_values`, `compose_hom`, and `lift_counterexample_to_s3`
 with its `star_of`, which wrote an entry for every atom.  Methods became
-functions of the interpretation.  Do not optimize it: its value is that it is
+functions of the interpretation.  `check_interp_hom`, which rescanned every
+atom for each atom's preimage sum, is kept as the oracle of its one-pass
+successor.  Do not optimize it: its value is that it is
 the old semantics, line for line."""
 
 from __future__ import annotations
@@ -194,3 +196,34 @@ def lift_counterexample_to_s3(
     if not (S3.leq(wb, wa) and wa != wb):
         raise PreconditionError("lifted pair fails to certify the violation")
     return qa, qb
+
+
+def check_interp_hom(g: Dict[int, int], pa: Interpretation, pb: Interpretation) -> str:
+    if pa.semiring.id != pb.semiring.id or pa.vocab != pb.vocab:
+        raise PreconditionError("same semiring and vocabulary required")
+    if set(g) != set(pa.universe):
+        raise PreconditionError("map must be total on the source universe")
+    if any(v not in pb.universe for v in g.values()):
+        raise PreconditionError("map must land in the target universe")
+    sr = pa.semiring
+    is_hom = True
+    for rel, args in pa.atom_keys():
+        image = tuple(g[a] for a in args)
+        preimage_sum = sr.sum(
+            pa.literal(rel, other_args)
+            for rel2, other_args in pa.atom_keys()
+            if rel2 == rel and tuple(g[a] for a in other_args) == image
+        )
+        if not sr.leq(preimage_sum, pb.literal(rel, image)):
+            is_hom = False
+            break
+    if not is_hom:
+        return "none"
+    strong = all(
+        pa.pair(rel, args) == pb.pair(rel, tuple(g[a] for a in args))
+        for rel, args in pa.atom_keys()
+    )
+    if not strong:
+        return "hom"
+    injective = len(set(g.values())) == len(g)
+    return "embedding" if injective else "strong_hom"

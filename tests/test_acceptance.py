@@ -442,7 +442,7 @@ def test_criterion_9_rewriting_strict():
     assert len(STRICT_REWRITE_CORPUS) == 10
     for text, sr in STRICT_REWRITE_CORPUS:
         psi = parse(text)
-        rep = rewrite_sigma1_strict(psi, sr, samples=1000, max_sample_size=5)
+        rep = rewrite_sigma1_strict(psi, sr)
         assert not rep.gate.refuted, text
         assert rep.ok, (text, sr.id, rep.summary())
         assert not any(isinstance(g, Forall) for g in subformulas(rep.output))

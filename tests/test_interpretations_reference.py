@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 import reference_interpretations as ref
 from corpus import BINARY_E, MIXED, UNARY_R, UNARY_RQ, random_foneq_sentence
 from semlog.evaluation import evaluate
-from semlog.interpretations import Interpretation, compose_hom, parse_interpretation
+from semlog.interpretations import (
+    Interpretation,
+    check_interp_hom,
+    compose_hom,
+    parse_interpretation,
+)
 from semlog.lattices import LatticeSemiring, chain_lattice, diamond_lattice
 from semlog.parser import parse
 from semlog.preservation import lift_counterexample_to_s3
@@ -209,3 +214,49 @@ def test_the_s3_lift_is_exercised():
     outcomes = [_lifted(lift_counterexample_to_s3, _lift_case(random.Random(seed)))
                 for seed in range(200)]
     assert sum(o[0] == "lifted" for o in outcomes) >= 20
+
+
+HOM_SEMIRINGS = [NAT, VITERBI, S3, TROPICAL]
+
+
+def _hom_case(rng, sr, vocab):
+    """Two interpretations of sizes <= 3 and a map between their universes:
+    pa is random, or pb pulled back through the map (a strong homomorphism),
+    or that pull-back with some values lowered; the map is rarely partial or
+    leaves pb's universe."""
+    target = tuple(range(1, rng.randrange(2, 5)))
+    pb = Interpretation.from_atoms(sr, target, vocab, {
+        key: sr.random_value(rng) for key in vocab.atoms(target) if rng.random() < 0.7})
+    universe = tuple(range(1, rng.randrange(2, 5)))
+    g = {a: rng.choice(target) for a in universe}
+    roll = rng.random()
+    if roll < 0.05:
+        del g[universe[-1]]
+    elif roll < 0.1:
+        g[universe[0]] = len(target) + 1
+    how = rng.choice(("random", "pulled", "lowered"))
+    values = {}
+    for rel, args in vocab.atoms(universe):
+        image = tuple(g.get(a, 0) for a in args)
+        if how == "random" or not all(a in target for a in image):
+            values[(rel, args)] = sr.random_value(rng)
+        elif how == "lowered" and rng.random() < 0.5:
+            values[(rel, args)] = sr.mul(pb.literal(rel, image), sr.random_value(rng))
+        else:
+            values[(rel, args)] = pb.literal(rel, image)
+    return g, Interpretation.from_atoms(sr, universe, vocab, values), pb
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(HOM_SEMIRINGS), st.sampled_from(VOCABS))
+def test_check_interp_hom_agrees_with_the_reference(seed, sr, vocab):
+    """The one-pass preimage sums classify every map as the rescan did."""
+    g, pa, pb = _hom_case(random.Random(seed), sr, vocab)
+
+    def outcome(check):
+        try:
+            return "value", check(g, pa, pb)
+        except Exception as exc:  # the type and message are compared
+            return "raised", type(exc), str(exc)
+
+    assert outcome(check_interp_hom) == outcome(ref.check_interp_hom)

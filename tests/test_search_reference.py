@@ -94,3 +94,17 @@ def test_a_guard_error_is_raised_where_the_reference_raises_it():
     new = _outcome(verify_equivalent, *args)
     assert new == _outcome(ref.verify_equivalent, *args)
     assert new == ("raised", GuardExceeded, "256 interpretations exceed the guard 100")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(((VITERBI, VITERBI_GRID), (NAT, (1, 2)))))
+def test_verify_equivalent_at_the_defaults_agrees_with_the_reference(seed, target):
+    """1,000 draws over sizes up to 5, f against f | false: over Viterbi every
+    size is certified, so drawing may stop early; over nat none is."""
+    semiring, grid = target
+    f = random_foneq_sentence(random.Random(seed), UNARY_R)
+    args = (f, Or(f, FALSE), semiring, UNARY_R, grid)
+    new = _outcome(verify_equivalent, *args)
+    assert new == _outcome(ref.verify_equivalent, *args)
+    assert new[0] == "value" and new[1]["ok"]
+    assert new[1]["certified"] == ((1, 2, 3, 4, 5) if semiring is VITERBI else ())
