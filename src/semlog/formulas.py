@@ -224,11 +224,12 @@ def _preorder(f, kids=children) -> Iterator:
 
 
 class _LastBuilt:
-    """build(f, *args) with a one-entry memo: a call with the same formula
-    object and equal args returns the value built last.  The entry holds f,
-    so its id cannot be reused while the entry lives; a miss drops the old
-    entry before building, so no two values are kept at once, and a build
-    that raises stores nothing.  Sound only for values that nothing mutates."""
+    """build(f, *args) with a one-entry memo: a call with the same object f
+    (a formula or a game tree) and equal args returns the value built last.
+    The entry holds f, so its id cannot be reused while the entry lives; a
+    miss drops the old entry before building, so no two values are kept at
+    once, and a build that raises stores nothing.  Sound only for values and
+    args that nothing mutates."""
 
     __slots__ = ("build", "f", "args", "value")
 

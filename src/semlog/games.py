@@ -13,17 +13,21 @@ here recurses, over game trees or over strategies, so neither the width nor
 the depth of a formula costs stack.  Side tables are keyed on the `GameNode`
 or `Strategy` itself (both hash by identity).  Nothing changes a tree or
 its nodes once it is built, so `build_game_tree` keeps the last tree it
-built, one entry keyed on the formula object, the universe and the guard:
-`optimal` and then `has_existential_optimal` on one sentence and
-interpretation build one tree between them.
+built, one entry keyed on the formula object, the universe and the guard.
 
 One bottom-up pass gives every node its value and its ties, the number of
 strategies under it that take a maximal child at every choice node (0: the
-node bears no strategy).  Optimal extraction and `stream_optimal` follow the
-maximal children; with forall nodes barred, the pass decides whether some
-optimal strategy is existential.  With every leaf reading one in `BOOLEAN`,
-a node's ties count all its strategies, and `count_strategies` and
-`enumerate_strategies` read that table.
+node bears no strategy), and fills a second such table with forall nodes
+barred.  Optimal extraction and `stream_optimal` follow the maximal children
+of the first; the second decides whether some optimal strategy is
+existential.  The last pair of tables valued on an interpretation is kept,
+one entry keyed on the tree object and on the interpretation's semiring,
+universe, default and table items (never on the object: its table is a
+mutable dict), so `optimal` and then `has_existential_optimal` on one
+sentence and interpretation build one tree and value it once between them.
+With every leaf reading one in `BOOLEAN`, a node's ties count all its
+strategies, and `count_strategies` and `enumerate_strategies` read that
+first table.
 
 A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
@@ -209,7 +213,7 @@ def strategy_nodes(s: Strategy) -> List[Strategy]:
 def _count_table(tree: GameTree) -> Dict[GameNode, Tuple[object, int]]:
     """The (value, ties) table with every leaf reading one in `BOOLEAN`: a
     node with a strategy is worth one, so its ties count all its strategies."""
-    return _optimal_table(BOOLEAN, lambda formula, env: True, tree)
+    return _optimal_table(BOOLEAN, lambda formula, env: True, tree)[0]
 
 
 def count_strategies(tree: GameTree) -> int:
@@ -434,44 +438,53 @@ def _require_maxplus(sr: Semiring):
         raise PreconditionError(f"{sr.id} is not linearly ordered with idempotent addition")
 
 
-def _optimal_table(sr: Semiring, read, tree: GameTree, existential: bool = False
-                   ) -> Dict[GameNode, Tuple[object, int]]:
-    """(value, ties) of every node in sr, one loop over the tree's nodes; a
-    leaf is read(formula, env).  A choice node takes the maximum over its
-    strategy-bearing children, or zero without one: every strategy-less
-    subtree, such as an empty exists range, evaluates to zero.  With
-    `existential` set, forall nodes bear no strategy and what lies only below
-    them is not read."""
-    order = tree.order
-    if existential:
-        live = {tree.root}
-        for node in reversed(order):
-            if node.kind != "forall" and node in live:
-                live.update(node.children)
-        order = [node for node in order if node in live]
-    table: Dict[GameNode, Tuple[object, int]] = {}
-    for node in order:
-        kind = node.kind
-        if kind == "leaf":
-            table[node] = read(node.formula, node.env), 1
-        elif kind == "forall" and existential:
-            table[node] = sr.zero, 0
-        elif kind == "and" or kind == "forall":
-            val, ties = sr.one, 1
-            for c in node.children:
-                v, t = table[c]
-                val, ties = sr.mul(val, v), ties * t
-            table[node] = val, ties
-        else:
-            best, ties = sr.zero, 0
-            for c in node.children:
-                v, t = table[c]
-                if t and (not ties or sr.lt(best, v)):
+def _optimal_table(sr: Semiring, read, tree: GameTree) -> Tuple[dict, dict]:
+    """Two (value, ties) tables in sr from one loop over the tree's nodes: in
+    the first every node bears its strategies, in the second forall nodes
+    bear none.  A leaf is read(formula, env).  An and/forall node multiplies
+    its children's values, folded from the first (an empty range is one).  A
+    choice node takes the maximum over its strategy-bearing children, or zero
+    without one: every strategy-less subtree, such as an empty exists range,
+    evaluates to zero.  A node with no forall below it has one entry in both."""
+    mul, lt, zero, one = sr.mul, sr.lt, sr.zero, sr.one
+
+    def entry(kind, below):
+        if kind == "or" or kind == "exists":
+            best, ties = zero, 0
+            for v, t in below:
+                if t and (not ties or lt(best, v)):
                     best, ties = v, t
                 elif t and v == best:
                     ties += t
-            table[node] = best, ties
-    return table
+            return best, ties
+        if not below:
+            return one, 1
+        val, ties = below[0]
+        for v, t in below[1:]:
+            val, ties = mul(val, v), ties * t
+        return val, ties
+
+    table, barred = {}, {}
+    for node in tree.order:
+        kind = node.kind
+        if kind == "leaf":
+            table[node] = barred[node] = read(node.formula, node.env), 1
+            continue
+        got = table[node] = entry(kind, [table[c] for c in node.children])
+        barred[node] = ((zero, 0) if kind == "forall" else got if not node.formula.metrics.qr_forall
+                        else entry(kind, [barred[c] for c in node.children]))
+    return table, barred
+
+
+_last_tables = _LastBuilt(lambda tree, sr, universe, default, items: _optimal_table(
+    sr, _leaf_reader(Interpretation._unchecked(sr, universe, None, dict(items), default)), tree))
+
+
+def _interp_tables(tree: GameTree, interp: Interpretation) -> Tuple[dict, dict]:
+    """The two tables of tree on interp, kept as the module notes say; they
+    read the leaves through an interpretation made from the key alone."""
+    return _last_tables(tree, interp.semiring, interp.universe, interp.default,
+                        tuple(interp.table.items()))
 
 
 def _maximal(table, node: GameNode) -> List[int]:
@@ -510,7 +523,7 @@ def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
     idempotent semiring."""
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
-    table = _optimal_table(interp.semiring, _leaf_reader(interp), tree)
+    table = _interp_tables(tree, interp)[0]
     value, ties = table[tree.root]
     return OptimalResult(value, _first_optimal(tree, table), ties, (tree, table))
 
@@ -710,10 +723,11 @@ def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
     """Bound the witness and literal footprint under forall nodes of
     universal depth <= m by rewriting sibling branches into copies of one
     branch whose instantiation avoids its own literals: one children-first
-    fold, so each such node is compacted over its compacted children."""
+    pass per depth 1..m compacts the forall nodes of that depth, so a
+    malformed strategy meets its first error in that order."""
 
     def step(v: Strategy, *children) -> Strategy:
-        if v.kind != "forall" or v.formula.metrics.qr_forall > m:
+        if v.kind != "forall" or v.formula.metrics.qr_forall != depth:
             return Strategy(v.formula, v.env, v.tag, children)
         tags = tuple(v.tag)
         pivot = next((i for i, (b, child) in enumerate(zip(tags, children))
@@ -729,9 +743,10 @@ def compact_almost_existential(s: Strategy, m: int, universe) -> Strategy:
                          else child for i, (b, child) in enumerate(zip(tags, children)))
         return Strategy(v.formula, v.env, tags, children)
 
-    out = _fold(s, step, lambda node: node.children)
-    validate_strategy(out, universe)
-    return out
+    for depth in range(1, m + 1):
+        s = _fold(s, step, lambda node: node.children)
+    validate_strategy(s, universe)
+    return s
 
 
 def translate_almost_existential(s: Strategy, n: int) -> Strategy:

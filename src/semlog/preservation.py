@@ -55,8 +55,9 @@ from .formulas import (
 from .games import (
     Strategy,
     _first_optimal,
+    _interp_tables,
     _map_strategy,
-    _optimal_table,
+    _require_maxplus,
     _valuer,
     build_game_tree,
     classify,
@@ -78,7 +79,7 @@ from .interpretations import (
     check_interp_hom,
     random_interpretation,
 )
-from .evaluation import _leaf_reader, compile_formula, evaluate, evaluate_set, run_plan
+from .evaluation import compile_formula, evaluate, evaluate_set, run_plan
 from .lattices import FiniteLattice, LatticeSemiring, adjoin_bottom, find_weakly_separating_hom
 from .polynomials import SPOLY, collapse_exponents
 from .provenance import pi_n
@@ -315,18 +316,20 @@ def is_eventually_trivial(formula: Formula) -> TrivialityVerdict:
 def has_existential_optimal(
     interp: Interpretation, formula: Formula
 ) -> Tuple[bool, Optional[Strategy]]:
-    """Whether some optimal strategy avoids universal nodes entirely.  Decided
-    exactly by the (value, ties) pass of `optimal` with forall nodes barred
-    (the tie family of `optimal` can miss optimal strategies when an
-    absorbing zero is involved); the strategy returned takes the first
-    maximal child at every choice node."""
+    """Whether some optimal strategy avoids universal nodes entirely; requires
+    a linearly ordered, additively idempotent semiring, as `optimal` does.
+    Decided exactly (the tie family of `optimal` can miss optimal strategies
+    when an absorbing zero is involved) by the kept tables of `optimal`: the
+    forall-barred root against the optimal value, which over such a semiring
+    is the sum over strategies.  After `optimal` nothing is valued again.
+    The strategy returned takes the first maximal child at every choice node."""
     tree = build_game_tree(formula, interp.universe)
-    target = evaluate(interp, formula)
-    table = _optimal_table(interp.semiring, _leaf_reader(interp), tree, existential=True)
-    value, ties = table[tree.root]
-    if not ties or value != target:
+    _require_maxplus(interp.semiring)
+    table, barred = _interp_tables(tree, interp)
+    value, ties = barred[tree.root]
+    if not ties or value != table[tree.root][0]:
         return False, None
-    return True, _first_optimal(tree, table)
+    return True, _first_optimal(tree, barred)
 
 
 def has_almost_existential_optimal(

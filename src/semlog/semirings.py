@@ -221,6 +221,9 @@ class _UnitIntervalSemiring(Semiring):
     def leq(self, s, t):
         return s <= t
 
+    def lt(self, s, t):
+        return s < t
+
     def contains(self, v):
         return isinstance(v, (Fraction, int)) and not isinstance(v, bool) and 0 <= v <= 1
 
@@ -278,6 +281,9 @@ class DoubtSemiring(_UnitIntervalSemiring):
 
     def leq(self, s, t):
         return t <= s  # reversed
+
+    def lt(self, s, t):
+        return t < s
 
 
 class TropicalSemiring(Semiring):

@@ -313,6 +313,12 @@ def strategy_views(module, s, f, k, swap, perm):
 # does, and raises TypeError before the one under y = 1 vacuously relies on
 # forall.
 @example((parse("A! y. (true & E! x. A! z. x != y)"), 2, [0], (1, 1), [1, 2], (3, "tag", 0)))
+# The mutant drops the env entry of a leaf under a depth-1 forall, and a
+# depth-2 forall before it in post-order has no pivot: compaction goes depth
+# by depth, as the reference does, and raises KeyError at the broken leaf
+# before the PreconditionError of the depth-2 node.
+@example((parse("A y. A x. E z. (~R(y) & A y. ~E(x, x))"), 5, [0], (1, 1), [1, 2, 3, 4, 5],
+          (44, "env", 0)))
 def test_strategy_walks_agree_with_reference(case):
     f, k, picks, swap, perm, mutation = case
     built = _outcome(games.strategy_from_choices, games.build_game_tree(f, k).root, chooser(picks))

@@ -570,3 +570,78 @@ def test_a_kept_tree_keeps_its_guard():
     again = build_game_tree(f, 4, guard=nodes)
     assert again is not tree and _labels(again) == _labels(tree)
     assert build_game_tree(f, 4, guard=nodes) is again
+
+
+def _answers(interp, f):
+    """What `optimal` and then `has_existential_optimal` say about f on interp."""
+    res = optimal(interp, f)
+    found, s = has_existential_optimal(interp, f)
+    nodes = None if s is None else [(n.formula, n.env, n.tag) for n in games.strategy_nodes(s)]
+    return res.value, res.all_optimal_count, found, nodes
+
+
+def _counted_passes(monkeypatch):
+    passes = []
+    pass_once = games._optimal_table
+
+    def counted(*args):
+        passes.append(args[0])
+        return pass_once(*args)
+
+    monkeypatch.setattr(games, "_optimal_table", counted)
+    return passes
+
+
+FORALL_OR_Q = "(A! x. R(x)) | E! x. Q(x)"
+
+
+def test_one_pass_answers_optimal_and_existential(monkeypatch):
+    """`optimal` and then `has_existential_optimal` on one sentence object and
+    one interpretation run the (value, ties) pass once between them, and its
+    one product, at the forall node, is folded from the first child."""
+    passes = _counted_passes(monkeypatch)
+    muls = []
+    monkeypatch.setattr(VITERBI, "mul", lambda a, b, mul=VITERBI.mul: muls.append(1) or mul(a, b))
+    pi = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_RQ, {
+        ("R", (1,)): Fraction(1), ("R", (2,)): Fraction(1), ("Q", (1,)): Fraction(1)})
+    f = parse(FORALL_OR_Q)
+    assert _answers(pi, f)[:3] == (Fraction(1), 2, True)
+    assert passes == [VITERBI] and len(muls) == 1
+    assert has_existential_optimal(pi, f)[0] and passes == [VITERBI]
+
+
+def test_the_kept_tables_follow_the_interpretations_contents(monkeypatch):
+    """The kept tables are keyed on what the interpretation holds, not on the
+    object: after its table is changed the next call values the tree again,
+    and an equal but distinct interpretation reads the kept tables.  Either
+    way the answers are those of a copy of the sentence, which no kept tree
+    or table serves."""
+    atoms = {("R", (1,)): Fraction(1), ("R", (2,)): Fraction(1), ("Q", (1,)): Fraction(1, 2)}
+    low = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_RQ, atoms)
+    high = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_RQ, {**atoms, ("Q", (1,)): Fraction(1)})
+    want_low, want_high = _answers(low, parse(FORALL_OR_Q)), _answers(high, parse(FORALL_OR_Q))
+    assert want_low[2:] == (False, None) and want_high[2] is True
+
+    passes = _counted_passes(monkeypatch)
+    f = parse(FORALL_OR_Q)
+    pi = Interpretation.from_atoms(VITERBI, (1, 2), UNARY_RQ, atoms)
+    optimal(pi, f)
+    pi.table.update(high.table)
+    assert has_existential_optimal(pi, f)[0] is True and len(passes) == 2
+    assert _answers(pi, f) == want_high
+    assert len(passes) == 2
+
+    same = Interpretation(VITERBI, pi.universe, UNARY_RQ, dict(pi.table), pi.default)
+    assert _answers(same, f) == want_high
+    assert len(passes) == 2
+    pi.table.update(low.table)
+    assert _answers(pi, f) == _answers(low, f) == want_low
+    assert len(passes) == 3
+
+
+def test_existential_optimal_needs_a_maxplus_semiring():
+    pi = Interpretation.from_atoms(NAT, (1, 2), UNARY_R, {("R", (1,)): 2, ("R", (2,)): 3})
+    f = parse("(A x. R(x)) | E x. R(x)")
+    for fn in (optimal, has_existential_optimal):
+        with pytest.raises(PreconditionError, match="not linearly ordered with idempotent"):
+            fn(pi, f)

@@ -173,6 +173,28 @@ def test_lukasiewicz_and_doubt_stay_in_unit_interval(a, b):
         assert 0 <= w <= 1
 
 
+LINEAR = [sr for sr in ALL if sr.linearly_ordered]
+
+
+def _values(sr):
+    """Values of sr: its whole carrier, or zero, one and random values (INF
+    included on tropical and natinf)."""
+    if sr.carrier():
+        return st.sampled_from(sr.carrier())
+    return st.one_of(st.sampled_from([sr.zero, sr.one]),
+                     st.randoms(use_true_random=False).map(sr.random_value))
+
+
+@given(st.sampled_from(LINEAR).flatmap(lambda sr: st.tuples(st.just(sr), _values(sr), _values(sr))))
+@settings(max_examples=400, deadline=None)
+def test_strict_order_is_the_natural_order_without_equality(case):
+    """Every linearly ordered carrier's `lt`, its own or the base rule,
+    agrees with leq(s, t) and s != t."""
+    sr, s, t = case
+    for a, b in ((s, t), (t, s), (s, s)):
+        assert sr.lt(a, b) == (sr.leq(a, b) and a != b), (sr.id, a, b)
+
+
 def test_threshold_homs():
     geq_eps = threshold_hom("geq_eps")
     geq_one = threshold_hom("geq_one")
