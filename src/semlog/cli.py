@@ -3,6 +3,10 @@
 Exit codes: 0 = holds/success, 1 = refuted (witness printed), 2 = usage or
 guard error (input nested too deeply included), 3 = internal error (traceback
 on stderr).  Output is deterministic for fixed inputs and seed.
+
+The argument parser is built on the first call of `main` and kept for the
+process; each call then runs the command's `cmd_<name>` function, looked up
+by name when the call runs.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from fractions import Fraction
 
 from .errors import GuardExceeded, PreconditionError, SemlogError
 from .evaluation import evaluate
-from .formulas import _preorder, is_fo, fo_to_foneq
+from .formulas import _fold, _preorder, is_fo, fo_to_foneq
 from .games import build_game_tree, classify, count_strategies, enumerate_strategies, optimal
 from .interpretations import Vocabulary, load_interpretation
-from .parser import parse, render
+from .parser import _render_step, parse, render
 from .preservation import (
     check_preservation,
     is_eventually_trivial,
@@ -76,7 +80,7 @@ def cmd_strategies(args) -> int:
         result = optimal(interp, formula)
         print(f"value {interp.semiring.format_value(result.value)}")
         print(f"optimal-count {result.all_optimal_count}")
-        _print_strategy(result.strategy)
+        _print_strategy(result.strategy, _subformula_texts(formula))
         return HOLDS
     tree = build_game_tree(formula, args.n)
     if not (args.list or args.classify):
@@ -85,12 +89,13 @@ def cmd_strategies(args) -> int:
             raise GuardExceeded(f"{total} strategies exceed the guard {args.guard}")
         print(f"strategies {total}")
         return HOLDS
+    texts = _subformula_texts(formula) if args.list else {}
     count = 0
     for s in enumerate_strategies(tree, args.guard):
         count += 1
         if args.list:
             print(f"strategy {count}:")
-            _print_strategy(s)
+            _print_strategy(s, texts)
         if args.classify:
             stats = classify(s)
             print(
@@ -101,11 +106,30 @@ def cmd_strategies(args) -> int:
     return HOLDS
 
 
-def _print_strategy(s):
+def _subformula_texts(formula) -> dict:
+    """id(g) -> render(g) for every subformula g of formula, from one fold of
+    render's step; rendering each strategy node afresh would re-walk its whole
+    subformula.  Valid while formula lives."""
+    texts = {}
+
+    def step(g, *below):
+        part = _render_step(g, *below)
+        texts[id(g)] = part[0]
+        return part
+
+    _fold(formula, step)
+    return texts
+
+
+def _print_strategy(s, texts):
+    """Each node of strategy s, indented by its depth; a node's formula text
+    comes from texts (see `_subformula_texts`), or from `render` if it is not
+    there."""
     below = lambda item: [(c, item[1] + 1) for c in item[0].children]
     for node, depth in _preorder((s, 0), below):
         pad = "  " * depth
-        label = render(node.formula) if not node.env else f"{render(node.formula)} @ {dict(node.env)}"
+        text = texts.get(id(node.formula)) or render(node.formula)
+        label = text if not node.env else f"{text} @ {dict(node.env)}"
         if node.kind == "exists":
             print(f"{pad}{label} -> pick {node.tag}")
         elif node.kind == "or":
@@ -293,7 +317,9 @@ def _repro_s3_lift(args) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="semlog", description=__doc__)
+    # --help shows the docstring's first two paragraphs; the third is for readers of the code
+    usage = "\n\n".join(__doc__.split("\n\n")[:2])
+    top = argparse.ArgumentParser(prog="semlog", description=usage)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--guard", type=int, default=10**6)
     top.add_argument("--quiet", action="store_true")
@@ -303,7 +329,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--semiring", required=True)
     p.add_argument("--interp", required=True)
     p.add_argument("--formula", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("strategies", help="game-tree strategies")
     p.add_argument("--formula", required=True)
@@ -313,13 +338,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimal", action="store_true")
     p.add_argument("--semiring")
     p.add_argument("--interp")
-    p.set_defaults(func=cmd_strategies)
 
     p = sub.add_parser("provenance", help="canonical polynomial value")
     p.add_argument("--formula", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--semiring", choices=["natpoly", "spoly"], default="spoly")
-    p.set_defaults(func=cmd_provenance)
 
     p = sub.add_parser("check", help="bounded preservation check")
     p.add_argument("--property", choices=["extensions", "subints", "homs"], required=True)
@@ -327,43 +350,43 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--max-size", type=int, default=2)
     p.add_argument("--grid", default="0,1/4,1/2,1")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("trivial", help="triviality of a universal subformula")
     p.add_argument("--formula", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--probe", action="store_true",
                    help="accepted and ignored: the verdict is exact without probing")
-    p.set_defaults(func=cmd_trivial)
 
     p = sub.add_parser("rewrite", help="universal-quantifier elimination")
     p.add_argument("--mode", choices=["strict", "lattice"], required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--semiring")
-    p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("entail", help="S3 entailment criterion")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--sizes", default="1..3")
-    p.set_defaults(func=cmd_entail)
 
     p = sub.add_parser("repro", help="replay a named worked example")
     p.add_argument("name")
     p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_repro)
 
     return top
 
 
+_parser = None  # built by the first `main` call
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SemlogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -199,26 +199,28 @@ def parse(text: str, vocabulary=None) -> Formula:
 _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
 
 
+def _wrap(part, prec: int) -> str:
+    """A rendered operand, parenthesized where it binds looser than prec."""
+    text, own = part
+    return f"({text})" if own < prec else text
+
+
+def _render_step(g: Formula, *below):
+    """The text of g and the precedence it binds with, from those of its
+    children: the step that `render` folds."""
+    if isinstance(g, (Top, Bottom, Atom, Eq)):
+        return repr(g), _PREC_UNARY
+    if isinstance(g, Or):
+        return f"{_wrap(below[0], _PREC_OR)} | {_wrap(below[1], _PREC_OR + 1)}", _PREC_OR
+    if isinstance(g, And):
+        return f"{_wrap(below[0], _PREC_AND)} & {_wrap(below[1], _PREC_AND + 1)}", _PREC_AND
+    if isinstance(g, (Exists, Forall)):
+        q = ("E" if isinstance(g, Exists) else "A") + ("!" if g.distinct else "")
+        return f"{q} {g.var}. {below[0][0]}", 0
+    raise SemlogError(f"not a formula: {g!r}")
+
+
 def render(f: Formula) -> str:
     """Print in the concrete syntax; parse(render(f)) == f for variable-only
     formulae."""
-
-    def wrap(part, prec: int) -> str:
-        """A rendered operand, parenthesized where it binds looser than prec."""
-        text, own = part
-        return f"({text})" if own < prec else text
-
-    def step(g: Formula, *below):
-        """The text of g and the precedence it binds with."""
-        if isinstance(g, (Top, Bottom, Atom, Eq)):
-            return repr(g), _PREC_UNARY
-        if isinstance(g, Or):
-            return f"{wrap(below[0], _PREC_OR)} | {wrap(below[1], _PREC_OR + 1)}", _PREC_OR
-        if isinstance(g, And):
-            return f"{wrap(below[0], _PREC_AND)} & {wrap(below[1], _PREC_AND + 1)}", _PREC_AND
-        if isinstance(g, (Exists, Forall)):
-            q = ("E" if isinstance(g, Exists) else "A") + ("!" if g.distinct else "")
-            return f"{q} {g.var}. {below[0][0]}", 0
-        raise SemlogError(f"not a formula: {g!r}")
-
-    return _fold(f, step)[0]
+    return _fold(f, _render_step)[0]

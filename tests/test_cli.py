@@ -2,11 +2,14 @@
 
 import io
 import contextlib
+import random
 
 import pytest
 
+from corpus import random_foneq_sentence
 from semlog import cli
 from semlog.cli import main
+from semlog.formulas import _preorder
 from semlog.parser import parse, render
 
 VIT_AB = """semiring: viterbi
@@ -387,3 +390,82 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, interp_file):
                            "--formula", "E x. R(x)")
     assert code == 3
     assert "Traceback" in err and "ValueError: broken command" in err
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, interp_file):
+    builds = []
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: builds.append(1) or build())
+    for formula, value in (("A x. R(x)", "1/8"), ("E x. R(x)", "1/2"), ("A x. R(x)", "1/8")):
+        assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                       "--formula", formula) == (0, value + "\n", "")
+    assert builds == [1]
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch):
+    assert run_cli("repro", "warp-drive")[0] == 2  # the parser is built by now
+    seen = []
+    monkeypatch.setattr(cli, "cmd_repro", lambda args: seen.append(args.name) or 0)
+    assert run_cli("repro", "warp-drive") == (0, "", "")
+    assert seen == ["warp-drive"]
+
+
+def test_a_usage_error_leaves_the_kept_parser_working(interp_file):
+    code, out, err = run_cli("eval", "--semiring", "viterbi", "--interp", interp_file)
+    assert (code, out) == (2, "") and "--formula" in err
+    assert run_cli("eval", "--semiring", "viterbi", "--interp", interp_file,
+                   "--formula", "A x. R(x)") == (0, "1/8\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["strategies", "--help"]], ids=["top", "sub"])
+def test_help_prints_the_same_text_twice_and_exits_0(argv):
+    first = run_cli(*argv)
+    assert first[0] == 0 and first[1].startswith("usage: semlog")
+    assert run_cli(*argv) == first
+
+
+def test_a_listing_call_leaves_the_next_call_unlisted():
+    listed = run_cli("strategies", "--formula", "E x. R(x)", "--n", "2", "--list")
+    assert listed[0] == 0 and "strategy 1:" in listed[1].splitlines()
+    assert run_cli("strategies", "--formula", "E x. R(x)", "--n", "2") == (0, "strategies 2\n", "")
+
+
+def _print_strategy_rendering_each_node(s, texts):
+    """The strategy printer that renders every node's formula afresh, frozen
+    as the oracle for `cli._print_strategy`; texts is ignored."""
+    below = lambda item: [(c, item[1] + 1) for c in item[0].children]
+    for node, depth in _preorder((s, 0), below):
+        pad = "  " * depth
+        label = render(node.formula) if not node.env else f"{render(node.formula)} @ {dict(node.env)}"
+        if node.kind == "exists":
+            print(f"{pad}{label} -> pick {node.tag}")
+        elif node.kind == "or":
+            print(f"{pad}{label} -> branch {node.tag}")
+        else:
+            print(f"{pad}{label}")
+
+
+@pytest.mark.parametrize("semiring, values", [
+    ("viterbi", ["0", "1/4", "1/2", "1"]),
+    ("s3", ["0", "e", "1"]),
+])
+def test_strategy_output_matches_rendering_each_node(monkeypatch, tmp_path, semiring, values):
+    rng = random.Random(f"strategy output over {semiring}")
+    interp = tmp_path / "random.interp"
+    for _ in range(25):
+        text = render(random_foneq_sentence(rng))
+        size = rng.randint(1, 3)
+        universe = "abc"[:size]
+        interp.write_text("".join(
+            [f"semiring: {semiring}\nuniverse: {' '.join(universe)}\ndefault: 0\n"]
+            + [f"{rel}({e}) = {rng.choice(values)}\n" for rel in "RQ" for e in universe]))
+        for argv in (
+            ["--guard", "600", "strategies", "--formula", text, "--n", str(size), "--list"],
+            ["strategies", "--formula", text, "--n", "1", "--optimal", "--semiring", semiring,
+             "--interp", str(interp)],
+        ):
+            printed = run_cli(*argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_print_strategy", _print_strategy_rendering_each_node)
+                assert run_cli(*argv) == printed
