@@ -189,10 +189,13 @@ _UP = object()  # on the fold's stack: the node and kid count below it are done
 def _fold(root, step, kids=children):
     """root folded bottom-up from an explicit stack: each node g becomes
     step(g, *values), the values being what the nodes of kids(g) became, left
-    to right.  Every formula walk is a fold (visits read `_preorder`), so
-    neither width nor nesting costs recursion; a walk whose environment
-    changes at binders folds nodes that carry it, (formula, env, ...).  kids
-    runs on the nodes in pre-order, so names drawn there are drawn in order."""
+    to right.  Every formula walk is a fold (visits read `_preorder`) except
+    the two hot game walks, the game-tree builder and
+    `games.strategy_from_choices`, which are flat loops over their own stacks
+    with no per-node callback; either way neither width nor nesting costs
+    recursion.  A walk whose environment changes at binders folds nodes that
+    carry it, (formula, env, ...).  kids runs on the nodes in pre-order, so
+    names drawn there are drawn in order."""
     values, stack = [], [root]
     while stack:
         g = stack.pop()

@@ -5,29 +5,34 @@ A node of the game tree is labelled by an instantiated subformula (formula
 plus an assignment of its free variables), and the label fixes the subtree
 under it.  `build_game_tree` therefore keeps one `GameNode` per label: the
 tree is a DAG in which equal labels share one node, and `GameTree.order`
-lists every node once, children before parents.  A bottom-up walk over the
-tree is one loop over that list, so it visits each shared node once; a
-top-down walk (strategy enumeration and extraction) keeps its own stack.
-`GameTree.node_count` and the build guard count the unshared tree.  No walk
-here recurses, over game trees or over strategies, so neither the width nor
-the depth of a formula costs stack.  Side tables are keyed on the `GameNode`
-or `Strategy` itself (both hash by identity).  Nothing changes a tree or
-its nodes once it is built, so `build_game_tree` keeps the last tree it
-built, one entry keyed on the formula object, the universe and the guard.
+lists every node once, children before parents.  The builder is one flat
+loop over its own stack of (subformula, env, child list) items and leave
+frames, with no per-node callback.  A bottom-up walk over the tree is one
+loop over that list, so it visits each shared node once; a top-down walk
+(enumeration, and extraction by `strategy_from_choices`, another flat loop)
+keeps its own stack.  `GameTree.node_count` and the build guard count the
+unshared tree.  No walk here recurses, over game trees or over strategies,
+so neither the width nor the depth of a formula costs stack.  Side tables
+are keyed on the `GameNode` or `Strategy` itself (both hash by identity).
+Nothing changes a tree or its nodes once it is built, so `build_game_tree`
+keeps the last tree it built, one entry keyed on the formula object, the
+universe and the guard.
 
-One bottom-up pass gives every node its value and its ties, the number of
+One bottom-up pass gives every node its value; its ties, the number of
 strategies under it that take a maximal child at every choice node (0: the
-node bears no strategy), and fills a second such table with forall nodes
-barred.  Optimal extraction and `stream_optimal` follow the maximal children
-of the first; the second decides whether some optimal strategy is
-existential.  The last pair of tables valued on an interpretation is kept,
-one entry keyed on the tree object and on the interpretation's semiring,
-universe, default and table items (never on the object: its table is a
-mutable dict), so `optimal` and then `has_existential_optimal` on one
-sentence and interpretation build one tree and value it once between them.
-With every leaf reading one in `BOOLEAN`, a node's ties count all its
-strategies, and `count_strategies` and `enumerate_strategies` read that
-first table.
+node bears no strategy); and its picks, the indices of a choice node's
+maximal children, kept as the pass takes the maximum.  The same loop fills a
+second such table with forall nodes barred.  Optimal extraction and
+`stream_optimal` follow the picks of the first, so nothing compares values
+again; the second decides whether some optimal strategy is existential.  The
+last pair of tables valued on an interpretation is kept, one entry keyed on
+the tree object and on the interpretation's semiring, universe, default and
+table items (never on the object: its table is a mutable dict), so `optimal`
+and then `has_existential_optimal` on one sentence and interpretation build
+one tree and value it once between them.  With every leaf reading one in
+`BOOLEAN`, a node's ties count all its strategies, and `count_strategies`
+and `enumerate_strategies` read that first table, which their pass fills
+alone.
 
 A strategy is a labelled tree of `Strategy` nodes with the same labels;
 or/exists nodes keep exactly one child, and/forall nodes keep all children.
@@ -75,7 +80,8 @@ TREE_NODE_GUARD = 5 * 10**5
 
 Env = Tuple[Tuple[str, int], ...]
 
-_KINDS = {Or: "or", And: "and", Exists: "exists", Forall: "forall"}
+_KINDS = {Or: "or", And: "and", Exists: "exists", Forall: "forall",
+          Top: "leaf", Bottom: "leaf", Atom: "leaf", Eq: "leaf"}
 
 
 def _kind(formula: Formula) -> str:
@@ -88,10 +94,10 @@ class GameNode:
 
     __slots__ = ("formula", "env", "kind", "children", "tags")
 
-    def __init__(self, formula, env, children, tags):
+    def __init__(self, formula, env, kind, children, tags):
         self.formula = formula
         self.env = env
-        self.kind = _kind(formula)
+        self.kind = kind
         self.children = children
         self.tags = tags
 
@@ -135,46 +141,50 @@ def _build_game_tree(formula: Formula, universe: Tuple[int, ...], guard: int) ->
     shared: Dict[tuple, Tuple[GameNode, int]] = {}  # label -> node, unshared size
     order: List[GameNode] = []
     count = 0
-
-    # An item is [g, env].  kids looks its label up when the item is popped (a
-    # label still pending is an ancestor's, which no descendant shares): a hit
-    # appends its node, a new label its node, label and the count before it.
-    def kids(item: list):
-        nonlocal count
-        g, env = item
+    # An item (g, env, out) appends the node of g under env to the child list
+    # out, looking its label up when it is popped (a label still pending is an
+    # ancestor's, which no descendant shares); a new inner node pushes a leave
+    # frame (node, count before it) under its children, which closes it.
+    top: List[GameNode] = []
+    stack = [(formula, {}, top)]
+    while stack:
+        item = stack.pop()
+        if len(item) == 2:
+            node, start = item
+            node.children = tuple(node.children)
+            shared[(id(node.formula), node.env)] = node, count - start
+            order.append(node)
+            continue
+        g, env, out = item
         env_t = tuple([(v, env[v]) for v in g.free])
         label = (id(g), env_t)
         hit = shared.get(label)
-        start = count
         count += hit[1] if hit is not None else 1
         if count > guard:
             raise GuardExceeded(f"game tree exceeds {guard} nodes")
         if hit is not None:
-            item.append(hit[0])
-            return ()
-        kind = type(g)
-        if kind is Or or kind is And:
-            tags, below = (0, 1), ([g.left, env], [g.right, env])
-        elif kind is Exists or kind is Forall:
+            out.append(hit[0])
+            continue
+        kind = _KINDS.get(type(g))
+        if kind == "leaf":
+            node = GameNode(g, env_t, kind, (), ())
+            shared[label] = node, 1
+            order.append(node)
+            out.append(node)
+            continue
+        if kind == "or" or kind == "and":
+            node = GameNode(g, env_t, kind, [], (0, 1))
+            below = ((g.right, env, node.children), (g.left, env, node.children))
+        elif kind is not None:
             tags = tuple(quantifier_range(g, universe, [e for _, e in env_t]))
-            below = [[g.body, {**env, g.var: b}] for b in tags]
-        elif kind is Top or kind is Bottom or kind is Atom or kind is Eq:
-            tags, below = (), ()
+            node = GameNode(g, env_t, kind, [], tags)
+            below = [(g.body, {**env, g.var: b}, node.children) for b in reversed(tags)]
         else:
             raise PreconditionError(f"not a formula: {g!r}")
-        item += (GameNode(g, env_t, (), tags), label, start)
-        return below
-
-    def step(item: list, *below) -> GameNode:
-        node = item[2]
-        if len(item) > 3:
-            node.children = below
-            shared[item[3]] = (node, count - item[4])
-            order.append(node)
-        return node
-
-    root = _fold([formula, {}], step, kids)
-    return GameTree(root, universe, count, order)
+        out.append(node)
+        stack.append((node, count - 1))
+        stack += below
+    return GameTree(top[0], universe, count, order)
 
 
 _last_tree = _LastBuilt(_build_game_tree)
@@ -210,10 +220,11 @@ def strategy_nodes(s: Strategy) -> List[Strategy]:
     return list(_preorder(s, lambda node: node.children[::-1]))
 
 
-def _count_table(tree: GameTree) -> Dict[GameNode, Tuple[object, int]]:
-    """The (value, ties) table with every leaf reading one in `BOOLEAN`: a
-    node with a strategy is worth one, so its ties count all its strategies."""
-    return _optimal_table(BOOLEAN, lambda formula, env: True, tree)[0]
+def _count_table(tree: GameTree) -> Dict[GameNode, tuple]:
+    """The first table of `_optimal_table`, alone, with every leaf reading one
+    in `BOOLEAN`: a node with a strategy is worth one, so its ties count all
+    its strategies and every strategy-bearing child of a choice node is a pick."""
+    return _optimal_table(BOOLEAN, lambda formula, env: True, tree, False)[0]
 
 
 def count_strategies(tree: GameTree) -> int:
@@ -233,8 +244,8 @@ def enumerate_strategies(tree: GameTree, guard: int = STRATEGY_GUARD,
 
 def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
     """The strategies under root that take, at every or/exists node, a child
-    that `_maximal(table, node)` lists, in enumeration order; the ties of a
-    node in the (value, ties) table are their number under it.  A stack
+    that its picks in the (value, ties, picks) table list, in enumeration
+    order; the ties of a node are their number under it.  A stack
     follows the chains of maximal children down to leaves and and/forall
     nodes.  The strategies under a leaf or a child of an and/forall node are
     listed once per shared node (its pool, folded from the pools below it)
@@ -256,7 +267,7 @@ def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
             return [Strategy(f, env, None, ())], valued and [read(f, env)]
         if node.kind == "or" or node.kind == "exists":
             return ([Strategy(f, env, node.tags[i], (sub,))
-                     for i, (subs, _) in zip(_maximal(table, node), below) for sub in subs],
+                     for i, (subs, _) in zip(table[node][2], below) for sub in subs],
                     valued and [v for _, vs in below for v in vs])
         if not table[node][1]:
             return (), ()
@@ -268,7 +279,7 @@ def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
         if node in pools:
             return ()
         if node.kind == "or" or node.kind == "exists":
-            return [node.children[i] for i in _maximal(table, node)]
+            return [node.children[i] for i in table[node][2]]
         return node.children if table[node][1] else ()
 
     def step(node, *below):
@@ -290,7 +301,7 @@ def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
     while stack:
         node, chain = stack.pop()
         if node.kind == "or" or node.kind == "exists":
-            stack += [(node.children[i], (chain, node, i)) for i in reversed(_maximal(table, node))]
+            stack += [(node.children[i], (chain, node, i)) for i in reversed(table[node][2])]
         elif table[node][1]:
             got, vals = (pool(node) if node.kind == "leaf"
                          else made(node, [pool(c) for c in node.children]))
@@ -306,22 +317,29 @@ def _strategies(root: GameNode, table, guard: int, interp=None) -> Iterator:
 def strategy_from_choices(node: GameNode, chooser) -> Strategy:
     """Build a strategy by asking chooser(game_node) for a child index at
     every or/exists node, in pre-order."""
-
-    def kids(item: list):
-        node = item[0]
-        if node.kind == "or" or node.kind == "exists":
-            item.append(chooser(node))
-            return ([node.children[item[1]]],)
-        return [[c] for c in node.children]
-
-    def step(item: list, *below) -> Strategy:
-        node = item[0]
+    # An item (node, out) appends the strategy of node to the child list out;
+    # a strategy over children is pushed under them and closed when popped.
+    top: List[Strategy] = []
+    stack = [(node, top)]
+    while stack:
+        item = stack.pop()
+        if type(item) is Strategy:
+            item.children = tuple(item.children)
+            continue
+        node, out = item
         if node.kind == "leaf":
-            return Strategy(node.formula, node.env, None, ())
-        tag = node.tags[item[1]] if len(item) > 1 else node.tags
-        return Strategy(node.formula, node.env, tag, below)
-
-    return _fold([node], step, kids)
+            out.append(Strategy(node.formula, node.env, None, ()))
+            continue
+        if node.kind == "or" or node.kind == "exists":
+            i = chooser(node)
+            below, tag = (node.children[i],), node.tags[i]
+        else:
+            below, tag = node.children, node.tags
+        s = Strategy(node.formula, node.env, tag, [])
+        out.append(s)
+        stack.append(s)
+        stack += [(c, s.children) for c in reversed(below)]
+    return top[0]
 
 
 def random_strategy(tree: GameTree, rng) -> Strategy:
@@ -345,8 +363,8 @@ def _valuer(interp: Interpretation):
     def step(node: Strategy, *below):
         if below:
             return functools.reduce(mul, below)
-        kind = _KINDS.get(type(node.formula))
-        return read(node.formula, node.env) if kind is None else one if kind == "forall" else zero
+        kind = _kind(node.formula)
+        return read(node.formula, node.env) if kind == "leaf" else one if kind == "forall" else zero
 
     return lambda s: _fold(s, step, lambda node: node.children)
 
@@ -438,41 +456,48 @@ def _require_maxplus(sr: Semiring):
         raise PreconditionError(f"{sr.id} is not linearly ordered with idempotent addition")
 
 
-def _optimal_table(sr: Semiring, read, tree: GameTree) -> Tuple[dict, dict]:
-    """Two (value, ties) tables in sr from one loop over the tree's nodes: in
-    the first every node bears its strategies, in the second forall nodes
-    bear none.  A leaf is read(formula, env).  An and/forall node multiplies
-    its children's values, folded from the first (an empty range is one).  A
-    choice node takes the maximum over its strategy-bearing children, or zero
-    without one: every strategy-less subtree, such as an empty exists range,
-    evaluates to zero.  A node with no forall below it has one entry in both."""
+def _optimal_table(sr: Semiring, read, tree: GameTree, bar=True) -> Tuple[dict, Optional[dict]]:
+    """Two (value, ties, picks) tables in sr from one loop over the tree's
+    nodes: in the first every node bears its strategies, in the second (None
+    unless bar) forall nodes bear none.  A leaf is read(formula, env).  An
+    and/forall node multiplies its children's values, folded from the first
+    (an empty range is one).  A choice node takes the maximum over its
+    strategy-bearing children, or zero without one: every strategy-less
+    subtree, such as an empty exists range, evaluates to zero; its picks are
+    the ascending indices of those children that reach it (other nodes have
+    none).  A node with no forall below it has one entry in both."""
     mul, lt, zero, one = sr.mul, sr.lt, sr.zero, sr.one
 
-    def entry(kind, below):
-        if kind == "or" or kind == "exists":
-            best, ties = zero, 0
-            for v, t in below:
-                if t and (not ties or lt(best, v)):
-                    best, ties = v, t
-                elif t and v == best:
+    def entry(node, tab):
+        children = node.children
+        if node.kind == "or" or node.kind == "exists":
+            best, ties, picks = zero, 0, []
+            for i, c in enumerate(children):
+                v, t, _ = tab[c]
+                if not t:
+                    continue
+                if not ties or v is not best and lt(best, v):
+                    best, ties, picks = v, t, [i]
+                elif v is best or v == best:
                     ties += t
-            return best, ties
-        if not below:
-            return one, 1
-        val, ties = below[0]
-        for v, t in below[1:]:
+                    picks.append(i)
+            return best, ties, tuple(picks)
+        if not children:
+            return one, 1, ()
+        val, ties, _ = tab[children[0]]
+        for c in children[1:]:
+            v, t, _ = tab[c]
             val, ties = mul(val, v), ties * t
-        return val, ties
+        return val, ties, ()
 
-    table, barred = {}, {}
+    table = {}
+    barred = {} if bar else None
     for node in tree.order:
-        kind = node.kind
-        if kind == "leaf":
-            table[node] = barred[node] = read(node.formula, node.env), 1
-            continue
-        got = table[node] = entry(kind, [table[c] for c in node.children])
-        barred[node] = ((zero, 0) if kind == "forall" else got if not node.formula.metrics.qr_forall
-                        else entry(kind, [barred[c] for c in node.children]))
+        got = table[node] = (entry(node, table) if node.kind != "leaf"
+                             else (read(node.formula, node.env), 1, ()))
+        if bar:
+            barred[node] = (got if not node.formula.metrics.qr_forall else (zero, 0, ())
+                            if node.kind == "forall" else entry(node, barred))
     return table, barred
 
 
@@ -487,17 +512,11 @@ def _interp_tables(tree: GameTree, interp: Interpretation) -> Tuple[dict, dict]:
                         tuple(interp.table.items()))
 
 
-def _maximal(table, node: GameNode) -> List[int]:
-    """The indices of node's strategy-bearing children that reach its value."""
-    val = table[node][0]
-    return [i for i, c in enumerate(node.children) if table[c][1] and table[c][0] == val]
-
-
 def _first_optimal(tree: GameTree, table) -> Strategy:
     """The strategy that takes the first maximal child at every choice node."""
     if not table[tree.root][1]:
         raise PreconditionError("no strategy exists over this universe")
-    return strategy_from_choices(tree.root, lambda node: _maximal(table, node)[0])
+    return strategy_from_choices(tree.root, lambda node: table[node][2][0])
 
 
 @dataclass
@@ -505,7 +524,7 @@ class OptimalResult:
     value: object
     strategy: Strategy
     all_optimal_count: int
-    dp: Tuple[GameTree, Dict[GameNode, Tuple[object, int]]] = field(repr=False)
+    dp: Tuple[GameTree, Dict[GameNode, tuple]] = field(repr=False)
 
     def stream_optimal(self) -> Iterator[Strategy]:
         """All strategies assembled from locally maximal choices.  With an
@@ -524,7 +543,7 @@ def optimal(interp: Interpretation, formula: Formula) -> OptimalResult:
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
     table = _interp_tables(tree, interp)[0]
-    value, ties = table[tree.root]
+    value, ties, _ = table[tree.root]
     return OptimalResult(value, _first_optimal(tree, table), ties, (tree, table))
 
 

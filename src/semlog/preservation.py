@@ -326,7 +326,7 @@ def has_existential_optimal(
     tree = build_game_tree(formula, interp.universe)
     _require_maxplus(interp.semiring)
     table, barred = _interp_tables(tree, interp)
-    value, ties = barred[tree.root]
+    value, ties, _ = barred[tree.root]
     if not ties or value != table[tree.root][0]:
         return False, None
     return True, _first_optimal(tree, barred)

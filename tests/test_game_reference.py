@@ -1,8 +1,9 @@
 """Label-shared game trees, stack-based strategy walks and valued strategy
 enumeration: differential tests against the frozen unshared game-tree code,
 the frozen recursive strategy walks and the frozen strategy searches that
-value each strategy on its own (reference_games.py), and the node guard on
-shared trees."""
+value each strategy on its own (reference_games.py), the node guard and the
+node order of shared trees, and the picks of the (value, ties, picks) tables
+against the frozen value-equality rule they replaced."""
 
 import itertools
 import random
@@ -331,6 +332,67 @@ def test_strategy_walks_agree_with_reference(case):
         assert strategy_views(games, s, f, k, swap, perm) == strategy_views(ref, s, f, k, swap, perm)
 
 
+PICK_CARRIERS = {
+    "viterbi": (VITERBI, preservation.VITERBI_GRID),
+    "s3": (S3, preservation.S3_VALUES),
+    "tropical": (TROPICAL, (Fraction(0), Fraction(1, 2), Fraction(3))),
+    "lukasiewicz": (LUKASIEWICZ, (Fraction(1, 3), Fraction(2, 3), Fraction(1))),
+}
+
+
+def maximal(table, node):
+    """The value-equality rule the picks replaced, frozen: the indices of
+    node's strategy-bearing children whose value equals node's."""
+    val = table[node][0]
+    return [i for i, c in enumerate(node.children) if table[c][1] and table[c][0] == val]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), carrier=st.sampled_from(sorted(PICK_CARRIERS)),
+       n=st.integers(1, 4))
+def test_picks_are_the_maximal_children(seed, carrier, n):
+    """In the plain, the forall-barred and the Boolean count table, a choice
+    node's picks are the children the frozen rule finds, in ascending order,
+    and no other node picks any."""
+    rng = random.Random(seed)
+    f = random_foneq_sentence(rng)
+    sr, values = PICK_CARRIERS[carrier]
+    interp = random_interpretation(sr, UNARY_RQ, n, values, rng)
+    tree = games.build_game_tree(f, n)
+    for table in (*games._interp_tables(tree, interp), games._count_table(tree)):
+        for node in tree.order:
+            choice = node.kind == "or" or node.kind == "exists"
+            assert list(table[node][2]) == (maximal(table, node) if choice else [])
+
+
+def check_order(tree):
+    """tree.order lists every node reachable from the root exactly once,
+    children before parents, root last."""
+    at = {id(node): i for i, node in enumerate(tree.order)}
+    reachable, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable.add(id(node))
+            stack.extend(node.children)
+    assert len(at) == len(tree.order) and at.keys() == reachable
+    assert tree.order[-1] is tree.root
+    assert all(at[id(c)] < i for i, node in enumerate(tree.order) for c in node.children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences(), st.integers(0, 4))
+def test_guard_and_order_on_random_sentences(f, k):
+    """The node count is the frozen unshared tree's; a guard of exactly that
+    many nodes builds, one less raises; the order lists the shared tree."""
+    nodes = ref.build_game_tree(f, k).node_count
+    tree = games.build_game_tree(f, k, guard=nodes)
+    assert tree.node_count == nodes
+    check_order(tree)
+    with pytest.raises(GuardExceeded):
+        games.build_game_tree(f, k, guard=nodes - 1)
+
+
 @pytest.mark.parametrize("text, nodes, shared", [
     ("A! x. A! y. R(x) | Q(y)", 1 + 4 + 12 * 3, 1 + 4 + 12 + 4 + 4),
     # the or node does not see y, and one E! z node with its four leaves
@@ -343,5 +405,6 @@ def test_guard_counts_the_unshared_tree(text, nodes, shared):
     tree = games.build_game_tree(f, 4, guard=nodes)
     assert tree.node_count == nodes
     assert len({id(n) for n in unshared(tree.root)}) == shared
+    check_order(tree)
     with pytest.raises(GuardExceeded):
         games.build_game_tree(f, 4, guard=nodes - 1)
