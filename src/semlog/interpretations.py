@@ -20,7 +20,7 @@ from .errors import (
     NotModelDefining,
     PreconditionError,
 )
-from .formulas import Atom, Formula, subformulas
+from .formulas import Atom, Formula, _LastBuilt, subformulas
 from .semirings import Semiring, SemiringHom
 
 AtomKey = Tuple[str, Tuple[int, ...]]
@@ -323,6 +323,12 @@ def _atom_choices(semiring: Semiring, value_set) -> list:
     return [_literal_pair(semiring, v, positive) for positive in (True, False) for v in value_set]
 
 
+# The choices of the last grid checked, keyed on the semiring and on each
+# value with its type: Fraction(1, 2) == 0.5, and a float grid must still be
+# checked and refused.
+_last_choices = _LastBuilt(lambda semiring, typed: _atom_choices(semiring, [v for _, v in typed]))
+
+
 def count_interpretations(vocab: Vocabulary, size: int, value_set) -> int:
     """How many interpretations `enumerate_interpretations` yields at this size."""
     n_atoms = len(vocab.atoms(range(1, size + 1)))
@@ -359,7 +365,7 @@ def random_interpretation(
     rng: random.Random,
 ) -> Interpretation:
     universe = tuple(range(1, size + 1))
-    choices = _atom_choices(semiring, value_set)
+    choices = _last_choices(semiring, tuple((type(v), v) for v in value_set))
     table = {key: rng.choice(choices) for key in vocab.atoms(universe)}
     default = (semiring.zero, semiring.one)
     return Interpretation._unchecked(semiring, universe, vocab, table, default)

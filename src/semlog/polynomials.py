@@ -20,9 +20,15 @@ Both products, and both constructors (the input times the unit term list
 ``_UNIT``), run through one ranked kernel, ``_product``: variables ranked
 once per call by ``var_sort_key``, each monomial packed into one integer with
 a fixed-width exponent field per rank, so that a pair product is one integer
-addition, and each distinct product decoded once, a large product's keys as
-two halves with each distinct half decoded once.  A sum of two polynomials
-merges their canonical term lists.  A print formats each variable once.
+addition.  The constructors, and products of fewer than ``_SPLIT_FROM``
+terms, decode each distinct product at once.  A larger product is kept
+packed: its ``terms`` are decoded when first read, and printing it decodes
+nothing.  Its keys are read as two halves, each distinct half decoded once,
+and put in canonical order by one integer position each (``_placed``).  A
+sum of two polynomials merges their canonical term lists.  One printer,
+``_printed``, prints every polynomial and monomial from packed keys, a
+decoded one packed again first, each variable and each distinct half
+formatted once.
 
 An absorptive polynomial's monomials are an antichain under the absorption
 order (m1 absorbs m2 when m1 has pointwise smaller exponents); addition is
@@ -131,37 +137,18 @@ class Monomial:
 
     def mul(self, other: "Monomial") -> Optional["Monomial"]:
         """Product, or None when the quotient x_a * x_{~a} = 0 kills it."""
-        prods = _product(((self, 1),), ((other, 1),), quotient=True)
+        prods = _decoded(*_product(((self, 1),), ((other, 1),), quotient=True))
         return prods[0][0] if prods else None
 
     def is_unit(self) -> bool:
         return not self.exps
 
     def __repr__(self):
-        return _Printer().monomial(self)
+        return _printed(*_packing(((self, 1),)))
 
 
 # The unit term list: a product with it is the other side's terms, canonical.
 _UNIT = ((Monomial.unit(), 1),)
-
-
-class _Printer(dict):
-    """The text of each factor ``(variable, exponent)`` met in one print, each
-    variable formatted once; ``monomial`` prints a monomial from it."""
-
-    def __init__(self):
-        self.names: Dict[VarKey, str] = {}
-
-    def __missing__(self, factor) -> str:
-        v, e = factor
-        name = self.names.get(v)
-        if name is None:
-            name = self.names[v] = format_var(v)
-        text = self[factor] = name if e == 1 else f"{name}^{e}"
-        return text
-
-    def monomial(self, m: Monomial) -> str:
-        return "*".join(map(self.__getitem__, m.exps)) or "1"
 
 
 def _every_field(ranks: int, value: int) -> int:
@@ -222,12 +209,36 @@ def _check_cap(key: int) -> None:
         key >>= _SHIFT
 
 
-def _product(left, right, quotient: bool, prune: bool = False) -> list:
+def _packing(terms) -> Tuple[Dict[int, int], List[VarKey]]:
+    """A canonical term list as ``_product`` returns a product: packed key ->
+    coefficient, and the ranked variables.  Each distinct factor ``(variable,
+    exponent)`` is shifted into its field once, and a key is the sum of its
+    monomial's fields."""
+    fields: Dict[Tuple[VarKey, int], int] = {}
+    for m, _ in terms:
+        for factor in m.exps:
+            fields[factor] = 0
+    names = sorted({v for v, _ in fields}, key=var_sort_key)
+    rank = {v: r for r, v in enumerate(names)}
+    for v, e in fields:
+        fields[v, e] = e << rank[v] * _SHIFT
+    acc = {}
+    for m, c in terms:
+        key = 0
+        for factor in m.exps:
+            key += fields[factor]
+        acc[key] = c
+    return acc, names
+
+
+def _product(left, right, quotient: bool, prune: bool = False):
     """Every pairwise product of two term lists ``(monomial, coefficient)``,
-    coefficients summed per monomial: ``[(monomial, coefficient)]`` in
-    canonical order.  With ``quotient``, products holding a literal and its
-    dual are dropped; with ``prune``, so are products absorbed by another,
-    and every coefficient is 1.
+    coefficients summed per monomial, packed: ``(acc, names)``, ``acc``
+    mapping each distinct packed key to its coefficient over the ranked
+    variables ``names``, for ``_decoded`` or ``_printed`` to read.  With
+    ``quotient``, products holding a literal and its dual are dropped; with
+    ``prune``, so are products absorbed by another, and every coefficient is
+    1.
 
     The union of both sides' variables is ranked once by ``var_sort_key`` and
     each monomial packed as ``_packed`` packs it, with the mask of its
@@ -235,8 +246,7 @@ def _product(left, right, quotient: bool, prune: bool = False) -> list:
     integers: a field holds at most twice ``EXPONENT_CAP``, so no carry
     crosses fields, and only a sum whose supports overlap and that reaches
     the cap in some field is walked field by field for the cap check.  The
-    prune (``_minimal``) runs on the distinct sums, and each kept sum is
-    decoded once (``_decoded``).
+    prune (``_minimal``) runs on the distinct sums.
     """
     names = sorted({v for m, _ in (*left, *right) for v, _ in m.exps}, key=var_sort_key)
     rank = {v: r for r, v in enumerate(names)}
@@ -284,7 +294,7 @@ def _product(left, right, quotient: bool, prune: bool = False) -> list:
                     if mask1 & mask2 and key & over:
                         _check_cap(key)
                     acc[key] = acc.get(key, 0) + c1 * c2
-    return _decoded(acc, names)
+    return acc, names
 
 
 def _factors(parts: Dict[int, Any], interned: Dict[int, int]) -> list:
@@ -307,46 +317,113 @@ def _factors(parts: Dict[int, Any], interned: Dict[int, int]) -> list:
     return out
 
 
-# From this many keys on, a key is read as two halves: below it, the halves
-# of the keys that products meet are seldom shared, and the split costs more
+# From this many keys on, a product is kept packed until its terms are read,
+# and its keys are read as two halves (``_placed``): below it, the halves of
+# the keys that products meet are seldom shared, and the split costs more
 # than the shared decodes save.
 _SPLIT_FROM = 64
+
+
+def _placed(acc: Dict[int, Any], ranks: int, interned: Dict[int, int]):
+    """The keys of ``acc``, packed over ``ranks`` ranks, in canonical order
+    by one integer position each, read as two halves, their low ranks and
+    their high ranks: ``(placed, lows, highs)``.  ``placed`` maps each key's
+    position to its value in ``acc``; the key at position ``p`` is the low
+    half ``lows[p // len(highs)]`` followed by the high half
+    ``highs[p % len(highs)]``.  ``lows`` holds ``(factors, more)`` pairs,
+    ``highs`` factor tuples; each distinct half is decoded once, each
+    distinct factor kept once in ``interned``, and ``acc`` is left as it is.
+
+    The factors ``rank << _SHIFT | exponent`` sort as ``(var_sort_key(v),
+    exponent)`` does, since the ranks follow ``var_sort_key``, so factor
+    tuples sort in canonical order.  The high halves sort so, the empty one
+    first.  Each distinct low half takes two places among the low halves:
+    where its factors sort, for the key that it ends (``more`` false), and
+    after every longer low half that it begins, for the keys that go on into
+    a high half (``more`` true), since the next factor of such a key is a
+    high one, above every low factor.
+    """
+    shift = ranks // 2 * _SHIFT
+    low = (1 << shift) - 1
+    highs = sorted(_factors({p << shift: p for p in {key >> shift for key in acc}}, interned))
+    past = (ranks << _SHIFT,)  # above every factor
+    rows = []
+    for factors, part in _factors({p: p for p in {key & low for key in acc}}, interned):
+        rows += ((factors, False, part, factors), (factors + past, True, part, factors))
+    rows.sort()
+    width = len(highs)
+    column = {part: j for j, (_, part) in enumerate(highs)}
+    ends, goes_on = {}, {}
+    for i, (_, more, part, _) in enumerate(rows):
+        (goes_on if more else ends)[part] = i * width
+    placed = {}
+    for key, value in acc.items():
+        high = key >> shift
+        placed[(goes_on if high else ends)[key & low] + column[high]] = value
+    return placed, [(factors, more) for _, more, _, factors in rows], [f for f, _ in highs]
 
 
 def _decoded(acc: Dict[int, int], names: List[VarKey]) -> list:
     """``[(monomial, coefficient)]`` in canonical order from ``acc``, packed
     key -> coefficient over the ranked variables ``names``.
 
-    Fewer than ``_SPLIT_FROM`` keys are read whole.  More are read as two
-    halves, their low ranks and their high ranks, and each distinct half is
-    decoded once.  Each key is popped, so freed, once it is read.  The
-    factors ``rank << _SHIFT | exponent`` sort as ``(var_sort_key(v),
-    exponent)`` does, since the ranks follow ``var_sort_key``, so the factor
-    tuples sort in canonical order, and each distinct factor becomes its
-    ``(variable, exponent)`` pair once.
+    Fewer than ``_SPLIT_FROM`` keys are read whole, popped from ``acc``, and
+    their factor tuples sorted.  More are read and ordered by ``_placed``,
+    each monomial the decoded low half followed by the decoded high half.
+    Each distinct factor becomes its ``(variable, exponent)`` pair once.
     """
     interned: Dict[int, int] = {}
     if len(acc) < _SPLIT_FROM:
         rows = _factors(acc, interned)
-    else:
-        shift = len(names) // 2 * _SHIFT
-        low = (1 << shift) - 1
-        lows = {key & low for key in acc}
-        highs = {key >> shift for key in acc}
-        # Each half is decoded at its own ranks and kept under the part the loop below reads.
-        lows = {part: f for f, part in _factors({p: p for p in lows}, interned)}
-        highs = {part: f for f, part in _factors({p << shift: p for p in highs}, interned)}
-        rows = []
-        while acc:
-            key, c = acc.popitem()
-            rows.append((lows[key & low] + highs[key >> shift], c))
-    rows.sort()
+        rows.sort()
+        pairs = {x: (names[x >> _SHIFT], x & _EXP) for x in interned}
+        for i, (factors, c) in enumerate(rows):
+            m = object.__new__(Monomial)  # no second merge, cap check or sort
+            m.exps = tuple(map(pairs.__getitem__, factors))
+            rows[i] = (m, c)
+        return rows
+    placed, lows, highs = _placed(acc, len(names), interned)
     pairs = {x: (names[x >> _SHIFT], x & _EXP) for x in interned}
-    for i, (factors, c) in enumerate(rows):
-        m = object.__new__(Monomial)  # no second merge, cap check or sort
-        m.exps = tuple(map(pairs.__getitem__, factors))
-        rows[i] = (m, c)
+    halves = {f: tuple(map(pairs.__getitem__, f)) for f in (*highs, *(f for f, _ in lows))}
+    heads = [halves[factors] for factors, _ in lows]
+    tails = list(map(halves.__getitem__, highs))
+    width = len(tails)
+    rows = []
+    for p in sorted(placed):
+        i, j = divmod(p, width)
+        m = object.__new__(Monomial)
+        m.exps = heads[i] + tails[j]
+        rows.append((m, placed[p]))
     return rows
+
+
+def _printed(acc: Dict[int, int], names: List[VarKey]) -> str:
+    """The text of the polynomial ``acc``, packed key -> coefficient over the
+    ranked variables ``names``: its terms in canonical order, as ``_placed``
+    orders them, joined by `` + ``, each term its coefficient (omitted when
+    1) and its monomial's factors joined by ``*``; the unit monomial prints
+    as its coefficient and the zero polynomial as ``0``.  Each variable,
+    and each distinct half of the keys, is formatted once."""
+    if not acc:
+        return "0"
+    placed, lows, highs = _placed(acc, len(names), {})
+    formatted = list(map(format_var, names))
+
+    def text(factors):
+        return "*".join([formatted[x >> _SHIFT] if x & _EXP == 1
+                         else f"{formatted[x >> _SHIFT]}^{x & _EXP}" for x in factors])
+
+    texts = {factors: text(factors) for factors, _ in lows}
+    heads = [texts[factors] + "*" if more and factors else texts[factors]
+             for factors, more in lows]
+    tails = list(map(text, highs))
+    width = len(tails)
+    parts = []
+    for p in sorted(placed):
+        i, j = divmod(p, width)
+        mono, c = heads[i] + tails[j], placed[p]
+        parts.append(f"{c}*{mono}" if c != 1 and mono else mono or str(c))
+    return " + ".join(parts)
 
 
 def _bits(mask: int) -> List[int]:
@@ -467,9 +544,14 @@ class _Poly:
     """A polynomial as its terms: ``(monomial, coefficient)`` pairs with
     distinct monomials and positive coefficients, in canonical order.  The
     subclasses build and combine terms; a subclass value is never equal to
-    another subclass's, even on the same terms."""
+    another subclass's, even on the same terms.
 
-    __slots__ = ("terms",)
+    A product of ``_SPLIT_FROM`` terms or more is kept as ``_product``
+    built it, packed, in the slot ``_packed``, with ``terms`` unset: reading
+    ``terms`` decodes it and drops the packed form, and printing it reads
+    the packed keys and decodes nothing."""
+
+    __slots__ = ("terms", "_packed")
 
     @classmethod
     def _of(cls, terms) -> "_Poly":
@@ -477,6 +559,25 @@ class _Poly:
         p = object.__new__(cls)
         p.terms = tuple(terms)
         return p
+
+    @classmethod
+    def _of_product(cls, acc: Dict[int, int], names: List[VarKey]) -> "_Poly":
+        """The polynomial of a product as ``_product`` returns it: kept
+        packed from ``_SPLIT_FROM`` keys on, else decoded now."""
+        if len(acc) < _SPLIT_FROM:
+            return cls._of(_decoded(acc, names))
+        p = object.__new__(cls)
+        p._packed = (acc, names)
+        return p
+
+    def __getattr__(self, name):
+        # Reached only when a slot is unset: ``terms`` of a packed product.
+        if name != "terms":
+            raise AttributeError(name)
+        acc, names = self._packed
+        self.terms = terms = tuple(_decoded(acc, names))
+        del self._packed
+        return terms
 
     @classmethod
     def zero(cls):
@@ -503,18 +604,11 @@ class _Poly:
         return set().union(*(m.variables() for m, _ in self.terms))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        printer = _Printer()
-        parts = []
-        for m, c in self.terms:
-            if m.is_unit():
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(printer.monomial(m))
-            else:
-                parts.append(f"{c}*{printer.monomial(m)}")
-        return " + ".join(parts)
+        try:
+            packed = self._packed
+        except AttributeError:  # decoded: packed again to print
+            packed = _packing(self.terms)
+        return _printed(*packed)
 
 
 class AbsorptivePoly(_Poly):
@@ -525,7 +619,8 @@ class AbsorptivePoly(_Poly):
 
     def __init__(self, monomials: Iterable[Monomial]):
         # No quotient: a monomial given with both polarities of an atom is kept.
-        self.terms = tuple(_product([(m, 1) for m in monomials], _UNIT, quotient=False, prune=True))
+        self.terms = tuple(_decoded(*_product([(m, 1) for m in monomials], _UNIT,
+                                              quotient=False, prune=True)))
 
     @property
     def monomials(self) -> Tuple[Monomial, ...]:
@@ -542,7 +637,8 @@ class AbsorptivePoly(_Poly):
         return AbsorptivePoly._of((m, 1) for m in _prune(m for m, _ in merged))
 
     def mul(self, other: "AbsorptivePoly") -> "AbsorptivePoly":
-        return AbsorptivePoly._of(_product(self.terms, other.terms, quotient=True, prune=True))
+        return AbsorptivePoly._of_product(*_product(self.terms, other.terms, quotient=True,
+                                                    prune=True))
 
     def leq(self, other: "AbsorptivePoly") -> bool:
         """Natural order, ``self + other == other``: on antichains, every
@@ -601,7 +697,7 @@ class NatPoly(_Poly):
                 raise PreconditionError("negative coefficient")
             if c:
                 kept.append((m, c))
-        self.terms = tuple(_product(kept, _UNIT, quotient=False))
+        self.terms = tuple(_decoded(*_product(kept, _UNIT, quotient=False)))
 
     @classmethod
     def const(cls, c: int) -> "NatPoly":
@@ -615,7 +711,7 @@ class NatPoly(_Poly):
         return NatPoly._of(_merged(self.terms, other.terms))
 
     def mul(self, other: "NatPoly") -> "NatPoly":
-        return NatPoly._of(_product(self.terms, other.terms, quotient=False))
+        return NatPoly._of_product(*_product(self.terms, other.terms, quotient=False))
 
     def leq(self, other: "NatPoly") -> bool:
         """Natural order: coefficient-wise <= (a witness summand exists iff

@@ -21,7 +21,14 @@ product decodes every distinct sum factor by factor, and the prune runs on
 `Monomial` objects in degree order through a one-watch index of dict
 lookups.  `RefAbsorptivePoly`, `RefNatPoly`, `absorptive_mul`, `natpoly_mul`
 and `ref_collapse_exponents` run on these copies, so the differential tests
-see every change to the live prune, product and canonical order."""
+see every change to the live prune, product and canonical order.
+
+`_Printer`, which the two frozen classes print with, is the printer the live
+module used before it printed every polynomial from packed keys through one
+printer, `_printed`, and kept products of `_SPLIT_FROM` terms or more packed
+until their terms are read: it formats each variable once per print and
+reads decoded monomials, so the differential tests compare the live text of
+packed and decoded products against the old text."""
 
 from __future__ import annotations
 
@@ -37,12 +44,30 @@ from semlog.polynomials import (
     NatPoly,
     VarKey,
     _dual,
-    _Printer,
     check_consistent,
     format_var,
     var_sort_key,
 )
 from semlog.semirings import Semiring
+
+
+class _Printer(dict):
+    """The text of each factor ``(variable, exponent)`` met in one print, each
+    variable formatted once; ``monomial`` prints a monomial from it."""
+
+    def __init__(self):
+        self.names: Dict[VarKey, str] = {}
+
+    def __missing__(self, factor) -> str:
+        v, e = factor
+        name = self.names.get(v)
+        if name is None:
+            name = self.names[v] = format_var(v)
+        text = self[factor] = name if e == 1 else f"{name}^{e}"
+        return text
+
+    def monomial(self, m: Monomial) -> str:
+        return "*".join(map(self.__getitem__, m.exps)) or "1"
 
 
 def _product(left, right, quotient: bool) -> list:

@@ -211,6 +211,18 @@ def test_random_interpretation_matches_checked_construction():
         assert _parts(pi) == _parts(_checked_copy(pi))
 
 
+def test_random_interpretation_checks_each_grid_of_new_value_types():
+    """A grid equal to the last one checked reuses its choices; one whose
+    values compare equal but differ in type is checked again."""
+    grid = (Fraction(1, 2), Fraction(1))
+    first = random_interpretation(VITERBI, UNARY_R, 3, grid, random.Random(3))
+    again = random_interpretation(VITERBI, UNARY_R, 3, list(grid), random.Random(3))
+    assert _parts(again) == _parts(first) == _parts(_checked_copy(first))
+    for bad in ((0.5, Fraction(1)), (Fraction(1, 2), True)):
+        with pytest.raises(CarrierMismatch):
+            random_interpretation(VITERBI, UNARY_R, 3, bad, random.Random(3))
+
+
 def test_restrict_matches_checked_construction():
     pi = parse_interpretation(
         "semiring: viterbi\nuniverse: a b c\nR(a) = 1/2\n~R(c) = 1/4\nE(a, b) = 1/4\n"

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from fractions import Fraction
 
@@ -21,6 +21,7 @@ from semlog.polynomials import (
     AbsorptivePoly,
     Monomial,
     NatPoly,
+    _SPLIT_FROM,
     _prune,
     absorbs,
     collapse_exponents,
@@ -402,6 +403,61 @@ def test_products_are_in_canonical_order(a, b, p, q):
         got = _outcome(NatPoly.mul, *args)
         if got[0] == "value":
             assert _strictly_canonical([m for m, _ in got[1].terms])
+
+
+# Two disjoint pools of variables, strings and literals, with R(1) in one and
+# its dual in the other, so that products of one side by the other are distinct
+# monomials unless the quotient kills them.
+_LEFT = ["b", "d", "e", lit_var("R", (1,)), lit_var("Q", (2,), False), lit_var("S", (1,))]
+_RIGHT = ["a", "c", "f", lit_var("R", (1,), False), lit_var("Q", (1,)), lit_var("S", (2,), False)]
+
+
+def _monomials(pool, min_size, max_size):
+    """Monomials of min_size..max_size factors drawn from pool, a repeated
+    draw raising an exponent above 1."""
+    draws = st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)
+    return draws.map(lambda vs: Monomial((v, 1) for v in vs))
+
+
+@st.composite
+def _large_products(draw):
+    """(kind, x, y, frozen product, frozen printer): x * y has at least
+    _SPLIT_FROM terms.  The absorptive sides hold monomials of one degree, an
+    antichain, so that only the quotient shrinks their product."""
+    if draw(st.booleans()):
+        x, y = (AbsorptivePoly(draw(st.lists(_monomials(pool, 3, 3), min_size=10,
+                                             max_size=14, unique=True)))
+                for pool in (_LEFT, _RIGHT))
+        frozen = reference.absorptive_mul(x, y)
+        printer = lambda p: repr(reference.RefAbsorptivePoly(p.monomials, prune=False))
+    else:
+        x, y = (NatPoly(draw(st.lists(st.tuples(_monomials(pool, 0, 3), st.integers(1, 3)),
+                                      min_size=8, max_size=14, unique_by=lambda t: t[0])))
+                for pool in (_LEFT, _RIGHT))
+        frozen = reference.natpoly_mul(x, y)
+        printer = lambda p: repr(reference.RefNatPoly(p.terms))
+    assume(len(frozen.terms) >= _SPLIT_FROM)
+    return type(x), x, y, frozen, printer
+
+
+@given(_large_products())
+@settings(max_examples=150, deadline=None)
+def test_large_products_read_as_decoded_ones(case):
+    """A product of _SPLIT_FROM terms or more prints as the frozen printer
+    prints the frozen product, and its terms, equality, hash, degree and
+    support are the frozen product's, whether it is printed or read first."""
+    kind, x, y, frozen, printer = case
+    text = printer(frozen)
+    printed_first, read_first = kind.mul(x, y), kind.mul(x, y)
+    assert hasattr(printed_first, "_packed") and hasattr(read_first, "_packed")
+    assert repr(printed_first) == text
+    assert read_first.terms == frozen.terms
+    for p in (printed_first, read_first):
+        assert repr(p) == text
+        assert p.terms == frozen.terms
+        assert p == frozen and frozen == p and hash(p) == hash(frozen)
+        assert p.degree() == frozen.degree() and p.support() == frozen.support()
+        assert not hasattr(p, "_packed")  # decoding dropped the packed form
 
 
 # Values each variable of a specialization may take: zero too, so that a dual
