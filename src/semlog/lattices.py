@@ -5,17 +5,18 @@ A lattice file is line-oriented::
     elements: a b c d
     leq: a b        # one line per covering pair (a covered by b)
 
-Join/meet tables are derived from the reflexive-transitive closure and
-validated (existence, uniqueness, distributivity).
+The order is held as one bitmask per element (its down-set), closed
+transitively; join and meet are the elements whose up- or down-mask is the
+AND of their arguments', and the tables are validated (existence,
+uniqueness, distributivity).  A weakly separating homomorphism onto S3 is
+built from one join-irreducible element.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from typing import Iterable, Optional, Sequence
 
-from .errors import GuardExceeded, PreconditionError
+from .errors import PreconditionError
 from .semirings import S3, Semiring, SemiringHom
 
 
@@ -28,56 +29,50 @@ class FiniteLattice:
             raise PreconditionError("a bounded lattice needs at least 2 elements")
         idx = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
+        below = [1 << i for i in range(n)]  # bit k of below[i]: k <= i
         for a, b in leq_pairs:
             if a not in idx or b not in idx:
                 raise PreconditionError(f"unknown element in leq pair ({a}, {b})")
-            rel[idx[a]][idx[b]] = True
-        # transitive closure
-        for k in range(n):
+            below[idx[b]] |= 1 << idx[a]
+        for k in range(n):  # Warshall, one mask per row
             for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rel[i][j] and rel[j][i]:
-                    raise PreconditionError(
-                        f"leq is not antisymmetric on ({self.elements[i]}, {self.elements[j]})"
-                    )
+                if below[i] >> k & 1:
+                    below[i] |= below[k]
+        above = [sum(1 << i for i in range(n) if below[i] >> k & 1) for k in range(n)]
+        for i in range(n):  # report the least i, then the least j > i, with i <= j <= i
+            cycle = below[i] & above[i] & -(2 << i)
+            if cycle:
+                j = (cycle & -cycle).bit_length() - 1
+                raise PreconditionError(
+                    f"leq is not antisymmetric on ({self.elements[i]}, {self.elements[j]})"
+                )
+        with_below = {m: i for i, m in enumerate(below)}
+        with_above = {m: i for i, m in enumerate(above)}
         self._idx = idx
-        self._rel = rel
-        self._join = {}
-        self._meet = {}
+        self._below = below
+        self._join, self._meet = {}, {}
+        # The meet of i and j is the element whose down-mask is the AND of
+        # theirs; the join, the element whose up-mask is the AND of theirs.
+        bounds = (("join", self._join, above, with_above), ("meet", self._meet, below, with_below))
         for i in range(n):
             for j in range(n):
-                self._join[i, j] = self._bound(i, j, upper=True)
-                self._meet[i, j] = self._bound(i, j, upper=False)
-        bottoms = [i for i in range(n) if all(rel[i][j] for j in range(n))]
-        tops = [i for i in range(n) if all(rel[j][i] for j in range(n))]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise PreconditionError("lattice must have unique bottom and top")
-        self._bottom = bottoms[0]
-        self._top = tops[0]
+                for kind, table, masks, by_mask in bounds:
+                    k = by_mask.get(masks[i] & masks[j])
+                    if k is None:
+                        a, b = self.elements[i], self.elements[j]
+                        raise PreconditionError(
+                            f"{kind} of ({a}, {b}) does not exist or is not unique"
+                        )
+                    table[i, j] = k
+        full = (1 << n) - 1
+        self._bottom = with_above[full]
+        self._top = with_below[full]
         self._check_distributive()
-
-    def _bound(self, i: int, j: int, upper: bool) -> int:
-        n = len(self.elements)
-        rel = self._rel
-        if upper:
-            cands = [k for k in range(n) if rel[i][k] and rel[j][k]]
-            minimal = [k for k in cands if all(not (rel[m][k] and m != k) for m in cands)]
-        else:
-            cands = [k for k in range(n) if rel[k][i] and rel[k][j]]
-            minimal = [k for k in cands if all(not (rel[k][m] and m != k) for m in cands)]
-        if len(minimal) != 1:
-            a, b = self.elements[i], self.elements[j]
-            kind = "join" if upper else "meet"
-            raise PreconditionError(f"{kind} of ({a}, {b}) does not exist or is not unique")
-        return minimal[0]
+        # j is join-irreducible when the elements strictly below it have a
+        # greatest one; the bottom has none below it, so it is never listed.
+        self.join_irreducibles = tuple(
+            e for i, e in enumerate(self.elements) if (below[i] ^ 1 << i) in with_below
+        )
 
     def _check_distributive(self):
         n = len(self.elements)
@@ -101,7 +96,7 @@ class FiniteLattice:
         return self.elements[self._top]
 
     def leq(self, a: str, b: str) -> bool:
-        return self._rel[self._idx[a]][self._idx[b]]
+        return bool(self._below[self._idx[b]] >> self._idx[a] & 1)
 
     def join(self, a: str, b: str) -> str:
         return self.elements[self._join[self._idx[a], self._idx[b]]]
@@ -110,12 +105,8 @@ class FiniteLattice:
         return self.elements[self._meet[self._idx[a], self._idx[b]]]
 
     def has_zero_divisors(self) -> bool:
-        bot = self.bottom
-        for a in self.elements:
-            for b in self.elements:
-                if a != bot and b != bot and self.meet(a, b) == bot:
-                    return True
-        return False
+        others = [i for i in range(len(self.elements)) if i != self._bottom]
+        return any(self._meet[i, j] == self._bottom for i in others for j in others)
 
     def __len__(self):
         return len(self.elements)
@@ -225,71 +216,35 @@ def adjoin_bottom(lattice: FiniteLattice, name: str = "0*"):
     return starred, h_star
 
 
-SEPARATION_GUARD = 12
-
-
-def _subsets(items):
-    """The non-empty subsets of items."""
-    for r in range(1, len(items) + 1):
-        yield from itertools.combinations(items, r)
-
-
-def _hom_candidates(lattice: FiniteLattice):
-    """All maps L -> S3 with kernel {bottom} that are lattice homomorphisms."""
-    others = [e for e in lattice.elements if e != lattice.bottom]
-    for values in itertools.product((1, 2), repeat=len(others)):
-        table = dict(zip(others, values))
-        table[lattice.bottom] = 0
-        if table[lattice.top] != 2:
-            continue
-        ok = True
-        for a in lattice.elements:
-            for b in lattice.elements:
-                if table[lattice.join(a, b)] != max(table[a], table[b]):
-                    ok = False
-                    break
-                if table[lattice.meet(a, b)] != min(table[a], table[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield table
-
-
 def find_weakly_separating_hom(
     lattice: FiniteLattice, s: str, t: str, semiring: Optional[LatticeSemiring] = None
-) -> Optional[SemiringHom]:
-    """Search for h: L -> S3 that weakly <=-separates s from t.
+) -> SemiringHom:
+    """Build h: L -> S3 that weakly <=-separates s from t.
 
     The returned hom satisfies (1) kernel {bottom}; (2) h(s) > h(t); (3) every
     X with join X = s has a member mapped to h(s); (4) every X with meet X = t
-    has a member mapped to h(t).  The search is exhaustive over all candidate
-    maps and all subsets, hence exponential in |L|; a guard rejects |L| > 12.
+    has a member mapped to h(t).  It is h_j for a join-irreducible j: 0 at the
+    bottom, 2 on the up-set of j (a prime filter, by Birkhoff), 1 elsewhere.
+    Without zero divisors the bottom is meet-irreducible, so the maps meeting
+    (1)-(4) are exactly the h_j meeting (2): j ranges over every
+    join-irreducible when t is the bottom, else over those with j <= s and
+    j not<= t.  The j picked gives the lexicographically least table over the
+    non-bottom elements in element order.
 
-    Returns None only when a precondition fails (s <= t, or zero divisors);
-    the failure reason is raised instead of silently returning.
+    Raises PreconditionError when s <= t or the lattice has zero divisors.
     """
-    if len(lattice) > SEPARATION_GUARD:
-        raise GuardExceeded(f"|L| = {len(lattice)} exceeds guard {SEPARATION_GUARD}")
     if s == t or lattice.leq(s, t):
         raise PreconditionError(f"need s not<= t, got {s} <= {t}")
     if lattice.has_zero_divisors():
-        raise PreconditionError(
-            "lattice has divisors of 0; adjoin a bottom element first"
-        )
-    elems = lattice.elements
-    # No empty X: its join (bottom) is never s, nor its meet (top) t, as s not<= t.
-    join_sets = [X for X in _subsets(elems) if functools.reduce(lattice.join, X) == s]
-    meet_sets = [X for X in _subsets(elems) if functools.reduce(lattice.meet, X) == t]
+        raise PreconditionError("lattice has divisors of 0; adjoin a bottom element first")
+    bottom = lattice.bottom
+    others = [x for x in lattice.elements if x != bottom]
+    j = min(
+        (j for j in lattice.join_irreducibles
+         if t == bottom or (lattice.leq(j, s) and not lattice.leq(j, t))),
+        key=lambda j: [lattice.leq(j, x) for x in others],
+    )
+    table = {x: 2 if lattice.leq(j, x) else 1 for x in others}
+    table[bottom] = 0
     sr = semiring if semiring is not None else LatticeSemiring(lattice)
-    for table in _hom_candidates(lattice):
-        if not table[s] > table[t]:
-            continue
-        if any(all(table[x] != table[s] for x in X) for X in join_sets):
-            continue
-        if any(all(table[x] != table[t] for x in X) for X in meet_sets):
-            continue
-        return SemiringHom(sr, S3, (lambda tb: (lambda v: tb[v]))(table), f"sep_{s}_{t}")
-    return None
-
+    return SemiringHom(sr, S3, table.__getitem__, f"sep_{s}_{t}")

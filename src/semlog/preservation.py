@@ -862,8 +862,6 @@ def lift_counterexample_to_s3(
     if sr_star.leq(s, t):
         raise PreconditionError("starred valuations unexpectedly ordered")
     h = find_weakly_separating_hom(starred, s, t, semiring=sr_star)
-    if h is None:
-        raise PreconditionError("no weakly separating homomorphism found")
     qa = compose_hom(h, pa_star)
     qb = compose_hom(h, pb_star)
     wa = evaluate_set(qa, sentences)

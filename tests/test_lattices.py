@@ -1,10 +1,15 @@
 """Finite lattices, bottom adjunction, and weakly separating homomorphisms."""
 
+import functools
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from semlog.errors import GuardExceeded, PreconditionError
+import reference_lattices as ref
+from semlog.errors import PreconditionError
 from semlog.lattices import (
     FiniteLattice,
     LatticeSemiring,
@@ -143,8 +148,13 @@ def test_weakly_separating_preconditions():
     with pytest.raises(PreconditionError, match="divisors"):
         find_weakly_separating_hom(diamond_lattice(), "a", "b")
     big = chain_lattice([f"c{i}" for i in range(14)])
-    with pytest.raises(GuardExceeded):
-        find_weakly_separating_hom(big, "c5", "c2")
+    box = FiniteLattice(*_chain_product((2, 3, 3), random.Random(0)))
+    assert len(box) == 19
+    for lat, s, t in ((big, "c5", "c2"), (box, "1.0.0", "0.2.2"), (box, "1.2.1", "1.1.2")):
+        h = find_weakly_separating_hom(lat, s, t)
+        assert check_hom(h).ok
+        assert [x for x in lat.elements if h(x) == 0] == [lat.bottom]
+        assert h(s) > h(t)
 
 
 @pytest.mark.parametrize(
@@ -173,3 +183,104 @@ def test_lattice_semiring_flags():
     assert not sr.linearly_ordered
     chain = LatticeSemiring(chain_lattice(["0", "m", "1"]))
     assert chain.linearly_ordered
+
+
+M3 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+N5 = (["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+@st.composite
+def _relations(draw):
+    """Elements and leq pairs on 2-7 names: mostly a random acyclic relation,
+    often with a least and a greatest name, sometimes with a cycle, an unknown
+    name or a repeated element."""
+    n = draw(st.integers(2, 7))
+    names = draw(st.permutations([f"e{i}" for i in range(n)]))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    if draw(st.integers(0, 3)):
+        pairs += [(names[0], x) for x in names[1:]]
+    if draw(st.integers(0, 3)):
+        pairs += [(x, names[-1]) for x in names[:-1]]
+    if not draw(st.integers(0, 7)):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        pairs.append((names[j], names[i]))
+    if not draw(st.integers(0, 9)):
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(st.sampled_from(names)), "zz"))
+    pairs = draw(st.permutations(pairs))
+    elements = draw(st.permutations(names))
+    if not draw(st.integers(0, 9)):
+        elements.append(elements[0])
+    return elements, pairs
+
+
+def _order_tables(build, elements, pairs):
+    try:
+        lat = build(elements, pairs)
+    except PreconditionError as exc:
+        return "raised", str(exc)
+    els = lat.elements
+    return lat.bottom, lat.top, {
+        (a, b): (lat.join(a, b), lat.meet(a, b), lat.leq(a, b)) for a in els for b in els
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations())
+@example(M3)
+@example(N5)
+@example((["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")]))
+def test_order_tables_agree_with_reference(relation):
+    elements, pairs = relation
+    new = _order_tables(FiniteLattice, elements, pairs)
+    assert new == _order_tables(ref.FiniteLattice, elements, pairs)
+    if new[0] != "raised":
+        lat = FiniteLattice(elements, pairs)
+        assert lat.join_irreducibles == tuple(
+            j for j in lat.elements
+            if j != lat.bottom and all(j in (a, b) for a in lat.elements for b in lat.elements
+                                       if lat.join(a, b) == j)
+        )
+
+
+def _chain_product(lengths, rng):
+    """The product of chains of the given lengths with a new bottom "z"
+    adjoined, its elements ("i.j.k") in a shuffled order: (elements, pairs)."""
+    points = list(itertools.product(*(range(k) for k in lengths)))
+    name = {p: ".".join(map(str, p)) for p in points}
+    pairs = [("z", name[points[0]])] + [
+        (name[p], name[p[:i] + (p[i] + 1,) + p[i + 1:]])
+        for p in points for i, k in enumerate(lengths) if p[i] + 1 < k
+    ]
+    elements = ["z"] + [name[p] for p in points]
+    rng.shuffle(elements)
+    return elements, pairs
+
+
+CHAIN_PRODUCTS = [(k,) for k in range(2, 10)] + [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 2, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CHAIN_PRODUCTS), st.integers(0, 2**32))
+def test_weakly_separating_hom_agrees_with_reference_search(lengths, seed):
+    rng = random.Random(seed)
+    elements, pairs = _chain_product(lengths, rng)
+    lat, old = FiniteLattice(elements, pairs), ref.FiniteLattice(elements, pairs)
+    els, bot = lat.elements, lat.bottom
+    unordered = [(s, t) for s in els for t in els if not lat.leq(s, t)]
+    subsets = [X for r in range(1, len(els) + 1) for X in itertools.combinations(els, r)]
+    joins = {X: functools.reduce(lat.join, X) for X in subsets}
+    meets = {X: functools.reduce(lat.meet, X) for X in subsets}
+    for s, t in rng.sample(unordered, min(5, len(unordered))):
+        table = {x: find_weakly_separating_hom(lat, s, t)(x) for x in els}
+        expected = ref.find_weakly_separating_hom(old, s, t)
+        assert table == {x: expected(x) for x in els}
+        assert [x for x in els if table[x] == 0] == [bot] and table[lat.top] == 2
+        assert all(
+            table[lat.join(a, b)] == max(table[a], table[b])
+            and table[lat.meet(a, b)] == min(table[a], table[b])
+            for a in els for b in els
+        )
+        assert table[s] > table[t]
+        assert all(any(table[x] == table[s] for x in X) for X in subsets if joins[X] == s)
+        assert all(any(table[x] == table[t] for x in X) for X in subsets if meets[X] == t)
